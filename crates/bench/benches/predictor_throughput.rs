@@ -79,7 +79,7 @@ fn bench_predictors(c: &mut Criterion) {
 /// Harness replay throughput over the recorded stream, crossing retire
 /// latency (immediate 0 vs the study's realistic 8) with dispatch
 /// (boxed trait object, per-event delivery vs enum stack, batched
-/// delivery) — the four corners `experiments bench` summarizes.
+/// delivery).
 fn bench_harness_replay(c: &mut Criterion) {
     let events = recorded_events();
     let branches = events

@@ -74,9 +74,10 @@ fn bench_live_vs_replay(c: &mut Criterion) {
     group.finish();
 }
 
-/// Gang replay over live passes: one functional simulation feeding a
+/// Ganged replay over live passes: one functional simulation feeding a
 /// small lane matrix against one simulation per lane — the sweep
-/// runner's default versus its `--gang off` escape hatch, in miniature.
+/// runner's gang units versus one pass per predictor config, in
+/// miniature.
 fn bench_gang_vs_per_cell(c: &mut Criterion) {
     use predbranch_core::{build_predictor_stack, GangHarness};
     use predbranch_sim::Event;

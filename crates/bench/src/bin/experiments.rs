@@ -21,14 +21,6 @@
 //! experiments --checkpoint run.ckpt all
 //!                            # journal completed cells; an interrupted
 //!                            # sweep resumes from where it died
-//! experiments --dispatch dyn all
-//!                            # drive predictors through the boxed
-//!                            # trait-object path instead of the
-//!                            # statically-dispatched enum stack
-//!                            # (identical output, for A/B checks)
-//! experiments --gang off all # run one replay pass per cell instead of
-//!                            # ganging stream-sharing cells into one
-//!                            # pass (identical output, for A/B checks)
 //! experiments --shard 0/2 --checkpoint s0.ckpt --manifest s0.json all
 //!                            # run only the gang units this shard owns
 //!                            # (deterministic partition by stream
@@ -41,23 +33,16 @@
 //!                            # forms, exactly-once by cell key; a
 //!                            # finalize pass over merged.ckpt then
 //!                            # reprints the sweep byte-identically
-//! experiments --memo-streams 16 --trace-cache .traces all
-//!                            # cap the decoded-event memo (v1-only
-//!                            # fallback path) at 16 streams
 //! experiments --list-stacks  # list every statically-dispatched
 //!                            # predictor stack (generated from the
 //!                            # stack macros, never hand-maintained)
-//! experiments bench --json --quick
-//!                            # measure replay throughput (dyn vs enum,
-//!                            # gang vs per-cell, segment-served vs
-//!                            # decode-per-replay) and write BENCH_7.json
 //! ```
 
 use std::process::ExitCode;
 
 use predbranch_bench::experiments::find_experiment;
-use predbranch_bench::runner::{Dispatch, Gang, RunContext, Shard};
-use predbranch_bench::{all_experiments, benchmode, Scale};
+use predbranch_bench::runner::{RunContext, Shard};
+use predbranch_bench::{all_experiments, Scale};
 use predbranch_sweep::{merge_journals, merge_manifests, Json, ManifestBuilder};
 
 /// The `merge` subcommand: stitch shard-scoped journals (`.ckpt`
@@ -118,7 +103,6 @@ fn main() -> ExitCode {
     let quick = flag("--quick");
     let bars = flag("--bars");
     let markdown = flag("--markdown");
-    let json = flag("--json");
     if flag("--list-stacks") {
         // generated straight from the stack macros' variant tables, so
         // the listing can never drift from the dispatch enums
@@ -139,44 +123,25 @@ fn main() -> ExitCode {
             None => Ok(None),
         }
     };
-    let (
-        trace_cache,
-        jobs,
-        manifest_path,
-        checkpoint_path,
-        retire,
-        dispatch,
-        gang,
-        out,
-        shard,
-        memo,
-    ) = match (
+    let (trace_cache, jobs, manifest_path, checkpoint_path, retire, out, shard) = match (
         valued("--trace-cache"),
         valued("--jobs"),
         valued("--manifest"),
         valued("--checkpoint"),
         valued("--retire-latency"),
-        valued("--dispatch"),
-        valued("--gang"),
         valued("--out"),
         valued("--shard"),
-        valued("--memo-streams"),
     ) {
-        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r), Ok(d), Ok(g), Ok(o), Ok(s), Ok(ms)) => {
-            (tc, j, m, c, r, d, g, o, s, ms)
-        }
-        (tc, j, m, c, r, d, g, o, s, ms) => {
+        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r), Ok(o), Ok(s)) => (tc, j, m, c, r, o, s),
+        (tc, j, m, c, r, o, s) => {
             for err in [
                 tc.err(),
                 j.err(),
                 m.err(),
                 c.err(),
                 r.err(),
-                d.err(),
-                g.err(),
                 o.err(),
                 s.err(),
-                ms.err(),
             ]
             .into_iter()
             .flatten()
@@ -200,31 +165,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let dispatch: Dispatch = match dispatch.as_deref().map(str::parse).transpose() {
-        Ok(d) => d.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("--dispatch: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let gang: Gang = match gang.as_deref().map(str::parse).transpose() {
-        Ok(g) => g.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("--gang: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let shard: Option<Shard> = match shard.as_deref().map(str::parse).transpose() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("--shard: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let memo: Option<usize> = match memo.as_deref().map(str::parse).transpose() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("--memo-streams needs a non-negative integer: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -239,29 +183,12 @@ fn main() -> ExitCode {
         };
     }
 
-    if args.iter().any(|a| a == "bench") {
-        eprintln!("running bench — replay throughput baseline ...");
-        let report = benchmode::run_bench(quick);
-        print!("{}", report.to_text());
-        if json {
-            let path = out.as_deref().unwrap_or("BENCH_7.json");
-            let body = format!("{}\n", report.to_json().render());
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-        }
-        return ExitCode::SUCCESS;
+    if let Some(option) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("unknown option `{option}` (run with no arguments for usage)");
+        return ExitCode::FAILURE;
     }
 
-    let mut ctx = RunContext::new()
-        .with_jobs(jobs)
-        .with_dispatch(dispatch)
-        .with_gang(gang);
-    if let Some(n) = memo {
-        ctx = ctx.with_memo_streams(n);
-    }
+    let mut ctx = RunContext::new().with_jobs(jobs);
     if let Some(s) = shard {
         ctx = ctx.with_shard(s);
         if checkpoint_path.is_none() {
@@ -327,10 +254,8 @@ fn main() -> ExitCode {
         println!("experiments — regenerate the study's tables and figures\n");
         println!(
             "usage: experiments [--quick] [--jobs N] [--retire-latency R] \
-             [--dispatch enum|dyn] [--gang on|off] [--trace-cache <dir>] \
-             [--memo-streams N] [--shard i/N] \
+             [--trace-cache <dir>] [--shard i/N] \
              [--manifest <file>] [--checkpoint <file>] <id>... | all \
-             | bench [--json] [--out <file>] \
              | merge --out <merged.ckpt> --manifest <merged.json> <shard files>... \
              | --list-stacks\n"
         );
@@ -394,12 +319,6 @@ fn main() -> ExitCode {
             "trace cache: {} replays, {} recordings",
             stats.replays, stats.recordings
         );
-        if let Some(memo) = ctx.memo_stats() {
-            eprintln!(
-                "decode memo: {} hits, {} misses, {} evictions (capacity {})",
-                memo.hits, memo.misses, memo.evictions, memo.capacity
-            );
-        }
     }
     if checkpoint_path.is_some() && stats.checkpoint_hits > 0 {
         eprintln!(

@@ -14,12 +14,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod benchmode;
 pub mod experiments;
 pub mod runner;
 
 pub use experiments::{all_experiments, Artifact, Experiment, Scale};
 pub use runner::{
-    compiled_suite, run_spec, run_spec_dispatch, CellSpec, Dispatch, Gang, RunContext, RunOutcome,
-    RunStats, Shard, SuiteEntry, DEFAULT_LATENCY, PGU_DELAY,
+    compiled_suite, CellSpec, RunContext, RunOutcome, RunStats, Shard, SuiteEntry, DEFAULT_LATENCY,
+    PGU_DELAY,
 };

@@ -11,8 +11,9 @@
 //!
 //! Experiments decompose their grids into [`CellSpec`]s — one
 //! (program, input, predictor spec, machine options) point each — and
-//! call [`RunContext::run_cells`], which executes the cells on the
-//! work-stealing pool and returns outcomes **in submission order**.
+//! call [`RunContext::run_cells`], which groups cells that share an
+//! event stream into gang units, runs each unit's one pass on the
+//! work-stealing pool, and returns outcomes **in submission order**.
 //! Because every cell is a pure function of its spec, aggregation over
 //! that vector is byte-identical to the sequential loop it replaced, at
 //! any `--jobs N`.
@@ -24,12 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use predbranch_core::{
-    build_predictor, build_predictor_stack, BranchPredictor, GangHarness, HarnessConfig,
-    InsertFilter, PredictionHarness, PredictionMetrics, PredictorSpec, Timing,
-};
+use predbranch_core::{GangHarness, HarnessConfig, InsertFilter, PredictionMetrics, Timing};
 use predbranch_isa::Program;
-use predbranch_modern::{build_modern, build_modern_stack, ModernSpec};
+use predbranch_modern::{build_modern_stack, ModernSpec};
 use predbranch_sim::{Event, EventSink, Executor, Memory, RunSummary, EVENT_BATCH_CAPACITY};
 use predbranch_sweep::{CellRecord, CellSource, Checkpoint, Json, ManifestBuilder, WorkerPool};
 use predbranch_trace::{memory_fingerprint, program_hash, CacheKey, TraceCache};
@@ -49,71 +47,6 @@ pub const PGU_DELAY: u64 = 8;
 
 /// Instruction budget for every experiment cell.
 const CELL_BUDGET: u64 = 2 * DEFAULT_MAX_INSTRUCTIONS;
-
-/// How predictor calls are dispatched on the hot path.
-///
-/// Both paths drive predictors whose *state transitions* are identical
-/// — [`predbranch_modern::ModernStack`] is a structural mirror of
-/// [`build_modern`] — so every experiment result is byte-identical
-/// under either setting. `Dyn` exists as an A/B lever: the golden-parity
-/// suite runs under both, and `experiments bench` measures the gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// Statically-dispatched [`predbranch_modern::ModernStack`] enum
-    /// (the default): each predictor operation is one match and a
-    /// direct, inlinable call.
-    #[default]
-    Enum,
-    /// `Box<dyn BranchPredictor>` — the pre-refactor shape, one virtual
-    /// call per predictor operation.
-    Dyn,
-}
-
-impl std::str::FromStr for Dispatch {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "enum" => Ok(Dispatch::Enum),
-            "dyn" => Ok(Dispatch::Dyn),
-            other => Err(format!("unknown dispatch `{other}` (expected enum|dyn)")),
-        }
-    }
-}
-
-/// Whether [`RunContext::run_cells`] gangs cells that share an event
-/// stream into one replay pass.
-///
-/// With gang replay **on** (the default), cells are grouped by
-/// (benchmark stream, timing) into units; each unit decodes/executes
-/// its stream once and feeds every member cell as an independent
-/// [`GangHarness`] lane. Lanes share nothing but the unit's predicate
-/// scoreboard — identical by construction to the one each solo pass
-/// would build (grouping by timing guarantees a common resolve
-/// latency) — so outcomes are byte-identical to the per-cell path.
-/// `Off` exists as the A/B escape hatch mirroring `--dispatch
-/// enum|dyn`, and the property suite diffs the two paths
-/// outcome-for-outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Gang {
-    /// Group stream-sharing cells into one gang pass (the default).
-    #[default]
-    On,
-    /// One full replay/execution pass per cell — the pre-gang shape.
-    Off,
-}
-
-impl std::str::FromStr for Gang {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "on" => Ok(Gang::On),
-            "off" => Ok(Gang::Off),
-            other => Err(format!("unknown gang mode `{other}` (expected on|off)")),
-        }
-    }
-}
 
 /// One shard of a deterministically partitioned sweep: this process
 /// owns every gang unit whose stream digest satisfies
@@ -369,7 +302,7 @@ struct RunCounters {
     recordings: AtomicU64,
     /// Cells restored from the checkpoint journal without running.
     checkpoint_hits: AtomicU64,
-    /// Cells executed live (no cache attached).
+    /// Live execution passes (no cache attached).
     live_runs: AtomicU64,
     /// Cells outside this process's shard, skipped with placeholders.
     shard_skips: AtomicU64,
@@ -384,7 +317,7 @@ pub struct RunStats {
     pub recordings: u64,
     /// Cells restored from the checkpoint journal.
     pub checkpoint_hits: u64,
-    /// Cells executed live (no cache attached).
+    /// Live execution passes (no cache attached).
     pub live_runs: u64,
     /// Cells outside this process's shard (placeholder outcomes).
     pub shard_skips: u64,
@@ -406,10 +339,7 @@ pub struct RunContext {
     manifest: Option<Arc<ManifestBuilder>>,
     counters: Arc<RunCounters>,
     suites: Arc<Mutex<SuiteMemo>>,
-    dispatch: Dispatch,
-    gang: Gang,
     shard: Option<Shard>,
-    memo_streams: Option<usize>,
 }
 
 impl RunContext {
@@ -439,22 +369,8 @@ impl RunContext {
     /// ([`CacheKey::for_run`]), so results are numerically identical to
     /// live simulation.
     pub fn with_trace_cache(mut self, dir: impl AsRef<Path>) -> std::io::Result<Self> {
-        let mut cache = TraceCache::open(dir.as_ref())?;
-        if let Some(n) = self.memo_streams {
-            cache = cache.with_memo_capacity(n);
-        }
-        self.cache = Some(cache);
+        self.cache = Some(TraceCache::open(dir.as_ref())?);
         Ok(self)
-    }
-
-    /// Caps the trace cache's decoded-event memo at `streams`
-    /// concurrently memoized streams (0 disables the memo entirely).
-    /// The memo only serves v1-only cache entries — segment-served
-    /// streams never enter it — so this is a fallback-path knob.
-    pub fn with_memo_streams(mut self, streams: usize) -> Self {
-        self.memo_streams = Some(streams);
-        self.cache = self.cache.take().map(|c| c.with_memo_capacity(streams));
-        self
     }
 
     /// Restricts execution to one shard of a deterministically
@@ -485,32 +401,6 @@ impl RunContext {
     pub fn with_manifest(mut self, manifest: ManifestBuilder) -> Self {
         self.manifest = Some(Arc::new(manifest));
         self
-    }
-
-    /// Selects the predictor dispatch path (default [`Dispatch::Enum`]).
-    /// Outcomes are identical under both; cache and checkpoint entries
-    /// are therefore shared freely across dispatch modes.
-    pub fn with_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// The configured dispatch path.
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
-    /// Selects the replay grouping mode (default [`Gang::On`]).
-    /// Outcomes are identical under both; only the number of decode /
-    /// execution passes differs.
-    pub fn with_gang(mut self, gang: Gang) -> Self {
-        self.gang = gang;
-        self
-    }
-
-    /// The configured replay grouping mode.
-    pub fn gang(&self) -> Gang {
-        self.gang
     }
 
     /// The configured parallelism.
@@ -560,13 +450,6 @@ impl RunContext {
         (stats.replays, stats.recordings)
     }
 
-    /// Decoded-event memo traffic of the attached trace cache (`None`
-    /// without one) — hit/miss/eviction counters that expose thrash at
-    /// the memo's stream bound.
-    pub fn memo_stats(&self) -> Option<predbranch_trace::MemoStats> {
-        self.cache.as_ref().map(TraceCache::memo_stats)
-    }
-
     /// The compiled suite, memoized per `limit` so a multi-experiment
     /// sweep compiles each benchmark once instead of once per
     /// experiment.
@@ -607,19 +490,6 @@ impl RunContext {
         digest
     }
 
-    /// Whether this context's shard (if any) owns `cell`'s stream.
-    fn owns_cell(&self, cell: &CellSpec) -> bool {
-        match self.shard {
-            None => true,
-            Some(shard) => shard.owns(Self::stream_digest(
-                &cell.cache_label,
-                program_hash(&cell.program),
-                memory_fingerprint(&cell.memory),
-                cell.timing,
-            )),
-        }
-    }
-
     /// The outcome a sharded context returns for cells it does not own:
     /// empty metrics, an empty-but-halted summary. Recognizably inert,
     /// and excluded from journals and manifests so the merge step sees
@@ -635,83 +505,26 @@ impl RunContext {
         }
     }
 
-    /// Runs one cell: checkpoint lookup first, then trace-cache replay
-    /// or record, then live execution — whichever applies first. In a
-    /// sharded context, cells outside the shard return a placeholder
+    /// Runs a grid of cells, in parallel when a pool is attached, and
+    /// returns outcomes **in submission order** at any worker count.
+    ///
+    /// Each cell is first looked up in the checkpoint journal. The rest
+    /// are grouped by (stream, timing) into gang units — a lone cell is
+    /// a unit of one — and each unit replays its stream **once**,
+    /// feeding every member cell as an independent [`GangHarness`]
+    /// lane; the scheduling unit on the worker pool is the gang unit,
+    /// not the cell. Per-cell outcomes, cache keys, checkpoint records,
+    /// and manifest records do not depend on the grouping; the
+    /// replay/record/live counters count passes, one per unit. In a
+    /// sharded context, units outside the shard yield placeholders
     /// (after the checkpoint lookup, so a finalize pass over a merged
     /// journal restores every cell regardless of sharding).
     ///
     /// # Panics
     ///
-    /// Panics if the program fails to halt within the suite instruction
+    /// Panics if a program fails to halt within the suite instruction
     /// budget (suite programs always halt; a hang is a harness bug).
-    pub fn run_cell(&self, cell: &CellSpec) -> RunOutcome {
-        let key = cell.key();
-        if let Some(checkpoint) = &self.checkpoint {
-            if let Some(outcome) = checkpoint.lookup(&key).and_then(outcome_from_json) {
-                self.counters
-                    .checkpoint_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                self.record_manifest(cell, &key, 0, CellSource::Checkpoint);
-                return outcome;
-            }
-        }
-        if !self.owns_cell(cell) {
-            return self.shard_placeholder();
-        }
-        let started = Instant::now();
-        let (outcome, source) = self.execute(cell);
-        let wall_ms = started.elapsed().as_millis() as u64;
-        if let Some(checkpoint) = &self.checkpoint {
-            if let Err(e) = checkpoint.record(&key, wall_ms, &outcome_to_json(&outcome)) {
-                eprintln!(
-                    "warning: checkpoint append failed for {} ({e}); cell will re-run on resume",
-                    cell.label
-                );
-            }
-        }
-        self.record_manifest(cell, &key, wall_ms, source);
-        outcome
-    }
-
-    /// Runs a grid of cells, in parallel when a pool is attached, and
-    /// returns outcomes **in submission order** — the vector is
-    /// positionally identical to `cells.iter().map(|c|
-    /// ctx.run_cell(c))` at any worker count.
-    ///
-    /// Under [`Gang::On`] (the default), cells sharing an event stream
-    /// and timing are grouped into gang units and each unit replays its
-    /// stream **once**, feeding every member cell as an independent
-    /// [`GangHarness`] lane; the scheduling unit on the worker pool is
-    /// then the gang unit, not the cell. Per-cell outcomes, cache keys,
-    /// checkpoint records, and manifest records are unchanged — only
-    /// the number of decode/execution passes (and thus the
-    /// replay/record/live counters, which count passes) differs.
     pub fn run_cells(&self, cells: Vec<CellSpec>) -> Vec<RunOutcome> {
-        if self.gang == Gang::On {
-            return self.run_cells_ganged(cells);
-        }
-        match &self.pool {
-            Some(pool) if cells.len() > 1 => {
-                let jobs = cells
-                    .into_iter()
-                    .map(|cell| {
-                        let ctx = self.clone();
-                        let job: Box<dyn FnOnce() -> RunOutcome + Send> =
-                            Box::new(move || ctx.run_cell(&cell));
-                        job
-                    })
-                    .collect();
-                pool.run_batch(jobs)
-            }
-            _ => cells.iter().map(|cell| self.run_cell(cell)).collect(),
-        }
-    }
-
-    /// The gang-replay grid path: checkpoint lookups per cell, then one
-    /// replay pass per (stream, timing) unit, results scattered back to
-    /// submission order.
-    fn run_cells_ganged(&self, cells: Vec<CellSpec>) -> Vec<RunOutcome> {
         let mut slots: Vec<Option<RunOutcome>> = vec![None; cells.len()];
 
         // Checkpoint restores stay per-cell: a resumed sweep skips
@@ -736,9 +549,8 @@ impl RunContext {
         // Group by (stream identity, timing) in first-appearance order.
         // The content hashes — not just the cache label — define the
         // stream, so two cells gang only if they replay byte-identical
-        // events; timing joins the key per the grouping rule even
-        // though lanes carry private scoreboards, keeping a unit's
-        // lanes directly comparable.
+        // events; timing joins the key because a unit's lanes share one
+        // predicate scoreboard, which needs a common resolve latency.
         let mut units: Vec<Vec<(usize, CellSpec)>> = Vec::new();
         let mut by_stream: HashMap<(String, u64, u64, Timing), usize> = HashMap::new();
         for (index, cell) in pending {
@@ -788,21 +600,27 @@ impl RunContext {
     }
 
     /// Runs one gang unit — cells sharing a (stream, timing) — with a
-    /// single replay/execution pass, then journals and records each
-    /// member under its own per-cell key.
+    /// single replay/execution pass that drives one
+    /// [`build_modern_stack`] lane per member cell, then journals and
+    /// records each member under its own per-cell key. Outcomes are
+    /// returned in unit order, tagged with their submission index.
     fn run_gang_unit(&self, unit: &[(usize, CellSpec)]) -> Vec<(usize, RunOutcome)> {
         let started = Instant::now();
-        let (outcomes, source) = match self.dispatch {
-            Dispatch::Enum => self.gang_with(build_modern_stack, unit),
-            Dispatch::Dyn => self.gang_with(build_modern, unit),
-        };
+        let mut gang = GangHarness::new();
+        for (_, cell) in unit {
+            gang.push_lane(build_modern_stack(&cell.spec), cell.harness_config());
+        }
+        let lead = &unit[0].1;
+        let (summary, source) =
+            self.deliver(&lead.cache_label, &lead.program, &lead.memory, &mut gang);
         let wall_ms = started.elapsed().as_millis() as u64;
         unit.iter()
-            .zip(&outcomes)
-            .map(|((index, cell), outcome)| {
+            .zip(gang.into_metrics())
+            .map(|((index, cell), metrics)| {
+                let outcome = RunOutcome { metrics, summary };
                 let key = cell.key();
                 if let Some(checkpoint) = &self.checkpoint {
-                    if let Err(e) = checkpoint.record(&key, wall_ms, &outcome_to_json(outcome)) {
+                    if let Err(e) = checkpoint.record(&key, wall_ms, &outcome_to_json(&outcome)) {
                         eprintln!(
                             "warning: checkpoint append failed for {} ({e}); cell will re-run on resume",
                             cell.label
@@ -810,33 +628,9 @@ impl RunContext {
                     }
                 }
                 self.record_manifest(cell, &key, wall_ms, source);
-                (*index, *outcome)
+                (*index, outcome)
             })
             .collect()
-    }
-
-    /// Builds the lane bank for `unit` (one predictor per member cell,
-    /// monomorphized per dispatch path) and drives all lanes from one
-    /// pass over the unit's stream. Outcomes are returned in unit
-    /// order.
-    fn gang_with<P: BranchPredictor>(
-        &self,
-        build: impl Fn(&ModernSpec) -> P,
-        unit: &[(usize, CellSpec)],
-    ) -> (Vec<RunOutcome>, CellSource) {
-        let mut gang = GangHarness::new();
-        for (_, cell) in unit {
-            gang.push_lane(build(&cell.spec), cell.harness_config());
-        }
-        let lead = &unit[0].1;
-        let (summary, source) =
-            self.deliver(&lead.cache_label, &lead.program, &lead.memory, &mut gang);
-        let outcomes = gang
-            .into_metrics()
-            .into_iter()
-            .map(|metrics| RunOutcome { metrics, summary })
-            .collect();
-        (outcomes, source)
     }
 
     /// Runs arbitrary owned jobs on the pool (sequentially without
@@ -876,13 +670,13 @@ impl RunContext {
         self.deliver(cache_label, program, memory, sink).0
     }
 
-    /// The one stream-delivery primitive every run path shares: one
-    /// decode/execution pass over (program, memory) at the cell budget,
-    /// through the trace cache when attached (recording on first touch)
-    /// and the live batched executor otherwise. Exactly one pass
-    /// counter — replays, recordings, or live_runs — moves per call, so
-    /// the counters report *passes*, which the gang path amortizes
-    /// across its lanes.
+    /// The stream-delivery primitive behind both [`RunContext::run_cells`]
+    /// and [`RunContext::stream_events`]: one decode/execution pass over
+    /// (program, memory) at the cell budget, through the trace cache
+    /// when attached (recording on first touch) and the live batched
+    /// executor otherwise. Exactly one pass counter — replays,
+    /// recordings, or live_runs — moves per call, so the counters
+    /// report *passes*, which a gang unit amortizes across its lanes.
     ///
     /// # Panics
     ///
@@ -924,36 +718,6 @@ impl RunContext {
         (summary, source)
     }
 
-    fn execute(&self, cell: &CellSpec) -> (RunOutcome, CellSource) {
-        match self.dispatch {
-            Dispatch::Enum => self.execute_with(build_modern_stack(&cell.spec), cell),
-            Dispatch::Dyn => self.execute_with(build_modern(&cell.spec), cell),
-        }
-    }
-
-    /// Runs `cell` through `predictor`, monomorphized per dispatch path
-    /// so the enum stack's calls inline. Events reach the harness in
-    /// [`EVENT_BATCH_CAPACITY`]-sized chunks on both the replay and the
-    /// live path; the harness carries no timeline here, so skipping
-    /// per-instruction callbacks is observationally irrelevant.
-    fn execute_with<P: BranchPredictor>(
-        &self,
-        predictor: P,
-        cell: &CellSpec,
-    ) -> (RunOutcome, CellSource) {
-        let mut harness = PredictionHarness::new(predictor, cell.harness_config());
-        let (summary, source) =
-            self.deliver(&cell.cache_label, &cell.program, &cell.memory, &mut harness);
-        harness.finish();
-        (
-            RunOutcome {
-                metrics: *harness.metrics(),
-                summary,
-            },
-            source,
-        )
-    }
-
     fn record_manifest(&self, cell: &CellSpec, key: &str, wall_ms: u64, source: CellSource) {
         if let Some(manifest) = &self.manifest {
             manifest.record_cell(CellRecord {
@@ -963,74 +727,6 @@ impl RunContext {
                 source,
             });
         }
-    }
-}
-
-/// Runs one predictor spec over one binary, live (no cache, no
-/// context) — the primitive the experiments used before the sweep
-/// existed, kept for benches, doc examples, and one-off probes.
-///
-/// # Panics
-///
-/// Panics if the program fails to halt within the suite instruction
-/// budget.
-pub fn run_spec(
-    program: &Program,
-    memory: Memory,
-    spec: &PredictorSpec,
-    timing: Timing,
-    insert: InsertFilter,
-) -> RunOutcome {
-    run_spec_dispatch(program, memory, spec, timing, insert, Dispatch::Enum)
-}
-
-/// [`run_spec`] with an explicit dispatch path — the A/B primitive the
-/// throughput benches and `experiments bench` time. Both paths deliver
-/// events to the harness in batches; only the predictor call dispatch
-/// differs, and outcomes are identical.
-///
-/// # Panics
-///
-/// Panics if the program fails to halt within the suite instruction
-/// budget.
-pub fn run_spec_dispatch(
-    program: &Program,
-    memory: Memory,
-    spec: &PredictorSpec,
-    timing: Timing,
-    insert: InsertFilter,
-    dispatch: Dispatch,
-) -> RunOutcome {
-    match dispatch {
-        Dispatch::Enum => run_live(build_predictor_stack(spec), program, memory, timing, insert),
-        Dispatch::Dyn => run_live(build_predictor(spec), program, memory, timing, insert),
-    }
-}
-
-/// The shared live-run primitive under both `run_spec*` wrappers: one
-/// batched execution pass driving `predictor` through a fresh harness.
-/// Monomorphized per predictor shape so the enum stack's calls inline.
-///
-/// # Panics
-///
-/// Panics if the program fails to halt within the suite instruction
-/// budget.
-fn run_live<P: BranchPredictor>(
-    predictor: P,
-    program: &Program,
-    memory: Memory,
-    timing: Timing,
-    insert: InsertFilter,
-) -> RunOutcome {
-    let mut harness = PredictionHarness::new(predictor, HarnessConfig { timing, insert });
-    let mut buffer = Vec::with_capacity(EVENT_BATCH_CAPACITY);
-    let summary =
-        Executor::new(program, memory).run_batched(&mut harness, CELL_BUDGET, &mut buffer);
-    assert!(summary.halted, "experiment program did not halt");
-    harness.finish();
-    RunOutcome {
-        metrics: *harness.metrics(),
-        summary,
     }
 }
 
@@ -1112,6 +808,7 @@ pub fn outcome_from_json(json: &Json) -> Option<RunOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predbranch_core::PredictorSpec;
 
     #[test]
     fn compiled_suite_limit() {
@@ -1131,7 +828,9 @@ mod tests {
             Timing::immediate(DEFAULT_LATENCY),
             InsertFilter::All,
         );
-        let out = ctx.run_cell(&cell);
+        let [out] = ctx.run_cells(vec![cell])[..] else {
+            panic!("one cell in, one outcome out");
+        };
         assert!(out.summary.halted);
         assert!(out.misp_percent() >= 0.0);
         assert!(out.taken_branches() <= out.summary.branches);
@@ -1213,7 +912,9 @@ mod tests {
             Timing::immediate(DEFAULT_LATENCY),
             InsertFilter::All,
         );
-        let out = ctx.run_cell(&cell);
+        let [out] = ctx.run_cells(vec![cell])[..] else {
+            panic!("one cell in, one outcome out");
+        };
         let json = outcome_to_json(&out);
         let parsed = Json::parse(&json.render()).unwrap();
         assert_eq!(outcome_from_json(&parsed), Some(out));

@@ -1,6 +1,6 @@
 //! End-to-end sweep tests through the `experiments` binary: stdout must
-//! be byte-identical across `--jobs` levels, and `--manifest` must write
-//! a well-formed run record.
+//! be byte-identical across `--jobs` levels, `--manifest` must write a
+//! well-formed run record, and unknown options must be refused.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -115,4 +115,23 @@ fn checkpointed_rerun_restores_instead_of_rerunning() {
         "second run must restore all six cells from the journal:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_run_path_levers_fail_loudly() {
+    // these options once chose between run paths; there is one path
+    // now, and a stale flag must not be ignored — not even next to `all`
+    for lever in ["gang", "dispatch"] {
+        let flag = format!("--{lever}");
+        for target in ["f1", "all"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+                .args([flag.as_str(), "off", target])
+                .output()
+                .expect("spawn experiments");
+            assert!(!out.status.success(), "{flag} off {target} must fail");
+            assert!(out.stdout.is_empty(), "nothing may run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&flag), "{stderr}");
+        }
+    }
 }

@@ -1,0 +1,24 @@
+//! The one-lane reference the sweep tests diff `run_cells` against.
+
+use predbranch_bench::{CellSpec, RunContext, RunOutcome};
+use predbranch_core::{HarnessConfig, PredictionHarness};
+use predbranch_modern::build_modern;
+
+/// Runs `cell` the plainest way there is: its event stream, delivered
+/// by `ctx` (trace cache or live), drives a solo [`PredictionHarness`]
+/// around the boxed [`build_modern`] predictor. Agreement with
+/// `run_cells` therefore pins both the gang grouping and the
+/// statically-dispatched stack enum at once.
+pub fn one_lane_reference(ctx: &RunContext, cell: &CellSpec) -> RunOutcome {
+    let config = HarnessConfig {
+        timing: cell.timing,
+        insert: cell.insert.clone(),
+    };
+    let mut harness = PredictionHarness::new(build_modern(&cell.spec), config);
+    let summary = ctx.stream_events(&cell.cache_label, &cell.program, &cell.memory, &mut harness);
+    harness.finish();
+    RunOutcome {
+        metrics: *harness.metrics(),
+        summary,
+    }
+}

@@ -1,17 +1,20 @@
-//! Gang replay must be invisible: for ANY mix of classic and modern
+//! Ganged replay must be invisible: for ANY mix of classic and modern
 //! predictor specs over any mix of benchmarks, at retire latency 0 and
-//! 8, the ganged grid (the default) produces `RunOutcome`s identical —
-//! metrics, misprediction tallies, run summaries — to the sequential
-//! per-cell path (`--gang off`).
+//! 8, `run_cells` produces `RunOutcome`s identical — metrics,
+//! misprediction tallies, run summaries — to a one-lane reference that
+//! runs each cell on its own through a boxed predictor.
 //!
 //! Each case shares one on-disk trace cache between both contexts, so
-//! the property also exercises the replay path the full sweeps use:
-//! the first context to touch a stream records it, everything after
-//! replays.
+//! the property also exercises the paths the full sweeps use: the
+//! ganged pass records every stream, the reference replays them.
+
+mod common;
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use predbranch_bench::{CellSpec, Gang, RunContext};
+use predbranch_bench::{CellSpec, RunContext, RunOutcome};
 use predbranch_core::{InsertFilter, Timing};
 
 /// Spec strings spanning every predictor family the sweep engine can
@@ -64,8 +67,9 @@ fn cells_for(ctx: &RunContext, grid: &[(usize, usize)], retire: u64) -> Vec<Cell
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The gang-replay contract from DESIGN.md: lanes share no state,
-    /// so a ganged pass is byte-identical to per-cell passes.
+    /// The gang-replay contract from DESIGN.md: lanes share no state
+    /// but the scoreboard, so a ganged pass is byte-identical to
+    /// per-cell passes.
     #[test]
     fn gang_outcomes_match_per_cell_outcomes(
         grid in arb_grid(),
@@ -76,28 +80,31 @@ proptest! {
         let ganged = RunContext::new()
             .with_trace_cache(&dir)
             .expect("trace cache opens");
-        let per_cell = RunContext::new()
-            .with_gang(Gang::Off)
+        let reference = RunContext::new()
             .with_trace_cache(&dir)
             .expect("trace cache opens");
 
-        let outs_ganged = ganged.run_cells(cells_for(&ganged, &grid, retire));
-        let outs_per_cell = per_cell.run_cells(cells_for(&per_cell, &grid, retire));
+        let cells = cells_for(&ganged, &grid, retire);
+        let outs_ganged = ganged.run_cells(cells.clone());
+        let outs_reference: Vec<RunOutcome> = cells
+            .iter()
+            .map(|cell| common::one_lane_reference(&reference, cell))
+            .collect();
         prop_assert_eq!(
             outs_ganged,
-            outs_per_cell,
+            outs_reference,
             "ganged and per-cell outcomes diverge for grid {:?} at retire {}",
             grid,
             retire
         );
 
-        // ganging never runs more passes than the per-cell path
-        let (g, p) = (ganged.stats(), per_cell.stats());
-        prop_assert!(
-            g.replays + g.recordings + g.live_runs
-                <= p.replays + p.recordings + p.live_runs,
-            "gang used more passes ({g:?}) than per-cell ({p:?})"
-        );
+        // one pass per (stream, timing) unit; every cell here shares the
+        // timing, so one recording per distinct benchmark stream
+        let streams = grid.iter().map(|&(_, bench)| bench).collect::<BTreeSet<_>>().len() as u64;
+        let g = ganged.stats();
+        prop_assert_eq!((g.replays, g.recordings, g.live_runs), (0, streams, 0));
+        // and the now-warm cache serves every reference pass
+        prop_assert_eq!(reference.stats().recordings, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

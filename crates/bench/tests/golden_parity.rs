@@ -9,7 +9,7 @@
 //! change — fails this test.
 
 use predbranch_bench::experiments::find_experiment;
-use predbranch_bench::{Dispatch, RunContext, Scale};
+use predbranch_bench::{RunContext, Scale};
 
 /// The experiment ids the golden file covers, in `all` order. F16 was
 /// added together with the retire-latency knob, so it has no
@@ -21,14 +21,7 @@ const GOLDEN_IDS: [&str; 17] = [
 
 #[test]
 fn quick_all_output_is_byte_identical_to_pre_refactor_golden() {
-    // default dispatch: the statically-dispatched PredictorStack
     assert_golden(RunContext::new());
-}
-
-#[test]
-fn quick_all_output_is_byte_identical_under_dyn_dispatch() {
-    // the boxed trait-object escape hatch must agree byte for byte
-    assert_golden(RunContext::new().with_dispatch(Dispatch::Dyn));
 }
 
 /// F17 postdates the speculative-history refactor, so it gets its own
@@ -47,23 +40,17 @@ fn f17_quick_output_is_byte_identical_to_golden() {
 }
 
 /// F18 introduces the modern predictor tier (TAGE, multiperspective
-/// perceptron). Its golden is pinned across *both* dispatch paths and
-/// across worker counts: the modern predictors' speculative checkpoint
-/// machinery must be deterministic under parallel cell execution and
-/// structurally identical between the enum stack and the boxed
-/// composition.
+/// perceptron). Its golden is pinned across worker counts: the modern
+/// predictors' speculative checkpoint machinery must be deterministic
+/// under parallel cell execution. (That the enum stack behaves like the
+/// boxed composition is pinned in `predbranch-modern`'s stack tests.)
 #[test]
 fn f18_quick_output_is_byte_identical_on_every_path() {
     let golden = include_str!("golden/f18_quick.txt");
     let exp = find_experiment("f18").expect("f18 registered");
     for (tag, ctx) in [
-        ("enum", RunContext::new()),
-        ("dyn", RunContext::new().with_dispatch(Dispatch::Dyn)),
+        ("jobs1", RunContext::new()),
         ("jobs2", RunContext::new().with_jobs(2)),
-        (
-            "dyn-jobs2",
-            RunContext::new().with_dispatch(Dispatch::Dyn).with_jobs(2),
-        ),
     ] {
         let mut rendered = String::new();
         for artifact in (exp.run)(&ctx, &Scale::quick()) {

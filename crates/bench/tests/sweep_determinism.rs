@@ -1,10 +1,12 @@
 //! The sweep engine's core contract: `--jobs N` is an implementation
 //! detail. Cell outcomes, artifact text, and checkpoint-resumed results
 //! must be identical at every parallelism level, with and without the
-//! trace cache.
+//! trace cache, and equal to a one-lane reference run of each cell.
+
+mod common;
 
 use predbranch_bench::experiments::find_experiment;
-use predbranch_bench::{CellSpec, Gang, RunContext, Scale, DEFAULT_LATENCY};
+use predbranch_bench::{CellSpec, RunContext, RunOutcome, Scale, DEFAULT_LATENCY};
 use predbranch_core::{InsertFilter, Timing};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -92,15 +94,15 @@ fn trace_cache_replays_are_jobs_invariant_and_counted() {
     let stats = warm.stats();
     assert_eq!((stats.replays, stats.recordings), (0, 2), "{stats:?}");
 
-    // the per-cell escape hatch against the now-warm cache: one replay
+    // the one-lane reference against the now-warm cache: one replay
     // pass per cell, outcomes identical to the ganged pass
-    let per_cell = RunContext::new()
-        .with_gang(Gang::Off)
-        .with_trace_cache(&dir)
-        .unwrap();
-    let outs_per_cell = per_cell.run_cells(grid(&per_cell));
-    assert_eq!(outs_warm, outs_per_cell);
-    let stats = per_cell.stats();
+    let reference = RunContext::new().with_trace_cache(&dir).unwrap();
+    let outs_reference: Vec<RunOutcome> = grid(&reference)
+        .iter()
+        .map(|cell| common::one_lane_reference(&reference, cell))
+        .collect();
+    assert_eq!(outs_warm, outs_reference);
+    let stats = reference.stats();
     assert_eq!(
         (stats.replays, stats.recordings),
         (8, 0),
@@ -124,14 +126,17 @@ fn trace_cache_replays_are_jobs_invariant_and_counted() {
 }
 
 #[test]
-fn gang_escape_hatch_matches_ganged_outcomes() {
+fn live_gang_outcomes_match_the_one_lane_reference() {
     let ganged = RunContext::new();
-    let per_cell = RunContext::new().with_gang(Gang::Off);
     let outs_ganged = ganged.run_cells(grid(&ganged));
-    assert_eq!(outs_ganged, per_cell.run_cells(grid(&per_cell)));
-    // 2 streams → 2 gang passes; the escape hatch runs all 8 cells
+    let reference = RunContext::new();
+    let outs_reference: Vec<RunOutcome> = grid(&reference)
+        .iter()
+        .map(|cell| common::one_lane_reference(&reference, cell))
+        .collect();
+    assert_eq!(outs_ganged, outs_reference);
+    // 2 streams → 2 gang passes
     assert_eq!(ganged.stats().live_runs, 2);
-    assert_eq!(per_cell.stats().live_runs, 8);
 }
 
 #[test]

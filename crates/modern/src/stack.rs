@@ -420,15 +420,76 @@ mod tests {
 
     #[test]
     fn nested_filters_use_the_escape_hatch() {
-        let spec = ModernSpec::Sfpf {
+        let spec = nested_filter_spec();
+        let stack = build_modern_stack(&spec);
+        assert!(!stack.is_statically_dispatched());
+        assert_eq!(stack.name(), build_modern(&spec).name());
+    }
+
+    /// The nested-filter spec no stack variant covers: it must fall back
+    /// to the boxed composition.
+    fn nested_filter_spec() -> ModernSpec {
+        ModernSpec::Sfpf {
             base: Box::new("tage:4/8/48+sfpf".parse::<ModernSpec>().unwrap()),
             known_true: false,
             update_filtered: true,
             learned_guards: None,
-        };
-        let stack = build_modern_stack(&spec);
-        assert!(!stack.is_statically_dispatched());
-        assert_eq!(stack.name(), build_modern(&spec).name());
+        }
+    }
+
+    #[test]
+    fn stack_behaves_like_boxed_predictor() {
+        use predbranch_core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
+        use predbranch_isa::assemble;
+        use predbranch_sim::{Executor, Memory};
+
+        // a counted loop with a guard that holds every fourth trip: its
+        // branch and the loop exit have guards resolved at fetch (SFPF
+        // fires on the known-false ones), a third branch's guard is
+        // still in flight, and every trip writes predicates (PGU)
+        let program = assemble(
+            r#"
+                mov r1 = 0
+            loop:
+                and r2 = r1, 3
+                cmp.eq p3, p4 = r2, 0
+                add r1 = r1, 1
+                cmp.lt p1, p2 = r1, 200
+                nop
+                nop
+                (p3) br.region 0, skip
+                (p4) add r5 = r5, 1
+            skip:
+                cmp.gt p6, p7 = r2, 1
+                (p6) br.region 2, next
+                nop
+            next:
+                (p1) br.region 1, loop
+                halt
+            "#,
+        )
+        .unwrap();
+        let mut specs: Vec<ModernSpec> = Vec::new();
+        for base in ["tage:4/8/48", "ptage:4/8/48", "mpp:10", "pmpp:10"] {
+            for modifiers in ["", "+sfpf", "+pgu8", "+sfpf+pgu8", "+pgu8+sfpf"] {
+                specs.push(format!("{base}{modifiers}").parse().unwrap());
+            }
+        }
+        specs.push(nested_filter_spec());
+        for spec in specs {
+            let config = HarnessConfig {
+                timing: Timing::new(4, 8),
+                insert: InsertFilter::All,
+            };
+            let mut boxed = PredictionHarness::new(build_modern(&spec), config.clone());
+            Executor::new(&program, Memory::new()).run(&mut boxed, 100_000);
+            let mut stack = PredictionHarness::new(build_modern_stack(&spec), config);
+            Executor::new(&program, Memory::new()).run(&mut stack, 100_000);
+            let (_, boxed_metrics) = boxed.into_parts();
+            let (_, stack_metrics) = stack.into_parts();
+            assert!(boxed_metrics.all.branches.get() > 0, "{spec}");
+            assert_eq!(boxed_metrics, stack_metrics, "{spec}");
+        }
     }
 
     #[test]

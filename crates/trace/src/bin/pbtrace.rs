@@ -8,7 +8,7 @@
 //! pbtrace dump   <file.pbt> [--limit N]
 //! pbtrace verify <dir|file.pbt> [--quiet]
 //! pbtrace migrate <dir>
-//! pbtrace stats  <dir> [--json] [--memo-streams N]
+//! pbtrace stats  <dir> [--json]
 //! pbtrace characterize <dir|file.pbt> [--json] [--jobs N]
 //! pbtrace list
 //! ```
@@ -51,7 +51,7 @@ const USAGE: &str = "usage:
   pbtrace dump   <file.pbt> [--limit N]
   pbtrace verify <dir|file.pbt> [--quiet]
   pbtrace migrate <dir>
-  pbtrace stats  <dir> [--json] [--memo-streams N]
+  pbtrace stats  <dir> [--json]
   pbtrace characterize <dir|file.pbt> [--json] [--jobs N]
   pbtrace list";
 
@@ -395,23 +395,13 @@ fn trace_files(path: &str) -> Result<Vec<PathBuf>, String> {
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
-    let mut dir: Option<String> = None;
-    let mut json = false;
-    let mut memo_streams: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--memo-streams" => memo_streams = Some(parse(&take(&mut it, "--memo-streams")?)?),
-            p if !p.starts_with('-') && dir.is_none() => dir = Some(p.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
+    let (dir, json) = path_and_json(args, "stats")?;
+    // TraceCache::open creates missing directories; a read-only command
+    // must not, and a trace file is not a cache
+    if !std::path::Path::new(&dir).is_dir() {
+        return Err(format!("{dir}: not a trace-cache directory"));
     }
-    let dir = dir.ok_or_else(|| format!("stats needs exactly one path\n{USAGE}"))?;
-    let mut cache = predbranch_trace::TraceCache::open(&dir).map_err(|e| format!("{dir}: {e}"))?;
-    if let Some(n) = memo_streams {
-        cache = cache.with_memo_capacity(n as usize);
-    }
+    let cache = predbranch_trace::TraceCache::open(&dir).map_err(|e| format!("{dir}: {e}"))?;
     let entries = cache.scan().map_err(|e| format!("{dir}: {e}"))?;
 
     // group by benchmark: the label's leading component ("gzip-pred-1f"
@@ -434,20 +424,8 @@ fn stats(args: &[String]) -> Result<(), String> {
         slot.1 += entry.bytes;
     }
 
-    // Segment sidecars make the memo bound moot: segment-served
-    // entries never touch the memo at all. Thrash only threatens the
-    // uncovered remainder, so the warning below is scoped to it.
     let segments: u64 = entries.iter().filter(|e| e.segment_bytes.is_some()).count() as u64;
     let segment_bytes: u64 = entries.iter().filter_map(|e| e.segment_bytes).sum();
-
-    // The in-process decoded-event memo holds `capacity` streams
-    // (default DECODED_MEMO_CAPACITY; --memo-streams overrides); more
-    // v1-only streams than that will thrash it (evict + re-decode on
-    // every full sweep). This used to be silent — surface the bound,
-    // whether this directory exceeds it, and this process's traffic.
-    let memo = cache.memo_stats();
-    let v1_only = entries.len() as u64 - segments;
-    let memo_exceeded = v1_only > memo.capacity as u64;
 
     if json {
         let benchmarks: Vec<Json> = per_bench
@@ -470,15 +448,6 @@ fn stats(args: &[String]) -> Result<(), String> {
                     .field("entries", json_u64(segments))
                     .field("bytes", json_u64(segment_bytes)),
             )
-            .field(
-                "memo",
-                Json::obj()
-                    .field("capacity", memo.capacity)
-                    .field("hits", json_u64(memo.hits))
-                    .field("misses", json_u64(memo.misses))
-                    .field("evictions", json_u64(memo.evictions))
-                    .field("exceeds_capacity", memo_exceeded),
-            )
             .field("benchmarks", Json::Arr(benchmarks));
         println!("{}", doc.pretty());
         return Ok(());
@@ -499,24 +468,6 @@ fn stats(args: &[String]) -> Result<(), String> {
         entries.len(),
         human_bytes(segment_bytes)
     );
-    println!(
-        "memo:      {} of {} v1-only streams decodable at once; this process: \
-         {} hits, {} misses, {} evictions",
-        (v1_only as usize).min(memo.capacity),
-        memo.capacity,
-        memo.hits,
-        memo.misses,
-        memo.evictions
-    );
-    if memo_exceeded {
-        println!(
-            "warning:   {v1_only} v1-only traces exceed the {}-stream \
-             decoded-event memo; per-cell sweeps over them will evict and \
-             re-decode (run `pbtrace migrate` to build segment sidecars, \
-             which bypass the memo entirely)",
-            memo.capacity
-        );
-    }
     println!();
     println!("{:<14} {:>8} {:>14}", "benchmark", "entries", "bytes");
     for (bench, (count, bytes)) in &per_bench {

@@ -27,7 +27,7 @@
 //!   **segment sidecar** (built next to each cached `.pbt`), serving
 //!   event batches as borrowed slices straight off the OS page cache:
 //!   no per-replay decode, no per-replay checksum walk, and stream
-//!   residency bounded by the kernel rather than any in-process memo.
+//!   residency bounded by the kernel rather than by the process.
 //!   See the `segment` module docs for the layout and the
 //!   alignment/endianness contract.
 //! * `pbtrace` — a CLI to record, inspect, dump, verify, and migrate
@@ -61,7 +61,7 @@ mod segment;
 mod varint;
 mod writer;
 
-pub use cache::{CacheEntry, CacheKey, MemoStats, ServeStats, TraceCache, DECODED_MEMO_CAPACITY};
+pub use cache::{CacheEntry, CacheKey, ServeStats, TraceCache};
 pub use error::TraceError;
 pub use format::{memory_fingerprint, program_hash, TraceHeader, FORMAT_VERSION, MAGIC};
 pub use mmap::Mapping;

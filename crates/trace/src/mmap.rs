@@ -3,7 +3,7 @@
 //! Segment-served replay ([`crate::TraceMap`]) wants the event section
 //! resident in the OS page cache, shared between every process of a
 //! sharded sweep, and paged in/out under kernel memory pressure rather
-//! than counted against a per-process memo. `std` exposes no mapping
+//! than held in each process's heap. `std` exposes no mapping
 //! API, and this workspace vendors no `libc`, so the Unix path binds
 //! `mmap`/`munmap` directly against the C library Rust already links —
 //! two foreign functions, both POSIX-stable for decades.

@@ -113,15 +113,6 @@ impl<R: Read> TraceReader<R> {
         self.replay_impl(sink, Delivery::Batched, buffer)
     }
 
-    /// Like [`TraceReader::replay`], but delivers one
-    /// [`EventSink::event`] call per decoded event instead of batching —
-    /// the pre-batching pipeline shape, kept as the A/B baseline for
-    /// throughput comparisons (`experiments bench`). Event order and
-    /// payloads are identical to the batched path.
-    pub fn replay_per_event<S: EventSink>(self, sink: &mut S) -> Result<ReplayStats, TraceError> {
-        self.replay_impl(sink, Delivery::PerEvent, &mut Vec::new())
-    }
-
     /// Like [`TraceReader::replay`], but synthesizes one
     /// `sink.instruction(pc, index)` call per dynamic instruction of the
     /// recorded run (events carry their own pc; instructions between
@@ -187,13 +178,6 @@ impl<R: Read> TraceReader<R> {
                         }
                     }
                 }
-                Delivery::PerEvent => {
-                    match &event {
-                        Event::Branch(_) => branches += 1,
-                        Event::PredWrite(_) => pred_writes += 1,
-                    }
-                    sink.event(&event);
-                }
                 Delivery::Batched => {
                     match &event {
                         Event::Branch(_) => branches += 1,
@@ -251,8 +235,6 @@ impl<R: Read> TraceReader<R> {
 enum Delivery {
     /// [`EventSink::events`] in [`EVENT_BATCH_CAPACITY`]-sized chunks.
     Batched,
-    /// One [`EventSink::event`] call per event (the A/B baseline).
-    PerEvent,
     /// Per-event with synthesized `instruction` callbacks interleaved.
     PerEventWithInstructions,
 }
@@ -319,23 +301,6 @@ mod tests {
             .read_events()
             .unwrap();
         assert_eq!(events, live.events());
-    }
-
-    #[test]
-    fn per_event_delivery_matches_batched() {
-        let (_, _, bytes) = toy();
-        let mut batched = TraceSink::new();
-        let batched_stats = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .replay(&mut batched)
-            .unwrap();
-        let mut per_event = TraceSink::new();
-        let per_event_stats = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .replay_per_event(&mut per_event)
-            .unwrap();
-        assert_eq!(batched_stats, per_event_stats);
-        assert_eq!(batched.events(), per_event.events());
     }
 
     #[test]

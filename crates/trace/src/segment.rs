@@ -1,14 +1,11 @@
 //! Decoded segment sidecars (`.pbtd`) and the mmap-backed [`TraceMap`].
 //!
 //! The v1 varint stream is compact but serial: every replay pays a full
-//! decode and checksum walk, and the decoded-event memo that amortized
-//! that cost is per-process and bounded (it thrashes once a sweep
-//! touches more streams than [`crate::DECODED_MEMO_CAPACITY`]). The
-//! segment sidecar trades disk bytes for serving speed: events are
-//! stored **fixed-stride**, so a replay is a pointer cast over an
-//! `mmap`ed file — no decode, no per-replay allocation proportional to
-//! the stream, and residency managed by the OS page cache, shared
-//! between every process of a sharded sweep.
+//! decode and checksum walk. The segment sidecar trades disk bytes for
+//! serving speed: events are stored **fixed-stride**, so a replay is a
+//! pointer cast over an `mmap`ed file — no decode, no per-replay
+//! allocation proportional to the stream, and residency managed by the
+//! OS page cache, shared between every process of a sharded sweep.
 //!
 //! # Layout (segment version 1)
 //!
@@ -400,7 +397,7 @@ pub fn migrate_trace(trace_path: &Path) -> Result<MigrateOutcome, TraceError> {
 /// the stored event count) and walks the trailing checksum **once**;
 /// every [`TraceMap::replay`] after that is a fixed-stride scan of the
 /// mapping — no decode pass, no hashing, memory residency owned by the
-/// OS rather than any in-process memo.
+/// OS rather than by the process.
 #[derive(Debug)]
 pub struct TraceMap {
     mapping: crate::mmap::Mapping,

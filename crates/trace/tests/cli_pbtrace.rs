@@ -114,23 +114,17 @@ fn stats_json_matches_text_numbers() {
         suite()[0].name()
     );
 
-    // the decoded-event memo block: capacity from the library, no
-    // thrash for a one-trace directory, and a fresh process has no
-    // traffic yet (stats only scans headers)
-    let memo = json.get("memo").unwrap();
+    // a recorded trace has no sidecar until `migrate` builds one
     assert_eq!(
-        memo.get("capacity").unwrap().as_u64(),
-        Some(predbranch_trace::DECODED_MEMO_CAPACITY as u64)
+        text_field(&text, "segments"),
+        json.get("segments")
+            .unwrap()
+            .get("entries")
+            .unwrap()
+            .as_u64()
+            .unwrap()
+            .to_string()
     );
-    assert_eq!(memo.get("exceeds_capacity").unwrap().render(), "false");
-    assert_eq!(memo.get("hits").unwrap().as_u64(), Some(0));
-    assert_eq!(memo.get("misses").unwrap().as_u64(), Some(0));
-    assert_eq!(memo.get("evictions").unwrap().as_u64(), Some(0));
-    assert!(
-        text_field(&text, "memo").parse::<u64>().is_ok(),
-        "text view lacks a memo line:\n{text}"
-    );
-    assert!(!text.contains("warning:"), "one trace cannot thrash");
 
     fs::remove_dir_all(dir).ok();
 }
@@ -233,21 +227,10 @@ fn migrate_builds_sidecars_idempotently_and_verify_covers_them() {
     assert!(verbose.contains("segment-served"), "{verbose}");
     assert_eq!(pbtrace(&["verify", dir_str, "--quiet"]), "");
 
-    // stats reports full segment coverage and a configurable memo
-    let json = Json::parse(&pbtrace(&[
-        "stats",
-        dir_str,
-        "--json",
-        "--memo-streams",
-        "3",
-    ]))
-    .unwrap();
+    // stats reports full segment coverage
+    let json = Json::parse(&pbtrace(&["stats", dir_str, "--json"])).unwrap();
     let segments = json.get("segments").unwrap();
     assert_eq!(segments.get("entries").unwrap().as_u64(), Some(1));
-    assert_eq!(
-        json.get("memo").unwrap().get("capacity").unwrap().as_u64(),
-        Some(3)
-    );
 
     fs::remove_dir_all(dir).ok();
 }
@@ -291,4 +274,37 @@ fn characterize_rejects_missing_paths() {
     assert!(err.contains("no such file or directory"), "{err}");
     // and it must not have created the directory
     assert!(!std::path::Path::new("/nonexistent/predbranch-cache").exists());
+}
+
+/// Runs `pbtrace stats <path>` where `path` is not a cache directory:
+/// it must fail with one line naming the path and create nothing.
+fn assert_stats_rejects(path: &std::path::Path) {
+    let out = Command::new(env!("CARGO_BIN_EXE_pbtrace"))
+        .args(["stats", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "stats {path:?} must exit non-zero");
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains(path.to_str().unwrap()), "{err}");
+}
+
+#[test]
+fn stats_rejects_a_trace_file() {
+    let dir = scratch_dir("stats-file");
+    let trace = record_quick(&dir);
+    let before = fs::read(&trace).unwrap();
+    assert_stats_rejects(std::path::Path::new(&trace));
+    assert_eq!(fs::read(&trace).unwrap(), before, "the trace is untouched");
+    fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn stats_rejects_a_missing_directory_without_creating_it() {
+    let dir = scratch_dir("stats-missing");
+    let typo = dir.join("typo-dir");
+    assert_stats_rejects(&typo);
+    assert!(!typo.exists(), "stats must not create {typo:?}");
+    fs::remove_dir_all(dir).ok();
 }
