@@ -35,7 +35,7 @@
 //!                            # reprints the sweep byte-identically
 //! experiments --list-stacks  # list every statically-dispatched
 //!                            # predictor stack (generated from the
-//!                            # stack macros, never hand-maintained)
+//!                            # stack macro, never hand-maintained)
 //! ```
 
 use std::process::ExitCode;
@@ -104,10 +104,10 @@ fn main() -> ExitCode {
     let bars = flag("--bars");
     let markdown = flag("--markdown");
     if flag("--list-stacks") {
-        // generated straight from the stack macros' variant tables, so
-        // the listing can never drift from the dispatch enums
+        // generated straight from the stack macro's variant table, so
+        // the listing can never drift from the dispatch enum
         println!("available predictor stacks (variant  payload type):");
-        for variant in predbranch_modern::all_stack_variants() {
+        for variant in predbranch_modern::ModernStack::VARIANTS {
             println!("  {:<20} {}", variant.name, variant.type_name());
         }
         return ExitCode::SUCCESS;

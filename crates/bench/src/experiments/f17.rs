@@ -15,7 +15,8 @@
 //! predictors are being scored against.
 
 use predbranch_characterize::{Bucket, Characterization, Characterizer};
-use predbranch_core::{build_predictor_stack, HotBranches, PredictorStack};
+use predbranch_core::HotBranches;
+use predbranch_modern::{build_modern_stack, ModernStack};
 use predbranch_stats::{Align, Cell, Table};
 
 use super::{headline_specs, Artifact, Scale};
@@ -65,7 +66,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
             let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
                 let specs = headline_specs();
                 let hot = |i: usize| {
-                    HotBranches::new(build_predictor_stack(&specs[i].1), DEFAULT_LATENCY)
+                    HotBranches::new(build_modern_stack(&(&specs[i].1).into()), DEFAULT_LATENCY)
                 };
                 let mut characterizer = Characterizer::new();
                 let (mut h0, mut h1, mut h2, mut h3) = (hot(0), hot(1), hot(2), hot(3));
@@ -76,7 +77,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
                     ctx.stream_events(&cache_label, &program, &memory, &mut sink);
                 }
                 let report = characterizer.finish();
-                let hots: [HotBranches<PredictorStack>; 4] = [h0, h1, h2, h3];
+                let hots: [HotBranches<ModernStack>; 4] = [h0, h1, h2, h3];
                 let misp = report
                     .branches()
                     .iter()

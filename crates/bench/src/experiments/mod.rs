@@ -2,8 +2,8 @@
 //!
 //! The experiment ids follow DESIGN.md: `t1`/`t2` are tables, `f1`–`f10`
 //! figures. Every experiment maps a [`Scale`] to a list of text
-//! [`Artifact`]s so the binary, the tests, and the Criterion benches all
-//! share one implementation.
+//! [`Artifact`]s so the binary, the tests, and `perfbench/` all share
+//! one implementation.
 
 use std::fmt;
 
@@ -56,7 +56,7 @@ impl Scale {
         }
     }
 
-    /// A 3-benchmark quick mode for tests and Criterion.
+    /// A 3-benchmark quick mode for tests and smoke runs.
     pub fn quick() -> Self {
         Scale {
             limit: Some(3),

@@ -3,8 +3,8 @@
 //! Each experiment in [`experiments`] is a pure function from a
 //! ([`runner::RunContext`], [`Scale`]) pair to text artifacts
 //! ([`predbranch_stats::Table`] / [`predbranch_stats::Series`]); the
-//! `experiments` binary prints them, the Criterion benches time them,
-//! and EXPERIMENTS.md records their output against the paper's claims.
+//! `experiments` binary prints them, `perfbench/` times them, and
+//! EXPERIMENTS.md records their output against the paper's claims.
 //! The context carries the sweep machinery — worker pool, trace cache,
 //! checkpoint journal, manifest — and experiments decompose their grids
 //! into [`runner::CellSpec`]s so output stays byte-identical at any

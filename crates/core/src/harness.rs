@@ -400,18 +400,11 @@ impl<P: BranchPredictor> PredictionHarness<P> {
 /// # Examples
 ///
 /// ```
-/// use predbranch_core::{GangHarness, Gshare, HarnessConfig, StaticPredictor};
-/// use predbranch_core::PredictorStack;
+/// use predbranch_core::{BranchPredictor, GangHarness, Gshare, HarnessConfig, StaticPredictor};
 ///
-/// let mut gang = GangHarness::new();
-/// gang.push_lane(
-///     PredictorStack::Gshare(Gshare::new(10, 10)),
-///     HarnessConfig::default(),
-/// );
-/// gang.push_lane(
-///     PredictorStack::Static(StaticPredictor::Taken),
-///     HarnessConfig::default(),
-/// );
+/// let mut gang: GangHarness<Box<dyn BranchPredictor>> = GangHarness::new();
+/// gang.push_lane(Box::new(Gshare::new(10, 10)), HarnessConfig::default());
+/// gang.push_lane(Box::new(StaticPredictor::Taken), HarnessConfig::default());
 /// assert_eq!(gang.len(), 2);
 /// ```
 #[derive(Debug, Default)]

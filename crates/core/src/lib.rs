@@ -77,7 +77,6 @@ mod pgu;
 mod predictor;
 mod ring;
 mod sfpf;
-mod stack;
 mod tables;
 mod tournament;
 
@@ -99,6 +98,5 @@ pub use predictor::{
 };
 pub use ring::{checkpoint_capacity, Checkpoints, Ring, CHECKPOINT_CAPACITY, WINDOW_CAPACITY};
 pub use sfpf::SquashFilter;
-pub use stack::{build_predictor_stack, PredictorStack, StackVariant};
 pub use tables::{CounterTable, TwoBitCounter};
 pub use tournament::Tournament;

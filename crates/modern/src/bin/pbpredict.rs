@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use predbranch_core::{BranchPredictor, HarnessConfig, InsertFilter, PredictionHarness, Timing};
 use predbranch_isa::assemble;
-use predbranch_modern::{all_stack_variants, build_modern_stack, ModernSpec};
+use predbranch_modern::{build_modern_stack, ModernSpec, ModernStack};
 use predbranch_sim::{Executor, Memory, PipelineConfig, DEFAULT_RETIRE_LATENCY};
 
 struct Options {
@@ -59,13 +59,13 @@ fn parse_args() -> Option<Options> {
     }
 }
 
-/// Prints every statically-dispatched stack variant. The table is
-/// emitted by the stack-generating macros from the same token stream as
-/// the dispatch enums, so this listing cannot drift from the code (the
-/// CLI integration test diffs it against the library table).
+/// Prints every stack variant. The table is emitted by the stack macro
+/// from the same token stream as the dispatch enum, so this listing
+/// cannot drift from the code (the CLI integration test diffs it against
+/// the library table).
 fn list_stacks() {
     println!("available predictor stacks (variant  payload type):");
-    for variant in all_stack_variants() {
+    for variant in ModernStack::VARIANTS {
         println!("  {:<20} {}", variant.name, variant.type_name());
     }
 }

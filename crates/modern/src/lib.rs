@@ -30,8 +30,9 @@
 //! [`predbranch_core::PredictorSpec`]: every classic spec string parses
 //! to a transparent [`ModernSpec::Classic`], and `tage:T/I/H`,
 //! `ptage:T/I/H`, `mpp:I`, `pmpp:I` join the base vocabulary with the
-//! same `+sfpf` / `+pguN` modifier syntax. [`ModernStack`] extends the
-//! statically-dispatched stack the same way.
+//! same `+sfpf` / `+pguN` modifier syntax. [`ModernStack`] is the one
+//! statically-dispatched stack for classic and modern specs alike, built
+//! by [`build_modern_stack`].
 //!
 //! # Examples
 //!
@@ -56,5 +57,5 @@ mod tage;
 pub use mpp::Mpp;
 pub use predhist::{PredicateHistory, PREDICATE_HISTORY_BITS};
 pub use spec::{build_modern, ModernSpec, ParseModernSpecError};
-pub use stack::{all_stack_variants, build_modern_bank, build_modern_stack, ModernStack};
+pub use stack::{build_modern_stack, ModernStack, StackVariant};
 pub use tage::{Tage, MAX_TAGE_TABLES};

@@ -299,7 +299,7 @@ impl std::str::FromStr for ModernSpec {
 }
 
 /// Builds a TAGE instance from the spec's parameters.
-fn tage_from(tables: u32, index_bits: u32, max_history: u32, predicate: bool) -> Tage {
+pub(crate) fn tage_from(tables: u32, index_bits: u32, max_history: u32, predicate: bool) -> Tage {
     let t = Tage::new(tables, index_bits, max_history);
     if predicate {
         t.predicate_aware()
@@ -309,7 +309,7 @@ fn tage_from(tables: u32, index_bits: u32, max_history: u32, predicate: bool) ->
 }
 
 /// Builds an MPP instance from the spec's parameters.
-fn mpp_from(index_bits: u32, predicate: bool) -> Mpp {
+pub(crate) fn mpp_from(index_bits: u32, predicate: bool) -> Mpp {
     let m = Mpp::new(index_bits);
     if predicate {
         m.predicate_aware()
@@ -401,6 +401,43 @@ mod tests {
         // the Debug rendering (cache-key input) is byte-identical
         assert_eq!(format!("{spec:?}"), format!("{classic:?}"));
         assert_eq!(build_modern(&spec).name(), build_predictor(&classic).name());
+    }
+
+    #[test]
+    fn debug_renderings_are_pinned() {
+        // the rendering is a cell-key input: changing it invalidates every
+        // checkpoint journal, so the literal text is pinned here
+        for (text, debug) in [
+            (
+                "gshare:13/13+sfpf+pgu8",
+                "Pgu { base: Sfpf { base: Gshare { index_bits: 13, history_bits: 13 }, \
+                 known_true: false, update_filtered: true, learned_guards: None }, delay: 8 }",
+            ),
+            (
+                "tage:4/10/64+sfpf+pgu8",
+                "Pgu { base: Sfpf { base: Tage { tables: 4, index_bits: 10, max_history: 64, \
+                 predicate: false }, known_true: false, update_filtered: true, \
+                 learned_guards: None }, delay: 8 }",
+            ),
+            (
+                "pmpp:12+pgu0",
+                "Pgu { base: Mpp { index_bits: 12, predicate: true }, delay: 0 }",
+            ),
+        ] {
+            let spec: ModernSpec = text.parse().unwrap();
+            assert_eq!(format!("{spec:?}"), debug, "{text}");
+        }
+        let hand_built = ModernSpec::Pgu {
+            base: Box::new(ModernSpec::Classic(PredictorSpec::Gshare {
+                index_bits: 10,
+                history_bits: 10,
+            })),
+            delay: 4,
+        };
+        assert_eq!(
+            format!("{hand_built:?}"),
+            "Pgu { base: Gshare { index_bits: 10, history_bits: 10 }, delay: 4 }"
+        );
     }
 
     #[test]

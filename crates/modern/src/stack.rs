@@ -1,30 +1,115 @@
-//! Static-dispatch stacks for the modern predictor tier.
+//! Static-dispatch predictor stacks: one flat enum over every concrete
+//! predictor shape a spec can name, and the one builder that maps specs
+//! onto it.
+//!
+//! [`crate::build_modern`] returns `Box<dyn BranchPredictor>`, which
+//! costs a virtual call for every `predict`/`speculate`/`commit`/`squash`
+//! on the replay hot path, nested once per SFPF/PGU wrapper.
+//! [`ModernStack`] has one variant per shape, so a single `match` at the
+//! enum boundary replaces the vtable chain and the compiler can inline
+//! the whole wrapper composition into the harness loop.
+//! [`build_modern_stack`] follows the boxed builders' composition rules,
+//! so the two differ only in dispatch.
 
 use std::fmt;
 
 use predbranch_core::{
-    build_predictor_stack, BranchInfo, BranchPredictor, Pgu, PredictorStack, SquashFilter,
-    StackVariant,
+    Agree, Bimodal, BranchInfo, BranchPredictor, Gshare, Local, Perceptron, PerfectGuard, Pgu,
+    PredictorSpec, SquashFilter, StaticPredictor, Tournament,
 };
 use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
 
 use crate::mpp::Mpp;
-use crate::spec::{build_modern, ModernSpec};
+use crate::spec::{mpp_from, tage_from, ModernSpec};
 use crate::tage::Tage;
 
-/// Generates [`ModernStack`] and its [`BranchPredictor`] delegation:
-/// one variant per concrete modern predictor shape, plus the
-/// transparent `Classic` embedding of the core enum. Structured like
-/// core's `predictor_stack!` (which hardcodes its own enum name), and
-/// emits the same [`StackVariant`] table so CLI listings are generated
-/// from the dispatch token stream.
+/// One enumerated variant of [`ModernStack`]: the variant's name and the
+/// concrete predictor type it monomorphizes.
+///
+/// Emitted by the stack macro alongside the enum itself, so CLI listings
+/// of the available stacks are generated from the same token stream as
+/// the dispatch code and can never drift from it (the CLI integration
+/// tests diff the printed list against this table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StackVariant {
+    /// The enum variant name (e.g. `SfpfPguGshare`).
+    pub name: &'static str,
+    /// The concrete payload type as `stringify!` renders it — token
+    /// fragments stringify with spaces between tokens, so prefer
+    /// [`StackVariant::type_name`] for display.
+    pub ty: &'static str,
+}
+
+impl StackVariant {
+    /// The payload type with `stringify!`'s inter-token spaces removed
+    /// (e.g. `SquashFilter<Pgu<Gshare>>`).
+    pub fn type_name(&self) -> String {
+        self.ty.replace(' ', "")
+    }
+}
+
+/// Generates [`ModernStack`] from one row per base predictor: the base
+/// variant and its payload type, its `+sfpf` variant, and — for bases
+/// with global history — its `+pgu` and `+sfpf+pgu` variants. Emits the
+/// enum (bases, then each wrapper group, then `Dyn`), its
+/// [`StackVariant`] table, the [`BranchPredictor`] delegation (every
+/// trait method is one `match` handing the call to the payload), and the
+/// two wrapping steps [`build_modern_stack`] composes.
 macro_rules! modern_stack {
-    ($( $(#[$meta:meta])* $variant:ident($ty:ty) ),+ $(,)?) => {
-        /// A statically-dispatched modern-tier predictor: one variant
-        /// per concrete shape reachable from a [`ModernSpec`], with
-        /// classic specs embedding the whole [`PredictorStack`] enum
-        /// (including its `Dyn` escape hatch, which exotic modern
-        /// shapes also fall back to).
+    ($(
+        $(#[$meta:meta])*
+        $base:ident($ty:ty), $sfpf:ident $(, $pgu:ident, $sfpf_pgu:ident)?;
+    )+) => {
+        modern_stack!(@enum
+            $( $(#[$meta])* $base($ty), )+
+            $(
+                #[doc = concat!("Squash filter over `", stringify!($ty), "`.")]
+                $sfpf(SquashFilter<$ty>),
+            )+
+            $($(
+                #[doc = concat!("Predicate global update over `", stringify!($ty), "`.")]
+                $pgu(Pgu<$ty>),
+            )?)+
+            $($(
+                #[doc = concat!("Both techniques over `", stringify!($ty), "`.")]
+                $sfpf_pgu(SquashFilter<Pgu<$ty>>),
+            )?)+
+            /// Boxed escape hatch for nested filters, the one spec shape
+            /// outside the enumerated set; dispatches dynamically like
+            /// [`crate::build_modern`].
+            Dyn(Box<dyn BranchPredictor>),
+        );
+
+        impl ModernStack {
+            /// Wraps a bare base in PGU. A base without global history
+            /// has no insertion point, so PGU degrades to the base.
+            fn with_pgu(self, delay: u64) -> ModernStack {
+                match self {
+                    $($( ModernStack::$base(p) => ModernStack::$pgu(Pgu::new(p).with_delay(delay)), )?)+
+                    other => other,
+                }
+            }
+
+            /// Puts a filter in front of this stack. A filter over a
+            /// filter leaves the enumerated set.
+            fn with_sfpf(self, filter: Filter) -> ModernStack {
+                match self {
+                    $( ModernStack::$base(p) => ModernStack::$sfpf(filter.wrap(p)), )+
+                    $($( ModernStack::$pgu(p) => ModernStack::$sfpf_pgu(filter.wrap(p)), )?)+
+                    other => ModernStack::Dyn(Box::new(filter.wrap(other))),
+                }
+            }
+        }
+    };
+    (@enum $( $(#[$meta:meta])* $variant:ident($ty:ty), )+) => {
+        /// A statically-dispatched predictor: one variant per concrete
+        /// shape reachable from a [`ModernSpec`] — each base, the base
+        /// under SFPF, and each global-history base under PGU and under
+        /// both — plus the boxed [`ModernStack::Dyn`] escape hatch.
+        ///
+        /// Behaviorally identical to the boxed predictor
+        /// [`crate::build_modern`] returns for the same spec; only the
+        /// dispatch mechanism differs.
         ///
         /// # Examples
         ///
@@ -44,19 +129,15 @@ macro_rules! modern_stack {
         impl ModernStack {
             /// Every enumerated variant, generated from the same token
             /// stream as the enum (one [`StackVariant`] per variant, in
-            /// declaration order).
+            /// declaration order, including the `Dyn` escape hatch).
             pub const VARIANTS: &'static [StackVariant] = &[
                 $( StackVariant { name: stringify!($variant), ty: stringify!($ty) }, )+
             ];
 
-            /// Whether this stack dispatches statically (`false` only
-            /// for a classic spec that itself fell back to the boxed
-            /// escape hatch).
+            /// Whether this stack dispatches statically (`false` only for
+            /// the boxed [`ModernStack::Dyn`] escape hatch).
             pub fn is_statically_dispatched(&self) -> bool {
-                match self {
-                    ModernStack::Classic(inner) => inner.is_statically_dispatched(),
-                    _ => true,
-                }
+                !matches!(self, ModernStack::Dyn(_))
             }
         }
 
@@ -108,25 +189,26 @@ macro_rules! modern_stack {
 }
 
 modern_stack! {
-    /// Any classic predictor shape, embedded whole (including the core
-    /// enum's boxed `Dyn` escape hatch).
-    Classic(PredictorStack),
+    /// A static (stateless) predictor.
+    Static(StaticPredictor), SfpfStatic;
+    /// Per-PC 2-bit counters.
+    Bimodal(Bimodal), SfpfBimodal;
+    /// Global-history gshare.
+    Gshare(Gshare), SfpfGshare, PguGshare, SfpfPguGshare;
+    /// Two-level local predictor.
+    Local(Local), SfpfLocal;
+    /// McFarling tournament.
+    Tournament(Tournament), SfpfTournament, PguTournament, SfpfPguTournament;
+    /// Agree predictor.
+    Agree(Agree), SfpfAgree, PguAgree, SfpfPguAgree;
+    /// Perceptron predictor.
+    Perceptron(Perceptron), SfpfPerceptron, PguPerceptron, SfpfPguPerceptron;
+    /// Perfect-guard oracle.
+    Oracle(PerfectGuard), SfpfOracle;
     /// TAGE, plain or predicate-aware.
-    Tage(Tage),
-    /// Squash filter over TAGE.
-    SfpfTage(SquashFilter<Tage>),
-    /// Predicate global update over TAGE.
-    PguTage(Pgu<Tage>),
-    /// Both techniques over TAGE.
-    SfpfPguTage(SquashFilter<Pgu<Tage>>),
+    Tage(Tage), SfpfTage, PguTage, SfpfPguTage;
     /// Multiperspective perceptron, plain or predicate-aware.
-    Mpp(Mpp),
-    /// Squash filter over the multiperspective perceptron.
-    SfpfMpp(SquashFilter<Mpp>),
-    /// Predicate global update over the multiperspective perceptron.
-    PguMpp(Pgu<Mpp>),
-    /// Both techniques over the multiperspective perceptron.
-    SfpfPguMpp(SquashFilter<Pgu<Mpp>>),
+    Mpp(Mpp), SfpfMpp, PguMpp, SfpfPguMpp;
 }
 
 impl fmt::Debug for ModernStack {
@@ -135,319 +217,166 @@ impl fmt::Debug for ModernStack {
     }
 }
 
-/// Applies the SFPF policy knobs from a spec to a freshly built filter
-/// (local mirror of the core stack's private helper).
-fn configure_filter<P>(
-    filter: SquashFilter<P>,
+/// The policy knobs of one SFPF node in a spec.
+#[derive(Clone, Copy)]
+struct Filter {
     known_true: bool,
     update_filtered: bool,
     learned_guards: Option<u32>,
-) -> SquashFilter<P> {
-    let filter = filter
-        .with_known_true(known_true)
-        .with_update_filtered(update_filtered);
-    match learned_guards {
-        Some(bits) => filter.with_learned_guards(bits),
-        None => filter,
-    }
 }
 
-fn tage_from(tables: u32, index_bits: u32, max_history: u32, predicate: bool) -> Tage {
-    let t = Tage::new(tables, index_bits, max_history);
-    if predicate {
-        t.predicate_aware()
-    } else {
-        t
-    }
-}
-
-fn mpp_from(index_bits: u32, predicate: bool) -> Mpp {
-    let m = Mpp::new(index_bits);
-    if predicate {
-        m.predicate_aware()
-    } else {
-        m
-    }
-}
-
-/// Builds a statically-dispatched predictor from a modern spec — the
-/// hot-path counterpart of [`build_modern`], mirroring its composition
-/// rules exactly. Shapes outside the enumerated set (e.g. doubly-nested
-/// filters over a modern base) fall back to the boxed escape hatch via
-/// `Classic(Dyn)`.
-pub fn build_modern_stack(spec: &ModernSpec) -> ModernStack {
-    match spec {
-        ModernSpec::Classic(inner) => ModernStack::Classic(build_predictor_stack(inner)),
-        ModernSpec::Tage {
-            tables,
-            index_bits,
-            max_history,
-            predicate,
-        } => ModernStack::Tage(tage_from(*tables, *index_bits, *max_history, *predicate)),
-        ModernSpec::Mpp {
-            index_bits,
-            predicate,
-        } => ModernStack::Mpp(mpp_from(*index_bits, *predicate)),
-        ModernSpec::Sfpf {
-            base,
-            known_true,
-            update_filtered,
-            learned_guards,
-        } => {
-            macro_rules! wrap {
-                ($variant:ident, $inner:expr) => {
-                    ModernStack::$variant(configure_filter(
-                        SquashFilter::new($inner),
-                        *known_true,
-                        *update_filtered,
-                        *learned_guards,
-                    ))
-                };
-            }
-            match &**base {
-                ModernSpec::Tage {
-                    tables,
-                    index_bits,
-                    max_history,
-                    predicate,
-                } => wrap!(
-                    SfpfTage,
-                    tage_from(*tables, *index_bits, *max_history, *predicate)
-                ),
-                ModernSpec::Mpp {
-                    index_bits,
-                    predicate,
-                } => wrap!(SfpfMpp, mpp_from(*index_bits, *predicate)),
-                ModernSpec::Pgu { base: inner, delay } => match &**inner {
-                    ModernSpec::Tage {
-                        tables,
-                        index_bits,
-                        max_history,
-                        predicate,
-                    } => wrap!(
-                        SfpfPguTage,
-                        Pgu::new(tage_from(*tables, *index_bits, *max_history, *predicate))
-                            .with_delay(*delay)
-                    ),
-                    ModernSpec::Mpp {
-                        index_bits,
-                        predicate,
-                    } => wrap!(
-                        SfpfPguMpp,
-                        Pgu::new(mpp_from(*index_bits, *predicate)).with_delay(*delay)
-                    ),
-                    // PGU over a classic base is a classic shape; over
-                    // anything else, mirror build_modern's degradation
-                    ModernSpec::Classic(c) => {
-                        let classic = c.clone().with_pgu(*delay).with_sfpf_policy(
-                            *known_true,
-                            *update_filtered,
-                            *learned_guards,
-                        );
-                        ModernStack::Classic(build_predictor_stack(&classic))
-                    }
-                    _ => ModernStack::Classic(PredictorStack::Dyn(build_modern(spec))),
-                },
-                ModernSpec::Classic(c) => {
-                    let classic =
-                        c.clone()
-                            .with_sfpf_policy(*known_true, *update_filtered, *learned_guards);
-                    ModernStack::Classic(build_predictor_stack(&classic))
-                }
-                // nested filters leave the enumerated set
-                ModernSpec::Sfpf { .. } => {
-                    ModernStack::Classic(PredictorStack::Dyn(build_modern(spec)))
-                }
-            }
+impl Filter {
+    fn wrap<P>(self, inner: P) -> SquashFilter<P> {
+        let filter = SquashFilter::new(inner)
+            .with_known_true(self.known_true)
+            .with_update_filtered(self.update_filtered);
+        match self.learned_guards {
+            Some(bits) => filter.with_learned_guards(bits),
+            None => filter,
         }
-        ModernSpec::Pgu { base, delay } => match &**base {
+    }
+}
+
+/// The wrappers a spec names around its base, gathered outside-in by one
+/// walk that ends at the base and builds it.
+#[derive(Default)]
+struct Wrappers {
+    /// SFPF policies, outermost first.
+    filters: Vec<Filter>,
+    /// The innermost PGU delay: the walk overwrites it at every PGU node,
+    /// so an inner node wins.
+    delay: Option<u64>,
+}
+
+impl Wrappers {
+    fn modern(&mut self, spec: &ModernSpec) -> ModernStack {
+        match spec {
+            ModernSpec::Classic(classic) => self.classic(classic),
             ModernSpec::Tage {
                 tables,
                 index_bits,
                 max_history,
                 predicate,
-            } => ModernStack::PguTage(
-                Pgu::new(tage_from(*tables, *index_bits, *max_history, *predicate))
-                    .with_delay(*delay),
-            ),
+            } => ModernStack::Tage(tage_from(*tables, *index_bits, *max_history, *predicate)),
             ModernSpec::Mpp {
                 index_bits,
                 predicate,
-            } => {
-                ModernStack::PguMpp(Pgu::new(mpp_from(*index_bits, *predicate)).with_delay(*delay))
-            }
-            ModernSpec::Classic(c) => {
-                ModernStack::Classic(build_predictor_stack(&c.clone().with_pgu(*delay)))
-            }
+            } => ModernStack::Mpp(mpp_from(*index_bits, *predicate)),
             ModernSpec::Sfpf {
-                base: inner,
+                base,
                 known_true,
                 update_filtered,
                 learned_guards,
             } => {
-                // sfpf(pgu(base)): the filter sits in front of PGU
-                let pgu = ModernSpec::Pgu {
-                    base: inner.clone(),
-                    delay: *delay,
-                };
-                build_modern_stack(&ModernSpec::Sfpf {
-                    base: Box::new(pgu),
+                self.filters.push(Filter {
                     known_true: *known_true,
                     update_filtered: *update_filtered,
                     learned_guards: *learned_guards,
-                })
+                });
+                self.modern(base)
             }
-            other => build_modern_stack(other),
-        },
+            ModernSpec::Pgu { base, delay } => {
+                self.delay = Some(*delay);
+                self.modern(base)
+            }
+        }
     }
-}
 
-/// Builds the predictor bank for a gang-replay unit: one
-/// statically-dispatched [`ModernStack`] lane per spec, in lane order.
-/// This is the per-lane state split the gang path consumes — each lane
-/// is a self-contained stack (no sharing between lanes), so a
-/// `GangHarness` can wrap each in its own in-flight window and advance
-/// all of them over one decoded event pass. The single-stack
-/// [`build_modern_stack`] path is untouched: a bank of one is exactly
-/// one `build_modern_stack` call.
-pub fn build_modern_bank<'a>(specs: impl IntoIterator<Item = &'a ModernSpec>) -> Vec<ModernStack> {
-    specs.into_iter().map(build_modern_stack).collect()
-}
-
-/// Helper: rebuild a classic SFPF spec carrying explicit policy knobs.
-trait WithSfpfPolicy {
-    fn with_sfpf_policy(
-        self,
-        known_true: bool,
-        update_filtered: bool,
-        learned_guards: Option<u32>,
-    ) -> Self;
-}
-
-impl WithSfpfPolicy for predbranch_core::PredictorSpec {
-    fn with_sfpf_policy(
-        self,
-        known_true: bool,
-        update_filtered: bool,
-        learned_guards: Option<u32>,
-    ) -> Self {
-        predbranch_core::PredictorSpec::Sfpf {
-            base: Box::new(self),
-            known_true,
-            update_filtered,
-            learned_guards,
+    fn classic(&mut self, spec: &PredictorSpec) -> ModernStack {
+        match spec {
+            PredictorSpec::StaticNotTaken => ModernStack::Static(StaticPredictor::NotTaken),
+            PredictorSpec::StaticBtfn => ModernStack::Static(StaticPredictor::Btfn),
+            PredictorSpec::Bimodal { index_bits } => {
+                ModernStack::Bimodal(Bimodal::new(*index_bits))
+            }
+            PredictorSpec::Gshare {
+                index_bits,
+                history_bits,
+            } => ModernStack::Gshare(Gshare::new(*index_bits, *history_bits)),
+            PredictorSpec::Local {
+                bht_bits,
+                history_bits,
+                pattern_bits,
+            } => ModernStack::Local(Local::new(*bht_bits, *history_bits, *pattern_bits)),
+            PredictorSpec::Tournament {
+                gshare_bits,
+                history_bits,
+                bimodal_bits,
+                chooser_bits,
+            } => ModernStack::Tournament(Tournament::new(
+                *gshare_bits,
+                *history_bits,
+                *bimodal_bits,
+                *chooser_bits,
+            )),
+            PredictorSpec::Agree {
+                index_bits,
+                history_bits,
+            } => ModernStack::Agree(Agree::new(*index_bits, *history_bits)),
+            PredictorSpec::Perceptron {
+                index_bits,
+                history_bits,
+            } => ModernStack::Perceptron(Perceptron::new(*index_bits, *history_bits)),
+            PredictorSpec::OracleGuard => ModernStack::Oracle(PerfectGuard::new()),
+            PredictorSpec::Sfpf {
+                base,
+                known_true,
+                update_filtered,
+                learned_guards,
+            } => {
+                self.filters.push(Filter {
+                    known_true: *known_true,
+                    update_filtered: *update_filtered,
+                    learned_guards: *learned_guards,
+                });
+                self.classic(base)
+            }
+            PredictorSpec::Pgu { base, delay } => {
+                self.delay = Some(*delay);
+                self.classic(base)
+            }
         }
     }
 }
 
-/// Every stack variant an experiment CLI can reach: the modern
-/// variants (minus the transparent `Classic` embedding) followed by
-/// every classic variant. Generated from the same token streams as the
-/// two enums, so a printed listing can never drift from the dispatch
-/// code — the CLI integration test diffs the binary's output against
-/// this table.
-pub fn all_stack_variants() -> Vec<StackVariant> {
-    ModernStack::VARIANTS
-        .iter()
-        .filter(|v| v.name != "Classic")
-        .chain(PredictorStack::VARIANTS.iter())
-        .copied()
-        .collect()
+/// Builds a statically-dispatched predictor from a spec — the hot-path
+/// counterpart of [`crate::build_modern`] and
+/// [`predbranch_core::build_predictor`].
+///
+/// One walk collects the spec's wrappers, classic and modern alike, and
+/// builds its base; the wrappers then compose by the boxed builders'
+/// rules: the filter sits in front of PGU, PGU over a base without global
+/// history degrades to that base, the innermost PGU delay wins, and
+/// nested filters fall back to [`ModernStack::Dyn`].
+pub fn build_modern_stack(spec: &ModernSpec) -> ModernStack {
+    let mut wrappers = Wrappers::default();
+    let base = wrappers.modern(spec);
+    let stack = match wrappers.delay {
+        Some(delay) => base.with_pgu(delay),
+        None => base,
+    };
+    wrappers
+        .filters
+        .into_iter()
+        .rev()
+        .fold(stack, ModernStack::with_sfpf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::build_modern;
+    use predbranch_core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
+    use predbranch_isa::{assemble, Program};
+    use predbranch_sim::{Executor, Memory};
 
-    fn modern_shapes() -> Vec<&'static str> {
-        vec![
-            "tage:4/8/48",
-            "ptage:4/8/48",
-            "mpp:10",
-            "pmpp:10",
-            "tage:4/8/48+sfpf",
-            "tage:4/8/48+pgu8",
-            "tage:4/8/48+sfpf+pgu8",
-            "ptage:4/8/48+sfpf+pgu8",
-            "mpp:10+sfpf",
-            "mpp:10+pgu8",
-            "mpp:10+sfpf+pgu8",
-            "pmpp:10+sfpf+pgu8",
-            "gshare:10/10",
-            "gshare:10/10+sfpf+pgu8",
-            "tournament:10/10/10/10",
-        ]
-    }
-
-    #[test]
-    fn every_spec_shape_is_statically_dispatched() {
-        for text in modern_shapes() {
-            let spec: ModernSpec = text.parse().unwrap();
-            let stack = build_modern_stack(&spec);
-            assert!(stack.is_statically_dispatched(), "{text} fell back to dyn");
-        }
-    }
-
-    #[test]
-    fn bank_builds_one_lane_per_spec_in_order() {
-        let specs: Vec<ModernSpec> = modern_shapes().iter().map(|t| t.parse().unwrap()).collect();
-        let bank = build_modern_bank(&specs);
-        assert_eq!(bank.len(), specs.len());
-        for (lane, spec) in bank.iter().zip(&specs) {
-            assert_eq!(lane.name(), build_modern_stack(spec).name());
-        }
-    }
-
-    #[test]
-    fn stack_name_matches_boxed_builder() {
-        for text in modern_shapes() {
-            let spec: ModernSpec = text.parse().unwrap();
-            assert_eq!(
-                build_modern_stack(&spec).name(),
-                build_modern(&spec).name(),
-                "{text}"
-            );
-        }
-    }
-
-    #[test]
-    fn pgu_then_sfpf_order_is_rewritten() {
-        let spec: ModernSpec = "mpp:10+pgu4+sfpf".parse().unwrap();
-        let stack = build_modern_stack(&spec);
-        assert_eq!(stack.name(), "sfpf+pgu[d4]+mpp-10");
-        assert!(matches!(stack, ModernStack::SfpfPguMpp(_)));
-    }
-
-    #[test]
-    fn nested_filters_use_the_escape_hatch() {
-        let spec = nested_filter_spec();
-        let stack = build_modern_stack(&spec);
-        assert!(!stack.is_statically_dispatched());
-        assert_eq!(stack.name(), build_modern(&spec).name());
-    }
-
-    /// The nested-filter spec no stack variant covers: it must fall back
-    /// to the boxed composition.
-    fn nested_filter_spec() -> ModernSpec {
-        ModernSpec::Sfpf {
-            base: Box::new("tage:4/8/48+sfpf".parse::<ModernSpec>().unwrap()),
-            known_true: false,
-            update_filtered: true,
-            learned_guards: None,
-        }
-    }
-
-    #[test]
-    fn stack_behaves_like_boxed_predictor() {
-        use predbranch_core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
-        use predbranch_isa::assemble;
-        use predbranch_sim::{Executor, Memory};
-
-        // a counted loop with a guard that holds every fourth trip: its
-        // branch and the loop exit have guards resolved at fetch (SFPF
-        // fires on the known-false ones), a third branch's guard is
-        // still in flight, and every trip writes predicates (PGU)
-        let program = assemble(
+    /// A counted loop with a guard that holds every fourth trip: its
+    /// branch and the loop exit have guards resolved at fetch (SFPF fires
+    /// on the known-false and, with `sfpf!`, the known-true ones), a third
+    /// branch's guard is still in flight, and every trip writes
+    /// predicates (PGU).
+    fn program() -> Program {
+        assemble(
             r#"
                 mov r1 = 0
             loop:
@@ -468,27 +397,243 @@ mod tests {
                 halt
             "#,
         )
-        .unwrap();
-        let mut specs: Vec<ModernSpec> = Vec::new();
-        for base in ["tage:4/8/48", "ptage:4/8/48", "mpp:10", "pmpp:10"] {
-            for modifiers in ["", "+sfpf", "+pgu8", "+sfpf+pgu8", "+pgu8+sfpf"] {
-                specs.push(format!("{base}{modifiers}").parse().unwrap());
-            }
+        .unwrap()
+    }
+
+    /// Every base a spec can name: the nine classic ones and the four
+    /// modern ones, at small sizes.
+    fn bases() -> Vec<ModernSpec> {
+        let classic = [
+            PredictorSpec::StaticNotTaken,
+            PredictorSpec::StaticBtfn,
+            PredictorSpec::Bimodal { index_bits: 8 },
+            PredictorSpec::Gshare {
+                index_bits: 8,
+                history_bits: 8,
+            },
+            PredictorSpec::Local {
+                bht_bits: 6,
+                history_bits: 6,
+                pattern_bits: 8,
+            },
+            PredictorSpec::Tournament {
+                gshare_bits: 8,
+                history_bits: 8,
+                bimodal_bits: 8,
+                chooser_bits: 8,
+            },
+            PredictorSpec::Agree {
+                index_bits: 8,
+                history_bits: 8,
+            },
+            PredictorSpec::Perceptron {
+                index_bits: 6,
+                history_bits: 12,
+            },
+            PredictorSpec::OracleGuard,
+        ];
+        let modern = ["tage:4/8/48", "ptage:4/8/48", "mpp:8", "pmpp:8"];
+        classic
+            .into_iter()
+            .map(ModernSpec::Classic)
+            .chain(modern.iter().map(|text| text.parse().unwrap()))
+            .collect()
+    }
+
+    /// An SFPF node with the given policy, pushed into a classic spec the
+    /// way [`ModernSpec::with_sfpf`] pushes the default one.
+    fn filter(
+        spec: ModernSpec,
+        known_true: bool,
+        update_filtered: bool,
+        learned_guards: Option<u32>,
+    ) -> ModernSpec {
+        match spec {
+            ModernSpec::Classic(base) => ModernSpec::Classic(PredictorSpec::Sfpf {
+                base: Box::new(base),
+                known_true,
+                update_filtered,
+                learned_guards,
+            }),
+            base => ModernSpec::Sfpf {
+                base: Box::new(base),
+                known_true,
+                update_filtered,
+                learned_guards,
+            },
         }
-        specs.push(nested_filter_spec());
-        for spec in specs {
-            let config = HarnessConfig {
-                timing: Timing::new(4, 8),
-                insert: InsertFilter::All,
-            };
-            let mut boxed = PredictionHarness::new(build_modern(&spec), config.clone());
+    }
+
+    type Wrapper = fn(ModernSpec) -> ModernSpec;
+
+    /// The wrappers the exhaustive test nests, each with the number of
+    /// filters it adds.
+    const WRAPPERS: [(Wrapper, usize); 7] = [
+        (|spec| spec.with_sfpf(), 1),
+        (|spec| filter(spec, true, true, None), 1),
+        (|spec| filter(spec, false, false, None), 1),
+        (|spec| filter(spec, false, true, Some(6)), 1),
+        (|spec| spec.with_pgu(0), 0),
+        (|spec| spec.with_pgu(8), 0),
+        // a hand-built node the constructors never put around a classic
+        // spec; the wrappers above then add modern nodes around it too
+        (
+            |spec| ModernSpec::Pgu {
+                base: Box::new(spec),
+                delay: 4,
+            },
+            0,
+        ),
+    ];
+
+    #[test]
+    fn stack_behaves_like_boxed_predictor() {
+        // every base under every sequence of up to three wrappers, with
+        // the number of filters in each spec
+        let mut specs: Vec<(ModernSpec, usize)> = bases().into_iter().map(|b| (b, 0)).collect();
+        let mut layer = specs.clone();
+        for _ in 0..3 {
+            layer = layer
+                .iter()
+                .flat_map(|(spec, filters)| {
+                    WRAPPERS
+                        .iter()
+                        .map(move |(wrap, added)| (wrap(spec.clone()), filters + added))
+                })
+                .collect();
+            specs.extend(layer.iter().cloned());
+        }
+        assert_eq!(specs.len(), 13 * (1 + 7 + 49 + 343));
+
+        let program = program();
+        let config = HarnessConfig {
+            timing: Timing::new(4, 8),
+            insert: InsertFilter::All,
+        };
+        for (spec, filters) in specs {
+            let boxed = build_modern(&spec);
+            let stack = build_modern_stack(&spec);
+            assert_eq!(stack.name(), boxed.name(), "{spec:?}");
+            assert_eq!(
+                stack.is_statically_dispatched(),
+                filters <= 1,
+                "{spec:?} as {stack:?}"
+            );
+            let mut boxed = PredictionHarness::new(boxed, config.clone());
             Executor::new(&program, Memory::new()).run(&mut boxed, 100_000);
-            let mut stack = PredictionHarness::new(build_modern_stack(&spec), config);
+            let mut stack = PredictionHarness::new(stack, config.clone());
             Executor::new(&program, Memory::new()).run(&mut stack, 100_000);
             let (_, boxed_metrics) = boxed.into_parts();
             let (_, stack_metrics) = stack.into_parts();
-            assert!(boxed_metrics.all.branches.get() > 0, "{spec}");
-            assert_eq!(boxed_metrics, stack_metrics, "{spec}");
+            assert!(boxed_metrics.all.branches.get() > 0, "{spec:?}");
+            assert_eq!(boxed_metrics, stack_metrics, "{spec:?}");
+        }
+    }
+
+    /// Parser-reachable spec shapes with at most one filter, classic and
+    /// modern, including two PGU modifiers around a filter.
+    fn shapes() -> Vec<&'static str> {
+        vec![
+            "nt",
+            "btfn+sfpf",
+            "oracle+sfpf!",
+            "bimodal:8+pgu4",
+            "local:6/6/8+pgu4+sfpf",
+            "gshare:10/10",
+            "gshare:10/10+sfpf+pgu8",
+            "gshare:10/10+pgu4+sfpf+pgu",
+            "tournament:10/10/10/10+pgu8",
+            "agree:8/8+sfpf",
+            "perceptron:6/12+pgu0+sfpf",
+            "tage:4/8/48",
+            "ptage:4/8/48+sfpf",
+            "tage:4/8/48+pgu8",
+            "tage:4/8/48+sfpf+pgu8",
+            "tage:4/8/48+pgu4+sfpf+pgu",
+            "ptage:4/8/48+pgu0+sfpf!",
+            "mpp:10",
+            "pmpp:10+sfpf",
+            "mpp:10+pgu8",
+            "pmpp:10+sfpf+pgu8",
+            "mpp:10+pgu4+sfpf+pgu",
+        ]
+    }
+
+    #[test]
+    fn every_spec_shape_is_statically_dispatched() {
+        for text in shapes() {
+            let spec: ModernSpec = text.parse().unwrap();
+            let stack = build_modern_stack(&spec);
+            assert!(stack.is_statically_dispatched(), "{text} fell back to dyn");
+        }
+    }
+
+    #[test]
+    fn stack_name_matches_boxed_builder() {
+        for text in shapes() {
+            let spec: ModernSpec = text.parse().unwrap();
+            assert_eq!(
+                build_modern_stack(&spec).name(),
+                build_modern(&spec).name(),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn pgu_fallback_matches_boxed_builder() {
+        // PGU over a history-less base degrades to the plain base
+        let spec: ModernSpec = "bimodal:8+pgu4".parse().unwrap();
+        let stack = build_modern_stack(&spec);
+        assert_eq!(stack.name(), "bimodal-8");
+        assert!(matches!(stack, ModernStack::Bimodal(_)));
+        // ... including under a filter, and under a hand-built modern node
+        let spec: ModernSpec = "bimodal:8+pgu4+sfpf".parse().unwrap();
+        let stack = build_modern_stack(&spec);
+        assert_eq!(stack.name(), build_modern(&spec).name());
+        assert!(matches!(stack, ModernStack::SfpfBimodal(_)));
+        let spec = ModernSpec::Pgu {
+            base: Box::new("local:6/6/8".parse().unwrap()),
+            delay: 4,
+        };
+        let stack = build_modern_stack(&spec);
+        assert_eq!(stack.name(), build_modern(&spec).name());
+        assert!(matches!(stack, ModernStack::Local(_)));
+    }
+
+    #[test]
+    fn pgu_then_sfpf_order_is_rewritten() {
+        let spec: ModernSpec = "mpp:10+pgu4+sfpf".parse().unwrap();
+        let stack = build_modern_stack(&spec);
+        assert_eq!(stack.name(), "sfpf+pgu[d4]+mpp-10");
+        assert!(matches!(stack, ModernStack::SfpfPguMpp(_)));
+        let spec: ModernSpec = "gshare:10/10+pgu4+sfpf".parse().unwrap();
+        let stack = build_modern_stack(&spec);
+        assert_eq!(stack.name(), build_modern(&spec).name());
+        assert!(matches!(stack, ModernStack::SfpfPguGshare(_)));
+    }
+
+    #[test]
+    fn nested_filters_use_the_escape_hatch() {
+        // a modern filter over a modern filter, and a modern filter over
+        // a classic one
+        for spec in [
+            ModernSpec::Sfpf {
+                base: Box::new("tage:4/8/48+sfpf".parse().unwrap()),
+                known_true: false,
+                update_filtered: true,
+                learned_guards: None,
+            },
+            ModernSpec::Sfpf {
+                base: Box::new("gshare:8/8+sfpf".parse().unwrap()),
+                known_true: true,
+                update_filtered: true,
+                learned_guards: None,
+            },
+        ] {
+            let stack = build_modern_stack(&spec);
+            assert!(!stack.is_statically_dispatched(), "{spec:?}");
+            assert_eq!(stack.name(), build_modern(&spec).name());
         }
     }
 
@@ -499,18 +644,56 @@ mod tests {
     }
 
     #[test]
-    fn variants_table_tracks_both_enums() {
-        let all = all_stack_variants();
-        let names: Vec<&str> = all.iter().map(|v| v.name).collect();
-        // no Classic passthrough, no duplicates, both tiers present
-        assert!(!names.contains(&"Classic"));
+    fn variants_table_tracks_the_enum() {
+        let names: Vec<&str> = ModernStack::VARIANTS.iter().map(|v| v.name).collect();
+        // ten bases, each under SFPF, six under PGU and both, and Dyn
+        assert_eq!(names.len(), 10 + 10 + 6 + 6 + 1);
+        assert_eq!(names.first(), Some(&"Static"));
+        assert_eq!(names.last(), Some(&"Dyn"));
         let unique: std::collections::BTreeSet<&&str> = names.iter().collect();
         assert_eq!(unique.len(), names.len());
-        assert!(names.contains(&"Tage"));
-        assert!(names.contains(&"SfpfPguMpp"));
-        assert!(names.contains(&"SfpfPguGshare"));
-        assert!(names.contains(&"Dyn"));
-        let both = all.iter().find(|v| v.name == "SfpfPguTage").unwrap();
-        assert_eq!(both.type_name(), "SquashFilter<Pgu<Tage>>");
+        let type_of = |name: &str| {
+            ModernStack::VARIANTS
+                .iter()
+                .find(|v| v.name == name)
+                .unwrap()
+                .type_name()
+        };
+        assert_eq!(type_of("Gshare"), "Gshare");
+        assert_eq!(type_of("SfpfOracle"), "SquashFilter<PerfectGuard>");
+        assert_eq!(type_of("PguMpp"), "Pgu<Mpp>");
+        assert_eq!(type_of("SfpfPguTage"), "SquashFilter<Pgu<Tage>>");
+        assert_eq!(type_of("Dyn"), "Box<dynBranchPredictor>");
+    }
+
+    #[test]
+    fn variants_table_tracks_both_enums() {
+        // the classic and modern tiers share the one table: no `Classic`
+        // passthrough, every global-history base of either tier under all
+        // four wrappings, and the other bases without PGU
+        let names: Vec<&str> = ModernStack::VARIANTS.iter().map(|v| v.name).collect();
+        assert!(!names.contains(&"Classic"));
+        for base in ["Gshare", "Tournament", "Agree", "Perceptron", "Tage", "Mpp"] {
+            for prefix in ["", "Sfpf", "Pgu", "SfpfPgu"] {
+                let name = format!("{prefix}{base}");
+                assert!(names.contains(&name.as_str()), "{name} missing");
+            }
+        }
+        for base in ["Static", "Bimodal", "Local", "Oracle"] {
+            assert!(names.contains(&base), "{base} missing");
+            let sfpf = format!("Sfpf{base}");
+            assert!(names.contains(&sfpf.as_str()), "{sfpf} missing");
+            let pgu = format!("Pgu{base}");
+            assert!(!names.contains(&pgu.as_str()), "{pgu} listed");
+        }
+        let both = |name: &str| {
+            ModernStack::VARIANTS
+                .iter()
+                .find(|v| v.name == name)
+                .unwrap()
+                .type_name()
+        };
+        assert_eq!(both("SfpfPguGshare"), "SquashFilter<Pgu<Gshare>>");
+        assert_eq!(both("SfpfPguTage"), "SquashFilter<Pgu<Tage>>");
     }
 }

@@ -111,7 +111,7 @@ fn bad_spec_is_rejected() {
 
 #[test]
 fn stack_listing_matches_the_generated_table() {
-    // the printed listing must be exactly the variants the stack macros
+    // the printed listing must be exactly the variants the stack macro
     // emitted — one line per variant, names and payload types matching
     let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
         .arg("--list-stacks")
@@ -130,7 +130,7 @@ fn stack_listing_matches_the_generated_table() {
             )
         })
         .collect();
-    let expected: Vec<(String, String)> = predbranch_modern::all_stack_variants()
+    let expected: Vec<(String, String)> = predbranch_modern::ModernStack::VARIANTS
         .iter()
         .map(|v| (v.name.to_string(), v.type_name()))
         .collect();
