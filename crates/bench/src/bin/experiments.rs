@@ -38,6 +38,7 @@
 //!                            # stack macro, never hand-maintained)
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use predbranch_bench::experiments::find_experiment;
@@ -89,7 +90,9 @@ fn run_merge(
     Ok(())
 }
 
-fn main() -> ExitCode {
+/// Runs the command line, writing every artifact and listing to
+/// `stdout`. A write error ends the run early and is returned.
+fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let command = format!("experiments {}", args.join(" "));
     let mut flag = |name: &str| -> bool {
@@ -106,11 +109,14 @@ fn main() -> ExitCode {
     if flag("--list-stacks") {
         // generated straight from the stack macro's variant table, so
         // the listing can never drift from the dispatch enum
-        println!("available predictor stacks (variant  payload type):");
+        writeln!(
+            stdout,
+            "available predictor stacks (variant  payload type):"
+        )?;
         for variant in predbranch_modern::ModernStack::VARIANTS {
-            println!("  {:<20} {}", variant.name, variant.type_name());
+            writeln!(stdout, "  {:<20} {}", variant.name, variant.type_name())?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let mut valued = |name: &str| -> Result<Option<String>, String> {
         match args.iter().position(|a| a == name) {
@@ -148,44 +154,42 @@ fn main() -> ExitCode {
             {
                 eprintln!("{err}");
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let jobs: usize = match jobs.as_deref().map(str::parse).transpose() {
         Ok(n) => n.unwrap_or(1).max(1),
         Err(e) => {
             eprintln!("--jobs needs a positive integer: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let retire: u64 = match retire.as_deref().map(str::parse).transpose() {
         Ok(n) => n.unwrap_or(0),
         Err(e) => {
             eprintln!("--retire-latency needs a non-negative integer: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let shard: Option<Shard> = match shard.as_deref().map(str::parse).transpose() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("--shard: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
     if args.first().map(String::as_str) == Some("merge") {
-        return match run_merge(out.as_deref(), manifest_path.as_deref(), &args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+        if let Err(e) = run_merge(out.as_deref(), manifest_path.as_deref(), &args[1..]) {
+            eprintln!("{e}");
+            return Ok(ExitCode::FAILURE);
+        }
+        return Ok(ExitCode::SUCCESS);
     }
 
     if let Some(option) = args.iter().find(|a| a.starts_with('-')) {
         eprintln!("unknown option `{option}` (run with no arguments for usage)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let mut ctx = RunContext::new().with_jobs(jobs);
@@ -203,7 +207,7 @@ fn main() -> ExitCode {
             Ok(ctx) => ctx,
             Err(e) => {
                 eprintln!("cannot open trace cache {dir}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
     }
@@ -218,7 +222,7 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("cannot open checkpoint {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
     }
@@ -251,18 +255,22 @@ fn main() -> ExitCode {
     let scale = if quick { Scale::quick() } else { Scale::full() }.with_retire(retire);
 
     if args.is_empty() {
-        println!("experiments — regenerate the study's tables and figures\n");
-        println!(
+        writeln!(
+            stdout,
+            "experiments — regenerate the study's tables and figures\n"
+        )?;
+        writeln!(
+            stdout,
             "usage: experiments [--quick] [--jobs N] [--retire-latency R] \
              [--trace-cache <dir>] [--shard i/N] \
              [--manifest <file>] [--checkpoint <file>] <id>... | all \
              | merge --out <merged.ckpt> --manifest <merged.json> <shard files>... \
              | --list-stacks\n"
-        );
+        )?;
         for exp in all_experiments() {
-            println!("  {:<4} {}", exp.id, exp.title);
+            writeln!(stdout, "  {:<4} {}", exp.id, exp.title)?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let selected = if args.iter().any(|a| a == "all") {
@@ -274,7 +282,7 @@ fn main() -> ExitCode {
                 Some(exp) => chosen.push(exp),
                 None => {
                     eprintln!("unknown experiment `{id}` (run with no arguments to list)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -284,7 +292,7 @@ fn main() -> ExitCode {
     for exp in selected {
         eprintln!("running {} — {} ...", exp.id, exp.title);
         if markdown && shard.is_none() {
-            println!("## {} — {}\n", exp.id, exp.title);
+            writeln!(stdout, "## {} — {}\n", exp.id, exp.title)?;
         }
         for artifact in (exp.run)(&ctx, &scale) {
             // a shard computes only the cells it owns, so its aggregate
@@ -296,13 +304,13 @@ fn main() -> ExitCode {
                 continue;
             }
             if markdown {
-                println!("```text\n{artifact}```\n");
+                writeln!(stdout, "```text\n{artifact}```\n")?;
             } else {
-                println!("{artifact}");
+                writeln!(stdout, "{artifact}")?;
             }
             if bars {
                 if let predbranch_bench::Artifact::Series(series) = &artifact {
-                    println!("{}", series.to_bars(50));
+                    writeln!(stdout, "{}", series.to_bars(50))?;
                 }
             }
         }
@@ -334,9 +342,23 @@ fn main() -> ExitCode {
             Ok(()) => eprintln!("manifest: {} cells -> {path}", manifest.cell_count()),
             Err(e) => {
                 eprintln!("cannot write manifest {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match run(&mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        // a reader that stops early (`experiments all | head`) is not
+        // a failure of the run
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -81,10 +81,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let mut cells_in = Vec::with_capacity(THRESHOLDS.len() * n * 3);
     for ti in 0..THRESHOLDS.len() {
         for (ei, entry) in entries.iter().enumerate() {
-            let recompiled = SuiteEntry {
-                bench: entry.bench.clone(),
-                compiled: compiled[ti * n + ei].clone(),
-            };
+            let recompiled = SuiteEntry::new(entry.bench.clone(), compiled[ti * n + ei].clone());
             let name = recompiled.compiled.name;
             let mut plain_cell = CellSpec::plain(
                 &recompiled,

@@ -13,10 +13,11 @@ use predbranch_sim::{ExecMetrics, Executor, GuardKnowledgeStats};
 use predbranch_stats::{mean, Cell, Table};
 use predbranch_workloads::{
     compile_benchmark, suite, CompileOptions, CompiledBenchmark, DEFAULT_MAX_INSTRUCTIONS,
+    EVAL_SEED,
 };
 
 use super::{base_spec, Artifact, Scale};
-use crate::runner::{CellSpec, RunContext, SuiteEntry, DEFAULT_LATENCY, PGU_DELAY};
+use crate::runner::{Binary, CellSpec, RunContext, SuiteEntry, DEFAULT_LATENCY, PGU_DELAY};
 
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let both = base_spec().with_sfpf().with_pgu(PGU_DELAY);
@@ -48,25 +49,21 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         .iter()
         .flat_map(|bench| [bench, bench])
         .zip(compiled)
-        .map(|(bench, compiled)| SuiteEntry {
-            bench: bench.clone(),
-            compiled,
-        })
+        .map(|(bench, compiled)| SuiteEntry::new(bench.clone(), compiled))
         .collect();
 
     // per variant: an instrumented functional run for distance/coverage…
     let sink_jobs = variants
         .iter()
         .map(|entry| {
-            let program = entry.compiled.predicated.clone();
-            let input = entry.eval_input();
+            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
             let job: Box<dyn FnOnce() -> (f64, f64) + Send> = Box::new(move || {
                 let mut sinks = (
                     ExecMetrics::new(),
                     GuardKnowledgeStats::new(DEFAULT_LATENCY),
                 );
-                let summary =
-                    Executor::new(&program, input).run(&mut sinks, DEFAULT_MAX_INSTRUCTIONS);
+                let summary = Executor::new(stream.program(), stream.memory().clone())
+                    .run(&mut sinks, DEFAULT_MAX_INSTRUCTIONS);
                 assert!(summary.halted);
                 let (metrics, knowledge) = sinks;
                 (

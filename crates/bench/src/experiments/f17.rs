@@ -18,9 +18,10 @@ use predbranch_characterize::{Bucket, Characterization, Characterizer};
 use predbranch_core::HotBranches;
 use predbranch_modern::{build_modern_stack, ModernStack};
 use predbranch_stats::{Align, Cell, Table};
+use predbranch_workloads::EVAL_SEED;
 
 use super::{headline_specs, Artifact, Scale};
-use crate::runner::{RunContext, DEFAULT_LATENCY};
+use crate::runner::{Binary, RunContext, DEFAULT_LATENCY};
 
 /// One benchmark's taxonomy plus each profiled static's misprediction
 /// counts under the four headline configurations (in [`headline_specs`]
@@ -60,8 +61,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         .iter()
         .map(|entry| {
             let ctx = ctx.clone();
-            let program = entry.compiled.predicated.clone();
-            let memory = entry.eval_input();
+            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
             let cache_label = format!("{}-pred", entry.compiled.name);
             let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
                 let specs = headline_specs();
@@ -74,7 +74,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
                     // tuple sinks: the one decoded pass fans out to the
                     // characterizer and all four attribution harnesses
                     let mut sink = (&mut characterizer, (&mut h0, (&mut h1, (&mut h2, &mut h3))));
-                    ctx.stream_events(&cache_label, &program, &memory, &mut sink);
+                    ctx.stream_events(&cache_label, &stream, &mut sink);
                 }
                 let report = characterizer.finish();
                 let hots: [HotBranches<ModernStack>; 4] = [h0, h1, h2, h3];

@@ -20,9 +20,10 @@ use predbranch_characterize::{Bucket, Characterization, Characterizer};
 use predbranch_core::HotBranches;
 use predbranch_modern::{build_modern_stack, ModernSpec, ModernStack};
 use predbranch_stats::{Align, Cell, Table};
+use predbranch_workloads::EVAL_SEED;
 
 use super::{mpp_spec, tage_spec, Artifact, Scale};
-use crate::runner::{RunContext, DEFAULT_LATENCY, PGU_DELAY};
+use crate::runner::{Binary, RunContext, DEFAULT_LATENCY, PGU_DELAY};
 
 /// The six configurations, in column order: each family's base, its
 /// +SFPF+PGU wrapping, and its predicate-aware variant.
@@ -96,8 +97,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         .iter()
         .map(|entry| {
             let ctx = ctx.clone();
-            let program = entry.compiled.predicated.clone();
-            let memory = entry.eval_input();
+            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
             let cache_label = format!("{}-pred", entry.compiled.name);
             let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
                 let specs = configs();
@@ -113,7 +113,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
                         &mut characterizer,
                         (&mut h0, (&mut h1, (&mut h2, (&mut h3, (&mut h4, &mut h5))))),
                     );
-                    ctx.stream_events(&cache_label, &program, &memory, &mut sink);
+                    ctx.stream_events(&cache_label, &stream, &mut sink);
                 }
                 let report = characterizer.finish();
                 let hots: [HotBranches<ModernStack>; 6] = [h0, h1, h2, h3, h4, h5];

@@ -8,10 +8,10 @@
 
 use predbranch_sim::{Executor, GuardKnowledgeStats};
 use predbranch_stats::{mean, Cell, Series, Table};
-use predbranch_workloads::DEFAULT_MAX_INSTRUCTIONS;
+use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
 
 use super::{Artifact, Scale};
-use crate::runner::{RunContext, DEFAULT_LATENCY};
+use crate::runner::{Binary, RunContext, DEFAULT_LATENCY};
 
 const LATENCIES: [u64; 6] = [0, 2, 4, 8, 16, 32];
 
@@ -23,12 +23,11 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let mut jobs: Vec<Box<dyn FnOnce() -> GuardKnowledgeStats + Send>> = Vec::new();
     for latency in LATENCIES {
         for entry in entries.iter() {
-            let program = entry.compiled.predicated.clone();
-            let input = entry.eval_input();
+            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
             jobs.push(Box::new(move || {
                 let mut stats = GuardKnowledgeStats::new(latency);
-                let summary =
-                    Executor::new(&program, input).run(&mut stats, DEFAULT_MAX_INSTRUCTIONS);
+                let summary = Executor::new(stream.program(), stream.memory().clone())
+                    .run(&mut stats, DEFAULT_MAX_INSTRUCTIONS);
                 assert!(summary.halted);
                 stats
             }));

@@ -10,10 +10,10 @@
 use predbranch_core::InsertFilter;
 use predbranch_sim::{ExecMetrics, Executor};
 use predbranch_stats::{mean, Cell, Series, Table};
-use predbranch_workloads::DEFAULT_MAX_INSTRUCTIONS;
+use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
 
 use super::{base_spec, Artifact, Scale};
-use crate::runner::{CellSpec, RunContext};
+use crate::runner::{Binary, CellSpec, RunContext};
 
 const DELAYS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
 
@@ -54,12 +54,11 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let distance_jobs = entries
         .iter()
         .map(|entry| {
-            let program = entry.compiled.predicated.clone();
-            let input = entry.eval_input();
+            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
             let job: Box<dyn FnOnce() -> (f64, u64, u64, u64) + Send> = Box::new(move || {
                 let mut metrics = ExecMetrics::new();
-                let summary =
-                    Executor::new(&program, input).run(&mut metrics, DEFAULT_MAX_INSTRUCTIONS);
+                let summary = Executor::new(stream.program(), stream.memory().clone())
+                    .run(&mut metrics, DEFAULT_MAX_INSTRUCTIONS);
                 assert!(summary.halted);
                 let hist = metrics.guard_distance();
                 let median_edge = hist.percentile_upper_bound(0.5).unwrap_or(0);

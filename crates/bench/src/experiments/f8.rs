@@ -13,10 +13,10 @@
 use predbranch_core::{build_predictor, HarnessConfig, InsertFilter, PredictionHarness};
 use predbranch_sim::{Executor, PipelineConfig, PipelineModel};
 use predbranch_stats::{geometric_mean, Cell, Table};
-use predbranch_workloads::DEFAULT_MAX_INSTRUCTIONS;
+use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
 
 use super::{headline_specs, Artifact, Scale};
-use crate::runner::RunContext;
+use crate::runner::{Binary, RunContext};
 
 struct TimelinePoint {
     cycles: u64,
@@ -34,8 +34,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let mut jobs: Vec<Box<dyn FnOnce() -> TimelinePoint + Send>> = Vec::new();
     for entry in entries.iter() {
         for (i, (_, spec)) in specs.iter().enumerate() {
-            let program = entry.compiled.predicated.clone();
-            let input = entry.eval_input();
+            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
             let spec = spec.clone();
             jobs.push(Box::new(move || {
                 let mut harness = PredictionHarness::new(
@@ -46,8 +45,8 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
                     },
                 )
                 .with_timeline(pipe);
-                let summary =
-                    Executor::new(&program, input).run(&mut harness, 2 * DEFAULT_MAX_INSTRUCTIONS);
+                let summary = Executor::new(stream.program(), stream.memory().clone())
+                    .run(&mut harness, 2 * DEFAULT_MAX_INSTRUCTIONS);
                 assert!(summary.halted);
                 harness.finish();
                 let timeline = *harness.timeline().expect("timeline attached");

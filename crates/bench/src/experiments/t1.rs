@@ -8,10 +8,10 @@
 
 use predbranch_sim::{ExecMetrics, Executor};
 use predbranch_stats::{Cell, Table};
-use predbranch_workloads::DEFAULT_MAX_INSTRUCTIONS;
+use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
 
 use super::{Artifact, Scale};
-use crate::runner::RunContext;
+use crate::runner::{Binary, RunContext};
 
 struct Characterization {
     plain: predbranch_sim::RunSummary,
@@ -24,15 +24,14 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let jobs = entries
         .iter()
         .map(|entry| {
-            let plain_program = entry.compiled.plain.clone();
-            let pred_program = entry.compiled.predicated.clone();
-            let input = entry.eval_input();
+            let plain_stream = entry.stream(Binary::Plain, EVAL_SEED);
+            let pred_stream = entry.stream(Binary::Predicated, EVAL_SEED);
             let job: Box<dyn FnOnce() -> Characterization + Send> = Box::new(move || {
                 let mut plain_metrics = ExecMetrics::new();
-                let plain = Executor::new(&plain_program, input.clone())
+                let plain = Executor::new(plain_stream.program(), plain_stream.memory().clone())
                     .run(&mut plain_metrics, DEFAULT_MAX_INSTRUCTIONS);
                 let mut pred_metrics = ExecMetrics::new();
-                let pred = Executor::new(&pred_program, input)
+                let pred = Executor::new(pred_stream.program(), pred_stream.memory().clone())
                     .run(&mut pred_metrics, DEFAULT_MAX_INSTRUCTIONS);
                 Characterization {
                     plain,

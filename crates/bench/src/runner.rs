@@ -10,10 +10,12 @@
 //! sweeps impossible to reason about.
 //!
 //! Experiments decompose their grids into [`CellSpec`]s — one
-//! (program, input, predictor spec, machine options) point each — and
-//! call [`RunContext::run_cells`], which groups cells that share an
-//! event stream into gang units, runs each unit's one pass on the
-//! work-stealing pool, and returns outcomes **in submission order**.
+//! (stream, predictor spec, machine options) point each, where a
+//! [`Stream`] is a binary and its input, digested once and shared by
+//! every cell over it — and call [`RunContext::run_cells`], which
+//! groups cells that share an event stream into gang units, runs each
+//! unit's one pass on the work-stealing pool, and returns outcomes
+//! **in submission order**.
 //! Because every cell is a pure function of its spec, aggregation over
 //! that vector is byte-identical to the sequential loop it replaced, at
 //! any `--jobs N`.
@@ -95,24 +97,117 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// A benchmark plus its two compiled binaries.
+/// What a stream executes: a binary and the input image it starts
+/// from. A [`CellSpec`] dereferences to its stream's source, so code
+/// written against the cell's former `program` and `memory` fields
+/// (`perfbench`'s self-test reads `cell.memory`) still reads them,
+/// without a copy per cell.
+#[derive(Debug)]
+pub struct StreamSource {
+    /// The compiled binary.
+    pub program: Program,
+    /// The input image.
+    pub memory: Memory,
+}
+
+/// One (binary, input) execution stream, keyed once: the program, its
+/// input image, and their [`program_hash`] / [`memory_fingerprint`]
+/// digests, computed in [`Stream::new`] and immutable after. Cells
+/// share a stream through an `Arc`, and the digests feed gang
+/// grouping, the trace-cache key and the cell key without hashing the
+/// image again.
+#[derive(Debug)]
+pub struct Stream {
+    source: StreamSource,
+    program_hash: u64,
+    memory_fingerprint: u64,
+}
+
+impl Stream {
+    /// Digests `program` and `memory` into a stream.
+    pub fn new(program: Program, memory: Memory) -> Self {
+        Stream {
+            program_hash: program_hash(&program),
+            memory_fingerprint: memory_fingerprint(&memory),
+            source: StreamSource { program, memory },
+        }
+    }
+
+    /// The binary the stream executes.
+    pub fn program(&self) -> &Program {
+        &self.source.program
+    }
+
+    /// The input image the stream starts from.
+    pub fn memory(&self) -> &Memory {
+        &self.source.memory
+    }
+
+    /// [`program_hash`] of [`Stream::program`].
+    pub fn program_hash(&self) -> u64 {
+        self.program_hash
+    }
+
+    /// [`memory_fingerprint`] of [`Stream::memory`].
+    pub fn memory_fingerprint(&self) -> u64 {
+        self.memory_fingerprint
+    }
+}
+
+/// Which of a [`SuiteEntry`]'s two binaries a stream runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Binary {
+    /// The plain (branchy) binary.
+    Plain,
+    /// The if-converted, predicated binary.
+    Predicated,
+}
+
+/// A benchmark plus its two compiled binaries, and the streams cells
+/// have drawn from them.
 #[derive(Debug)]
 pub struct SuiteEntry {
     /// The benchmark descriptor (inputs, name).
     pub bench: Benchmark,
     /// Plain + predicated binaries and region metadata.
     pub compiled: CompiledBenchmark,
+    /// One stream per (binary, seed), built on first request.
+    streams: Mutex<Vec<(Binary, u64, Arc<Stream>)>>,
 }
 
 impl SuiteEntry {
-    /// The evaluation input (always a different seed than training).
-    pub fn eval_input(&self) -> Memory {
-        self.bench.input(EVAL_SEED)
+    /// An entry with no streams built yet.
+    pub fn new(bench: Benchmark, compiled: CompiledBenchmark) -> Self {
+        SuiteEntry {
+            bench,
+            compiled,
+            streams: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// `binary` over the input drawn with `seed`, generated and
+    /// digested on the first request and shared by every later one.
+    pub(crate) fn stream(&self, binary: Binary, seed: u64) -> Arc<Stream> {
+        let mut streams = self
+            .streams
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some((_, _, stream)) = streams.iter().find(|(b, s, _)| (*b, *s) == (binary, seed)) {
+            return Arc::clone(stream);
+        }
+        let program = match binary {
+            Binary::Plain => &self.compiled.plain,
+            Binary::Predicated => &self.compiled.predicated,
+        };
+        let stream = Arc::new(Stream::new(program.clone(), self.bench.input(seed)));
+        streams.push((binary, seed, Arc::clone(&stream)));
+        stream
     }
 }
 
 /// Compiles the whole suite (optionally only the first `limit`
-/// benchmarks, for quick modes).
+/// benchmarks, for quick modes). Streams are built lazily, when cells
+/// first ask for them.
 pub fn compiled_suite(limit: Option<usize>) -> Vec<SuiteEntry> {
     let opts = CompileOptions::default();
     suite()
@@ -120,7 +215,7 @@ pub fn compiled_suite(limit: Option<usize>) -> Vec<SuiteEntry> {
         .take(limit.unwrap_or(usize::MAX))
         .map(|bench| {
             let compiled = compile_benchmark(&bench, &opts);
-            SuiteEntry { bench, compiled }
+            SuiteEntry::new(bench, compiled)
         })
         .collect()
 }
@@ -157,10 +252,11 @@ impl RunOutcome {
     }
 }
 
-/// One point of an experiment grid: a binary, an input, a predictor
-/// spec, and the machine options — everything that determines a
-/// [`RunOutcome`]. Cells own their data (`'static`) so they can migrate
-/// across worker threads.
+/// One point of an experiment grid: a stream (binary and input), a
+/// predictor spec, and the machine options — everything that determines
+/// a [`RunOutcome`]. Cells are `'static` so they can migrate across
+/// worker threads; every cell over one (binary, input) shares its
+/// entry's [`Stream`] instead of owning a copy.
 ///
 /// The spec is a [`ModernSpec`]: classic paper-era configurations and
 /// the modern tier (TAGE, multiperspective perceptron) share one cell
@@ -176,10 +272,8 @@ pub struct CellSpec {
     /// (binary, input) so the cache stores one trace per execution, not
     /// one per predictor config. Typically `"<bench>-<variant>"`.
     pub cache_label: String,
-    /// The compiled binary to run.
-    pub program: Program,
-    /// The input image.
-    pub memory: Memory,
+    /// The binary and input image to run, with their digests.
+    pub stream: Arc<Stream>,
     /// Predictor configuration.
     pub spec: ModernSpec,
     /// Update-timing knobs (resolve and retire latencies).
@@ -201,8 +295,7 @@ impl CellSpec {
         CellSpec {
             label: label.into(),
             cache_label: format!("{}-pred", entry.compiled.name),
-            program: entry.compiled.predicated.clone(),
-            memory: entry.eval_input(),
+            stream: entry.stream(Binary::Predicated, EVAL_SEED),
             spec: spec.into(),
             timing,
             insert,
@@ -221,8 +314,7 @@ impl CellSpec {
         CellSpec {
             label: label.into(),
             cache_label: format!("{}-plain", entry.compiled.name),
-            program: entry.compiled.plain.clone(),
-            memory: entry.eval_input(),
+            stream: entry.stream(Binary::Plain, EVAL_SEED),
             spec: spec.into(),
             timing,
             insert,
@@ -242,8 +334,7 @@ impl CellSpec {
         CellSpec {
             label: label.into(),
             cache_label: format!("{}-pred-{seed:x}", entry.compiled.name),
-            program: entry.compiled.predicated.clone(),
-            memory: entry.bench.input(seed),
+            stream: entry.stream(Binary::Predicated, seed),
             spec: spec.into(),
             timing,
             insert,
@@ -254,7 +345,8 @@ impl CellSpec {
     /// the program encoding, input image, budget, machine options, and
     /// predictor spec. Equal keys ⇒ equal outcomes, so a resumed sweep
     /// may trust a checkpointed result with this key no matter which
-    /// experiment, process, or `--jobs` level produced it.
+    /// experiment, process, or `--jobs` level produced it. The program
+    /// and input enter through their stream's stored digests.
     pub fn key(&self) -> String {
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |bytes: &[u8]| {
@@ -263,8 +355,8 @@ impl CellSpec {
                 digest = digest.wrapping_mul(0x100_0000_01b3);
             }
         };
-        mix(&program_hash(&self.program).to_le_bytes());
-        mix(&memory_fingerprint(&self.memory).to_le_bytes());
+        mix(&self.stream.program_hash().to_le_bytes());
+        mix(&self.stream.memory_fingerprint().to_le_bytes());
         mix(&CELL_BUDGET.to_le_bytes());
         mix(&self.timing.resolve_latency.to_le_bytes());
         mix(&self.timing.retire_latency.to_le_bytes());
@@ -290,6 +382,14 @@ impl CellSpec {
             timing: self.timing,
             insert: self.insert.clone(),
         }
+    }
+}
+
+impl std::ops::Deref for CellSpec {
+    type Target = StreamSource;
+
+    fn deref(&self) -> &StreamSource {
+        &self.stream.source
     }
 }
 
@@ -325,6 +425,14 @@ pub struct RunStats {
 
 /// Compiled-suite memo: one shared suite per `limit` value.
 type SuiteMemo = Vec<(Option<usize>, Arc<Vec<SuiteEntry>>)>;
+
+/// A cell waiting for its gang unit: its submission index and, when a
+/// journal or manifest is attached, its key.
+struct PendingCell {
+    index: usize,
+    cell: CellSpec,
+    key: Option<String>,
+}
 
 /// The sweep's execution context: worker pool, trace cache, checkpoint
 /// journal, and manifest recorder, threaded explicitly through every
@@ -529,48 +637,51 @@ impl RunContext {
 
         // Checkpoint restores stay per-cell: a resumed sweep skips
         // exactly the cells it completed, and a unit re-runs only its
-        // missing lanes.
-        let mut pending: Vec<(usize, CellSpec)> = Vec::new();
+        // missing lanes. A cell's key is computed once, and only when a
+        // journal or manifest will read it.
+        let keyed = self.checkpoint.is_some() || self.manifest.is_some();
+        let mut pending: Vec<PendingCell> = Vec::new();
         for (index, cell) in cells.into_iter().enumerate() {
-            if let Some(checkpoint) = &self.checkpoint {
-                let key = cell.key();
-                if let Some(outcome) = checkpoint.lookup(&key).and_then(outcome_from_json) {
+            let key = keyed.then(|| cell.key());
+            if let (Some(checkpoint), Some(key)) = (&self.checkpoint, &key) {
+                if let Some(outcome) = checkpoint.lookup(key).and_then(outcome_from_json) {
                     self.counters
                         .checkpoint_hits
                         .fetch_add(1, Ordering::Relaxed);
-                    self.record_manifest(&cell, &key, 0, CellSource::Checkpoint);
+                    self.record_manifest(&cell, key, 0, CellSource::Checkpoint);
                     slots[index] = Some(outcome);
                     continue;
                 }
             }
-            pending.push((index, cell));
+            pending.push(PendingCell { index, cell, key });
         }
 
         // Group by (stream identity, timing) in first-appearance order.
-        // The content hashes — not just the cache label — define the
+        // The content digests — not just the cache label — define the
         // stream, so two cells gang only if they replay byte-identical
         // events; timing joins the key because a unit's lanes share one
         // predicate scoreboard, which needs a common resolve latency.
-        let mut units: Vec<Vec<(usize, CellSpec)>> = Vec::new();
+        let mut units: Vec<Vec<PendingCell>> = Vec::new();
         let mut by_stream: HashMap<(String, u64, u64, Timing), usize> = HashMap::new();
-        for (index, cell) in pending {
+        for pending in pending {
+            let cell = &pending.cell;
             let stream = (
                 cell.cache_label.clone(),
-                program_hash(&cell.program),
-                memory_fingerprint(&cell.memory),
+                cell.stream.program_hash(),
+                cell.stream.memory_fingerprint(),
                 cell.timing,
             );
             if let Some(shard) = self.shard {
                 if !shard.owns(Self::stream_digest(&stream.0, stream.1, stream.2, stream.3)) {
-                    slots[index] = Some(self.shard_placeholder());
+                    slots[pending.index] = Some(self.shard_placeholder());
                     continue;
                 }
             }
             match by_stream.entry(stream) {
-                Entry::Occupied(slot) => units[*slot.get()].push((index, cell)),
+                Entry::Occupied(slot) => units[*slot.get()].push(pending),
                 Entry::Vacant(slot) => {
                     slot.insert(units.len());
-                    units.push(vec![(index, cell)]);
+                    units.push(vec![pending]);
                 }
             }
         }
@@ -604,30 +715,30 @@ impl RunContext {
     /// [`build_modern_stack`] lane per member cell, then journals and
     /// records each member under its own per-cell key. Outcomes are
     /// returned in unit order, tagged with their submission index.
-    fn run_gang_unit(&self, unit: &[(usize, CellSpec)]) -> Vec<(usize, RunOutcome)> {
+    fn run_gang_unit(&self, unit: &[PendingCell]) -> Vec<(usize, RunOutcome)> {
         let started = Instant::now();
         let mut gang = GangHarness::new();
-        for (_, cell) in unit {
+        for PendingCell { cell, .. } in unit {
             gang.push_lane(build_modern_stack(&cell.spec), cell.harness_config());
         }
-        let lead = &unit[0].1;
-        let (summary, source) =
-            self.deliver(&lead.cache_label, &lead.program, &lead.memory, &mut gang);
+        let lead = &unit[0].cell;
+        let (summary, source) = self.deliver(&lead.cache_label, &lead.stream, &mut gang);
         let wall_ms = started.elapsed().as_millis() as u64;
         unit.iter()
             .zip(gang.into_metrics())
-            .map(|((index, cell), metrics)| {
+            .map(|(PendingCell { index, cell, key }, metrics)| {
                 let outcome = RunOutcome { metrics, summary };
-                let key = cell.key();
-                if let Some(checkpoint) = &self.checkpoint {
-                    if let Err(e) = checkpoint.record(&key, wall_ms, &outcome_to_json(&outcome)) {
+                if let (Some(checkpoint), Some(key)) = (&self.checkpoint, key) {
+                    if let Err(e) = checkpoint.record(key, wall_ms, &outcome_to_json(&outcome)) {
                         eprintln!(
                             "warning: checkpoint append failed for {} ({e}); cell will re-run on resume",
                             cell.label
                         );
                     }
                 }
-                self.record_manifest(cell, &key, wall_ms, source);
+                if let Some(key) = key {
+                    self.record_manifest(cell, key, wall_ms, source);
+                }
                 (*index, outcome)
             })
             .collect()
@@ -652,9 +763,10 @@ impl RunContext {
     /// [`EventSink`] at the standard cell budget — through the trace
     /// cache when one is attached (recording on first touch, replaying
     /// after), live otherwise. Events arrive in
-    /// [`EVENT_BATCH_CAPACITY`]-sized batches on both paths, so custom
-    /// analyses (characterization, attribution) see the identical
-    /// sequence a predictor cell would, from at most one decode.
+    /// [`EVENT_BATCH_CAPACITY`]-sized batches on every path (record,
+    /// replay, live) and [`EventSink::instruction`] is never called, so
+    /// custom analyses (characterization, attribution) see the
+    /// identical calls a predictor cell would, from at most one decode.
     ///
     /// # Panics
     ///
@@ -663,17 +775,16 @@ impl RunContext {
     pub fn stream_events<S: EventSink>(
         &self,
         cache_label: &str,
-        program: &Program,
-        memory: &Memory,
+        stream: &Stream,
         sink: &mut S,
     ) -> RunSummary {
-        self.deliver(cache_label, program, memory, sink).0
+        self.deliver(cache_label, stream, sink).0
     }
 
     /// The stream-delivery primitive behind both [`RunContext::run_cells`]
     /// and [`RunContext::stream_events`]: one decode/execution pass over
-    /// (program, memory) at the cell budget, through the trace cache
-    /// when attached (recording on first touch) and the live batched
+    /// `stream` at the cell budget, through the trace cache when
+    /// attached (recording on first touch) and the live batched
     /// executor otherwise. Exactly one pass counter — replays,
     /// recordings, or live_runs — moves per call, so the counters
     /// report *passes*, which a gang unit amortizes across its lanes.
@@ -685,13 +796,18 @@ impl RunContext {
     fn deliver<S: EventSink>(
         &self,
         cache_label: &str,
-        program: &Program,
-        memory: &Memory,
+        stream: &Stream,
         sink: &mut S,
     ) -> (RunSummary, CellSource) {
+        let (program, memory) = (stream.program(), stream.memory());
         let (summary, source) = match &self.cache {
             Some(cache) => {
-                let key = CacheKey::for_run(cache_label, program, memory, CELL_BUDGET);
+                let key = CacheKey::from_digests(
+                    cache_label,
+                    stream.program_hash(),
+                    stream.memory_fingerprint(),
+                    CELL_BUDGET,
+                );
                 let (summary, hit) = cache
                     .replay_or_record(&key, program, memory.clone(), CELL_BUDGET, sink)
                     .expect("trace cache I/O failed");
@@ -899,6 +1015,94 @@ mod tests {
             InsertFilter::All,
         );
         assert_ne!(base.key(), plain.key());
+    }
+
+    #[test]
+    fn key_derivations_are_pinned() {
+        let entries = compiled_suite(Some(1));
+        let gzip = &entries[0];
+        assert_eq!(gzip.compiled.name, "gzip");
+        let timing = Timing::immediate(DEFAULT_LATENCY);
+        let static_nt = &PredictorSpec::StaticNotTaken;
+        let eval = CellSpec::predicated(gzip, "a", static_nt, timing, InsertFilter::All);
+        assert_eq!(eval.key(), "v2-5ae9805b18a555bc");
+        let seeded = CellSpec::seeded(gzip, "a", 11, static_nt, timing, InsertFilter::All);
+        assert_eq!(seeded.key(), "v2-402896545337449f");
+
+        let predicated = &gzip.compiled.predicated;
+        let for_run = |label: &str, seed: u64| {
+            CacheKey::for_run(label, predicated, &gzip.bench.input(seed), CELL_BUDGET)
+        };
+        assert_eq!(
+            for_run("gzip-pred", EVAL_SEED).file_name(),
+            "gzip-pred-cecfe610f9b8b816.pbt"
+        );
+        assert_eq!(
+            for_run("gzip-pred-b", 11).file_name(),
+            "gzip-pred-b-acc1959b1c99d409.pbt"
+        );
+        // the digest constructor is the same derivation
+        for (cell, seed) in [(&eval, EVAL_SEED), (&seeded, 11)] {
+            let stream = &cell.stream;
+            let from_digests = CacheKey::from_digests(
+                &cell.cache_label,
+                stream.program_hash(),
+                stream.memory_fingerprint(),
+                CELL_BUDGET,
+            );
+            assert_eq!(from_digests, for_run(&cell.cache_label, seed));
+        }
+    }
+
+    #[test]
+    fn streams_are_memoized_per_binary_and_seed() {
+        let entries = compiled_suite(Some(1));
+        let entry = &entries[0];
+        let eval = entry.stream(Binary::Predicated, EVAL_SEED);
+        assert!(Arc::ptr_eq(
+            &eval,
+            &entry.stream(Binary::Predicated, EVAL_SEED)
+        ));
+        let cell = CellSpec::predicated(
+            entry,
+            "a",
+            &PredictorSpec::StaticNotTaken,
+            Timing::immediate(DEFAULT_LATENCY),
+            InsertFilter::All,
+        );
+        assert!(Arc::ptr_eq(&eval, &cell.stream));
+
+        let requests = [
+            (Binary::Predicated, EVAL_SEED),
+            (Binary::Plain, EVAL_SEED),
+            (Binary::Predicated, 11),
+            (Binary::Plain, 11),
+        ];
+        let streams: Vec<Arc<Stream>> = requests
+            .iter()
+            .map(|&(binary, seed)| entry.stream(binary, seed))
+            .collect();
+        for (i, a) in streams.iter().enumerate() {
+            for b in &streams[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b));
+            }
+        }
+        for (&(binary, seed), stream) in requests.iter().zip(&streams) {
+            let program = match binary {
+                Binary::Plain => &entry.compiled.plain,
+                Binary::Predicated => &entry.compiled.predicated,
+            };
+            let memory = entry.bench.input(seed);
+            assert_eq!(stream.program(), program);
+            assert_eq!(stream.program_hash(), program_hash(program));
+            assert_eq!(stream.memory_fingerprint(), memory_fingerprint(&memory));
+        }
+        // the seed changes the input, not the binary
+        assert_eq!(streams[0].program_hash(), streams[2].program_hash());
+        assert_ne!(
+            streams[0].memory_fingerprint(),
+            streams[2].memory_fingerprint()
+        );
     }
 
     #[test]

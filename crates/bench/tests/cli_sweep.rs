@@ -1,6 +1,7 @@
 //! End-to-end sweep tests through the `experiments` binary: stdout must
 //! be byte-identical across `--jobs` levels, `--manifest` must write a
-//! well-formed run record, and unknown options must be refused.
+//! well-formed run record, unknown options must be refused, and a
+//! closed stdout must end the run quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,5 +134,23 @@ fn removed_run_path_levers_fail_loudly() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(stderr.contains(&flag), "{stderr}");
         }
+    }
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // a pipe whose read end is already gone: every write the child
+    // makes fails with a broken pipe, as under `experiments ... | head -1`
+    for args in [&["--list-stacks"][..], &["--quick", "t2"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

@@ -15,7 +15,7 @@ pub fn one_lane_reference(ctx: &RunContext, cell: &CellSpec) -> RunOutcome {
         insert: cell.insert.clone(),
     };
     let mut harness = PredictionHarness::new(build_modern(&cell.spec), config);
-    let summary = ctx.stream_events(&cell.cache_label, &cell.program, &cell.memory, &mut harness);
+    let summary = ctx.stream_events(&cell.cache_label, &cell.stream, &mut harness);
     harness.finish();
     RunOutcome {
         metrics: *harness.metrics(),

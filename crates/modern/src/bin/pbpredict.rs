@@ -13,6 +13,7 @@
 //! ```
 
 use std::fs;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use predbranch_core::{BranchPredictor, HarnessConfig, InsertFilter, PredictionHarness, Timing};
@@ -63,49 +64,52 @@ fn parse_args() -> Option<Options> {
 /// from the same token stream as the dispatch enum, so this listing
 /// cannot drift from the code (the CLI integration test diffs it against
 /// the library table).
-fn list_stacks() {
-    println!("available predictor stacks (variant  payload type):");
+fn list_stacks(out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "available predictor stacks (variant  payload type):")?;
     for variant in ModernStack::VARIANTS {
-        println!("  {:<20} {}", variant.name, variant.type_name());
+        writeln!(out, "  {:<20} {}", variant.name, variant.type_name())?;
     }
+    Ok(())
 }
 
-fn main() -> ExitCode {
+/// Runs the command line, writing every report line to `out`. A write
+/// error ends the run early and is returned.
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let Some(opts) = parse_args() else {
         eprintln!(
             "usage: pbpredict <file.s> [--predictor SPEC] [--latency L] [--retire-latency R] [--max N]\n       pbpredict --list-stacks"
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     if opts.list_stacks {
-        list_stacks();
-        return ExitCode::SUCCESS;
+        list_stacks(out)?;
+        return Ok(ExitCode::SUCCESS);
     }
     let text = match fs::read_to_string(&opts.path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("pbpredict: cannot read {}: {e}", opts.path);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let program = match assemble(&text) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("pbpredict: {}: {e}", opts.path);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let spec: ModernSpec = match opts.spec.parse() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("pbpredict: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
     let predictor = build_modern_stack(&spec);
-    println!("predictor:        {}", predictor.name());
-    println!("storage bits:     {}", predictor.storage_bits());
+    writeln!(out, "predictor:        {}", predictor.name())?;
+    writeln!(out, "storage bits:     {}", predictor.storage_bits())?;
     let mut harness = PredictionHarness::new(
         predictor,
         HarnessConfig {
@@ -118,22 +122,36 @@ fn main() -> ExitCode {
     harness.finish();
 
     let m = harness.metrics();
-    println!("halted:           {}", summary.halted);
-    println!("instructions:     {}", summary.instructions);
-    println!("cond branches:    {}", m.all.branches);
-    println!("mispredictions:   {}", m.all.mispredictions);
-    println!("misp rate:        {}", m.all.misp_rate());
-    println!("  region:         {}", m.region.misp_rate());
-    println!("  non-region:     {}", m.non_region.misp_rate());
-    println!("MPKI:             {:.3}", m.mpki(summary.instructions));
-    println!("kf-guard fetches: {}", m.known_false_guard);
+    writeln!(out, "halted:           {}", summary.halted)?;
+    writeln!(out, "instructions:     {}", summary.instructions)?;
+    writeln!(out, "cond branches:    {}", m.all.branches)?;
+    writeln!(out, "mispredictions:   {}", m.all.mispredictions)?;
+    writeln!(out, "misp rate:        {}", m.all.misp_rate())?;
+    writeln!(out, "  region:         {}", m.region.misp_rate())?;
+    writeln!(out, "  non-region:     {}", m.non_region.misp_rate())?;
+    writeln!(out, "MPKI:             {:.3}", m.mpki(summary.instructions))?;
+    writeln!(out, "kf-guard fetches: {}", m.known_false_guard)?;
     if let Some(timeline) = harness.timeline() {
-        println!("cycles:           {}", timeline.cycles());
-        println!("IPC:              {:.3}", timeline.ipc());
+        writeln!(out, "cycles:           {}", timeline.cycles())?;
+        writeln!(out, "IPC:              {:.3}", timeline.ipc())?;
     }
-    if summary.halted {
+    Ok(if summary.halted {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    })
+}
+
+fn main() -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match run(&mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        // a reader that stops early (`pbpredict --list-stacks | head`)
+        // is not a failure of the run
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("pbpredict: cannot write stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

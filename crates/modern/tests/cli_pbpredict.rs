@@ -136,3 +136,19 @@ fn stack_listing_matches_the_generated_table() {
         .collect();
     assert_eq!(printed, expected, "CLI listing drifted from the enum");
 }
+
+#[test]
+fn list_stacks_exits_quietly_when_stdout_is_closed() {
+    // a pipe whose read end is already gone: every write the child
+    // makes fails with a broken pipe, as under `pbpredict ... | head -1`
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
+        .arg("--list-stacks")
+        .stdout(writer)
+        .output()
+        .expect("pbpredict runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -224,9 +224,13 @@ impl<'a> Executor<'a> {
 
     /// Runs like [`Executor::run`] but accumulates events into `buffer`
     /// (a reusable scratch vector — contents are overwritten) and
-    /// delivers them to `sink` in [`EVENT_BATCH_CAPACITY`]-sized chunks
-    /// via [`EventSink::events`], so a dynamically-dispatched sink pays
-    /// one virtual call per chunk instead of one per event.
+    /// delivers them to `sink` via [`EventSink::events`], so a
+    /// dynamically-dispatched sink pays one virtual call per batch
+    /// instead of one per event.
+    ///
+    /// Every batch holds exactly [`EVENT_BATCH_CAPACITY`] events except
+    /// a shorter, non-empty last one — the same split a trace replay
+    /// makes, so a sink sees identical calls live and replayed.
     ///
     /// Events arrive in the same order with the same payloads as under
     /// [`Executor::run`]; the only observable difference is that
@@ -253,17 +257,19 @@ impl<'a> Executor<'a> {
 
         buffer.clear();
         let mut summary = RunSummary::default();
-        let mut running = true;
-        while running {
-            while running
-                && summary.instructions < max_instructions
-                && buffer.len() < EVENT_BATCH_CAPACITY
-            {
-                running = self.step(&mut Collector(buffer), &mut summary);
+        while summary.instructions < max_instructions
+            && self.step(&mut Collector(buffer), &mut summary)
+        {
+            // one step can emit several events: carry any overshoot
+            // into the next batch
+            if buffer.len() >= EVENT_BATCH_CAPACITY {
+                sink.events(&buffer[..EVENT_BATCH_CAPACITY]);
+                buffer.drain(..EVENT_BATCH_CAPACITY);
             }
+        }
+        if !buffer.is_empty() {
             sink.events(buffer);
             buffer.clear();
-            running = running && summary.instructions < max_instructions;
         }
         summary.halted = self.state.is_halted();
         summary
@@ -509,6 +515,50 @@ mod tests {
         assert_eq!(streamed.events(), batched.events());
         // enough events to exercise multiple flushes
         assert!(streamed.events().len() > super::EVENT_BATCH_CAPACITY);
+    }
+
+    #[test]
+    fn run_batched_splits_like_chunks_of_the_stream() {
+        /// Logs each batch's length.
+        #[derive(Default)]
+        struct Lengths(Vec<usize>);
+        impl EventSink for Lengths {
+            fn branch(&mut self, _event: &BranchEvent) {
+                unreachable!("batches only")
+            }
+            fn pred_write(&mut self, _event: &PredWriteEvent) {
+                unreachable!("batches only")
+            }
+            fn events(&mut self, events: &[Event]) {
+                self.0.push(events.len());
+            }
+        }
+        // three events per iteration: the batch boundary falls inside
+        // a step's pair of predicate writes
+        let program = assemble(
+            "mov r1 = 0\nloop: cmp.lt p1, p2 = r1, 2000\n(p1) add r1 = r1, 1\n\
+             (p1) br loop\nhalt",
+        )
+        .unwrap();
+        let mut all = TraceSink::new();
+        Executor::new(&program, Memory::new()).run(&mut all, 100_000);
+        let expected: Vec<usize> = all
+            .events()
+            .chunks(super::EVENT_BATCH_CAPACITY)
+            .map(<[Event]>::len)
+            .collect();
+        let mut lengths = Lengths::default();
+        Executor::new(&program, Memory::new()).run_batched(&mut lengths, 100_000, &mut Vec::new());
+        assert_eq!(lengths.0, expected);
+
+        // an event-free run delivers no batch at all
+        let mut none = Lengths::default();
+        Executor::new(&assemble("halt").unwrap(), Memory::new()).run_batched(
+            &mut none,
+            10,
+            &mut Vec::new(),
+        );
+        assert!(none.0.is_empty());
     }
 
     #[test]

@@ -84,9 +84,26 @@ impl CacheKey {
         memory: &Memory,
         budget: u64,
     ) -> Self {
+        CacheKey::from_digests(
+            label,
+            program_hash(program),
+            memory_fingerprint(memory),
+            budget,
+        )
+    }
+
+    /// [`CacheKey::for_run`] from already-computed digests
+    /// ([`program_hash`] and [`memory_fingerprint`]), for callers that
+    /// key many runs of one (program, input) pair and hash it once.
+    pub fn from_digests(
+        label: impl AsRef<str>,
+        program_hash: u64,
+        memory_fingerprint: u64,
+        budget: u64,
+    ) -> Self {
         let mut digest = Fnv64::new();
-        digest.update_u64(program_hash(program));
-        digest.update_u64(memory_fingerprint(memory));
+        digest.update_u64(program_hash);
+        digest.update_u64(memory_fingerprint);
         digest.update_u64(budget);
         CacheKey::new(label, digest.digest())
     }
@@ -220,8 +237,10 @@ impl TraceCache {
     /// once while recording it. Returns the run summary and whether it
     /// was a cache hit.
     ///
-    /// Replays deliver events in [`EVENT_BATCH_CAPACITY`]-sized batches
-    /// through [`EventSink::events`]. Replays prefer the segment
+    /// Both paths deliver events in [`EVENT_BATCH_CAPACITY`]-sized
+    /// batches through [`EventSink::events`] and never call
+    /// [`EventSink::instruction`], so a sink sees the same calls on a
+    /// hit as on a miss. Replays prefer the segment
     /// sidecar (opened once per process, then served zero-copy off the
     /// page cache); an entry without one falls back to a full decode
     /// whose stream republishes the missing sidecar, so the next
@@ -413,7 +432,10 @@ impl TraceCache {
     }
 
     /// Records a run to `path` via write-then-fsync-then-rename, teeing
-    /// events into `sink` as they happen. Publication is atomic: any
+    /// each [`EVENT_BATCH_CAPACITY`]-sized batch into `sink` as it
+    /// executes — the same batches a replay of the sealed trace
+    /// delivers, with no per-instruction callbacks on either path.
+    /// Publication is atomic: any
     /// number of concurrent publishers may race on the same key (from
     /// this or other threads/processes), each writes its own uniquely
     /// named temporary, and whichever rename lands last simply
@@ -442,7 +464,8 @@ impl TraceCache {
         let result = (|| {
             let mut writer = TraceWriter::create(&tmp, header)?;
             let mut tee = ((&mut *sink, &mut collector), &mut writer);
-            let summary = Executor::new(program, memory).run(&mut tee, budget);
+            let mut buffer = Vec::with_capacity(EVENT_BATCH_CAPACITY);
+            let summary = Executor::new(program, memory).run_batched(&mut tee, budget, &mut buffer);
             let mut file = writer
                 .finish(&summary)?
                 .into_inner()
@@ -667,6 +690,64 @@ mod tests {
             .unwrap();
         assert_eq!(cache.serve_stats().segment_replays, 1);
         assert_eq!(first.events(), second.events());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Logs every callback a sink receives, with each batch's length.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct CallLog(Vec<(&'static str, usize)>);
+
+    impl EventSink for CallLog {
+        fn branch(&mut self, _event: &predbranch_sim::BranchEvent) {
+            self.0.push(("branch", 1));
+        }
+        fn pred_write(&mut self, _event: &predbranch_sim::PredWriteEvent) {
+            self.0.push(("pred_write", 1));
+        }
+        fn instruction(&mut self, _pc: u32, _index: u64) {
+            self.0.push(("instruction", 1));
+        }
+        fn events(&mut self, events: &[Event]) {
+            self.0.push(("events", events.len()));
+        }
+    }
+
+    #[test]
+    fn record_replay_and_live_deliver_identical_batches() {
+        let dir = tmp_dir("batches");
+        let cache = TraceCache::open(&dir).unwrap();
+        let program = assemble(
+            r#"
+                mov r1 = 0
+            loop:
+                cmp.lt p1, p2 = r1, 1500
+                (p1) add r1 = r1, 1
+                (p1) br loop
+                halt
+            "#,
+        )
+        .unwrap();
+        let budget = 100_000;
+        let key = CacheKey::for_run("batches", &program, &Memory::new(), budget);
+
+        let mut recorded = CallLog::default();
+        let (_, hit) = cache
+            .replay_or_record(&key, &program, Memory::new(), budget, &mut recorded)
+            .unwrap();
+        assert!(!hit);
+        let mut replayed = CallLog::default();
+        let (_, hit) = cache
+            .replay_or_record(&key, &program, Memory::new(), budget, &mut replayed)
+            .unwrap();
+        assert!(hit);
+        let mut live = CallLog::default();
+        Executor::new(&program, Memory::new()).run_batched(&mut live, budget, &mut Vec::new());
+
+        assert_eq!(recorded, replayed);
+        assert_eq!(recorded, live);
+        let full = ("events", EVENT_BATCH_CAPACITY);
+        assert_eq!(&recorded.0[..4], &[full; 4], "{:?}", recorded.0);
+        assert_eq!(recorded.0.len(), 5);
         let _ = fs::remove_dir_all(&dir);
     }
 
