@@ -12,7 +12,7 @@
 use predbranch_core::InsertFilter;
 use predbranch_sim::{PipelineConfig, PipelineModel};
 use predbranch_stats::{mean, Cell, Table};
-use predbranch_workloads::{compile_benchmark, CompileOptions, CompiledBenchmark, IfConvertConfig};
+use predbranch_workloads::{compile_benchmark, CompileOptions, IfConvertConfig};
 
 use super::{base_spec, Artifact, Scale};
 use crate::runner::{CellSpec, RunContext, RunOutcome, SuiteEntry, PGU_DELAY};
@@ -56,24 +56,20 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         .map(|out| cycles(out, &pipe))
         .collect();
 
-    // recompile the suite once per threshold, on the pool
-    let mut compile_jobs: Vec<Box<dyn FnOnce() -> CompiledBenchmark + Send>> = Vec::new();
-    for &threshold in &THRESHOLDS {
-        for entry in entries.iter() {
-            let bench = entry.bench.clone();
-            compile_jobs.push(Box::new(move || {
-                let opts = CompileOptions {
-                    ifconv: IfConvertConfig {
-                        convert_bias_below: threshold,
-                        ..IfConvertConfig::default()
-                    },
-                    ..CompileOptions::default()
-                };
-                compile_benchmark(&bench, &opts)
-            }));
-        }
-    }
-    let compiled = ctx.map_batch(compile_jobs);
+    // recompile the suite once per threshold, threshold-major
+    let compile_jobs = THRESHOLDS
+        .into_iter()
+        .flat_map(|threshold| entries.iter().map(move |entry| (threshold, entry)));
+    let compiled = ctx.map_batch(compile_jobs, |(threshold, entry)| {
+        let opts = CompileOptions {
+            ifconv: IfConvertConfig {
+                convert_bias_below: threshold,
+                ..IfConvertConfig::default()
+            },
+            ..CompileOptions::default()
+        };
+        compile_benchmark(&entry.bench, &opts)
+    });
 
     // three cells per (threshold, bench): plain/gshare (branch-count
     // reference), pred/gshare, pred/+both

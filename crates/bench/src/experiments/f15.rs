@@ -12,8 +12,7 @@ use predbranch_core::InsertFilter;
 use predbranch_sim::{ExecMetrics, Executor, GuardKnowledgeStats};
 use predbranch_stats::{mean, Cell, Table};
 use predbranch_workloads::{
-    compile_benchmark, suite, CompileOptions, CompiledBenchmark, DEFAULT_MAX_INSTRUCTIONS,
-    EVAL_SEED,
+    compile_benchmark, suite, CompileOptions, DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED,
 };
 
 use super::{base_spec, Artifact, Scale};
@@ -29,22 +28,18 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
 
     // compile both schedules of every benchmark, bench-major
     // ([bench0/plain-sched, bench0/hoisted, bench1/plain-sched, ...])
-    let mut compile_jobs: Vec<Box<dyn FnOnce() -> CompiledBenchmark + Send>> = Vec::new();
-    for bench in &benchmarks {
-        for hoist in [false, true] {
-            let bench = bench.clone();
-            compile_jobs.push(Box::new(move || {
-                compile_benchmark(
-                    &bench,
-                    &CompileOptions {
-                        hoist,
-                        ..CompileOptions::default()
-                    },
-                )
-            }));
-        }
-    }
-    let compiled = ctx.map_batch(compile_jobs);
+    let compile_jobs = benchmarks
+        .iter()
+        .flat_map(|bench| [false, true].map(|hoist| (bench, hoist)));
+    let compiled = ctx.map_batch(compile_jobs, |(bench, hoist)| {
+        compile_benchmark(
+            bench,
+            &CompileOptions {
+                hoist,
+                ..CompileOptions::default()
+            },
+        )
+    });
     let variants: Vec<SuiteEntry> = benchmarks
         .iter()
         .flat_map(|bench| [bench, bench])
@@ -53,28 +48,21 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         .collect();
 
     // per variant: an instrumented functional run for distance/coverage…
-    let sink_jobs = variants
-        .iter()
-        .map(|entry| {
-            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-            let job: Box<dyn FnOnce() -> (f64, f64) + Send> = Box::new(move || {
-                let mut sinks = (
-                    ExecMetrics::new(),
-                    GuardKnowledgeStats::new(DEFAULT_LATENCY),
-                );
-                let summary = Executor::new(stream.program(), stream.memory().clone())
-                    .run(&mut sinks, DEFAULT_MAX_INSTRUCTIONS);
-                assert!(summary.halted);
-                let (metrics, knowledge) = sinks;
-                (
-                    metrics.guard_distance().mean(),
-                    knowledge.known_false().percent(),
-                )
-            });
-            job
-        })
-        .collect();
-    let sink_stats = ctx.map_batch(sink_jobs);
+    let sink_stats = ctx.map_batch(variants.iter(), |entry| {
+        let stream = entry.stream(Binary::Predicated, EVAL_SEED);
+        let mut sinks = (
+            ExecMetrics::new(),
+            GuardKnowledgeStats::new(DEFAULT_LATENCY),
+        );
+        let summary = Executor::new(stream.program(), stream.memory().clone())
+            .run(&mut sinks, DEFAULT_MAX_INSTRUCTIONS);
+        assert!(summary.halted);
+        let (metrics, knowledge) = sinks;
+        (
+            metrics.guard_distance().mean(),
+            knowledge.known_false().percent(),
+        )
+    });
 
     // …and two predictor cells (+SFPF, +both)
     let mut cells_in = Vec::with_capacity(variants.len() * 2);

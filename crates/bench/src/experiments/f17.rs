@@ -25,8 +25,7 @@ use crate::runner::{Binary, RunContext, DEFAULT_LATENCY};
 
 /// One benchmark's taxonomy plus each profiled static's misprediction
 /// counts under the four headline configurations (in [`headline_specs`]
-/// order) — plain data, so the per-benchmark jobs can migrate across
-/// worker threads.
+/// order).
 type EntryResult = (Characterization, std::collections::BTreeMap<u32, [u64; 4]>);
 
 /// Per-bucket aggregation across the suite: static count, dynamic
@@ -57,44 +56,35 @@ impl BucketAgg {
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
 
-    let jobs: Vec<Box<dyn FnOnce() -> EntryResult + Send>> = entries
-        .iter()
-        .map(|entry| {
-            let ctx = ctx.clone();
-            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-            let cache_label = format!("{}-pred", entry.compiled.name);
-            let job: Box<dyn FnOnce() -> EntryResult + Send> = Box::new(move || {
-                let specs = headline_specs();
-                let hot = |i: usize| {
-                    HotBranches::new(build_modern_stack(&(&specs[i].1).into()), DEFAULT_LATENCY)
-                };
-                let mut characterizer = Characterizer::new();
-                let (mut h0, mut h1, mut h2, mut h3) = (hot(0), hot(1), hot(2), hot(3));
-                {
-                    // tuple sinks: the one decoded pass fans out to the
-                    // characterizer and all four attribution harnesses
-                    let mut sink = (&mut characterizer, (&mut h0, (&mut h1, (&mut h2, &mut h3))));
-                    ctx.stream_events(&cache_label, &stream, &mut sink);
+    let specs = headline_specs();
+    let results: Vec<EntryResult> = ctx.map_batch(entries.iter(), |entry| {
+        let stream = entry.stream(Binary::Predicated, EVAL_SEED);
+        let cache_label = format!("{}-pred", entry.compiled.name);
+        let hot =
+            |i: usize| HotBranches::new(build_modern_stack(&(&specs[i].1).into()), DEFAULT_LATENCY);
+        let mut characterizer = Characterizer::new();
+        let (mut h0, mut h1, mut h2, mut h3) = (hot(0), hot(1), hot(2), hot(3));
+        {
+            // tuple sinks: the one decoded pass fans out to the
+            // characterizer and all four attribution harnesses
+            let mut sink = (&mut characterizer, (&mut h0, (&mut h1, (&mut h2, &mut h3))));
+            ctx.stream_events(&cache_label, &stream, &mut sink);
+        }
+        let report = characterizer.finish();
+        let hots: [HotBranches<ModernStack>; 4] = [h0, h1, h2, h3];
+        let misp = report
+            .branches()
+            .iter()
+            .map(|profile| {
+                let mut counts = [0u64; 4];
+                for (slot, hot) in counts.iter_mut().zip(&hots) {
+                    *slot = hot.at(profile.pc).map_or(0, |c| c.mispredictions.get());
                 }
-                let report = characterizer.finish();
-                let hots: [HotBranches<ModernStack>; 4] = [h0, h1, h2, h3];
-                let misp = report
-                    .branches()
-                    .iter()
-                    .map(|profile| {
-                        let mut counts = [0u64; 4];
-                        for (slot, hot) in counts.iter_mut().zip(&hots) {
-                            *slot = hot.at(profile.pc).map_or(0, |c| c.mispredictions.get());
-                        }
-                        (profile.pc, counts)
-                    })
-                    .collect();
-                (report, misp)
-            });
-            job
-        })
-        .collect();
-    let results = ctx.map_batch(jobs);
+                (profile.pc, counts)
+            })
+            .collect();
+        (report, misp)
+    });
 
     // join: every static's attribution counts land in its bucket
     let mut agg = [BucketAgg::default(); 4];

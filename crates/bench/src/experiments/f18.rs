@@ -31,7 +31,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let families = families();
 
     // one flat grid — family-major, then benchmark, then modifier — so
-    // the worker pool sees all 12 × |suite| cells at once
+    // run_cells sees all 12 × |suite| cells at once
     let mut cells_in = Vec::new();
     let mut grids = Vec::new();
     for (family, base) in &families {

@@ -20,20 +20,17 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
 
     // one classification job per (latency, entry), latency-major so the
     // aggregation below can slice per latency step
-    let mut jobs: Vec<Box<dyn FnOnce() -> GuardKnowledgeStats + Send>> = Vec::new();
-    for latency in LATENCIES {
-        for entry in entries.iter() {
-            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-            jobs.push(Box::new(move || {
-                let mut stats = GuardKnowledgeStats::new(latency);
-                let summary = Executor::new(stream.program(), stream.memory().clone())
-                    .run(&mut stats, DEFAULT_MAX_INSTRUCTIONS);
-                assert!(summary.halted);
-                stats
-            }));
-        }
-    }
-    let all_stats = ctx.map_batch(jobs);
+    let jobs = LATENCIES
+        .into_iter()
+        .flat_map(|latency| entries.iter().map(move |entry| (latency, entry)));
+    let all_stats = ctx.map_batch(jobs, |(latency, entry)| {
+        let stream = entry.stream(Binary::Predicated, EVAL_SEED);
+        let mut stats = GuardKnowledgeStats::new(latency);
+        let summary = Executor::new(stream.program(), stream.memory().clone())
+            .run(&mut stats, DEFAULT_MAX_INSTRUCTIONS);
+        assert!(summary.halted);
+        stats
+    });
 
     let mut series = Series::new(
         "F2a: fetch-time guard knowledge vs resolve latency (suite mean, % of cond branches)",

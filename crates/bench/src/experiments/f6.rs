@@ -50,24 +50,17 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     }
 
     // guard distances come from an instrumented functional run, not a
-    // predictor cell; map_batch keeps them on the pool anyway
-    let distance_jobs = entries
-        .iter()
-        .map(|entry| {
-            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-            let job: Box<dyn FnOnce() -> (f64, u64, u64, u64) + Send> = Box::new(move || {
-                let mut metrics = ExecMetrics::new();
-                let summary = Executor::new(stream.program(), stream.memory().clone())
-                    .run(&mut metrics, DEFAULT_MAX_INSTRUCTIONS);
-                assert!(summary.halted);
-                let hist = metrics.guard_distance();
-                let median_edge = hist.percentile_upper_bound(0.5).unwrap_or(0);
-                (hist.mean(), median_edge, hist.max(), hist.count())
-            });
-            job
-        })
-        .collect();
-    let distances = ctx.map_batch(distance_jobs);
+    // predictor cell; map_batch runs them on the lanes anyway
+    let distances = ctx.map_batch(entries.iter(), |entry| {
+        let stream = entry.stream(Binary::Predicated, EVAL_SEED);
+        let mut metrics = ExecMetrics::new();
+        let summary = Executor::new(stream.program(), stream.memory().clone())
+            .run(&mut metrics, DEFAULT_MAX_INSTRUCTIONS);
+        assert!(summary.halted);
+        let hist = metrics.guard_distance();
+        let median_edge = hist.percentile_upper_bound(0.5).unwrap_or(0);
+        (hist.mean(), median_edge, hist.max(), hist.count())
+    });
 
     let mut table = Table::new(
         "F6b: guard definition-to-branch distance (fetch slots)",

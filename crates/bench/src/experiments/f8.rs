@@ -31,44 +31,43 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let timing = scale.timing();
     let entries = ctx.suite(scale.limit);
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> TimelinePoint + Send>> = Vec::new();
-    for entry in entries.iter() {
-        for (i, (_, spec)) in specs.iter().enumerate() {
-            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-            let spec = spec.clone();
-            jobs.push(Box::new(move || {
-                let mut harness = PredictionHarness::new(
-                    build_predictor(&spec),
-                    HarnessConfig {
-                        timing,
-                        insert: InsertFilter::All,
-                    },
-                )
-                .with_timeline(pipe);
-                let summary = Executor::new(stream.program(), stream.memory().clone())
-                    .run(&mut harness, 2 * DEFAULT_MAX_INSTRUCTIONS);
-                assert!(summary.halted);
-                harness.finish();
-                let timeline = *harness.timeline().expect("timeline attached");
-                let model_ipc = (i == 0).then(|| {
-                    let unconditional = summary.branches - summary.conditional_branches;
-                    PipelineModel::estimate(
-                        &pipe,
-                        summary.instructions,
-                        harness.metrics().all.mispredictions.get(),
-                        summary.taken_conditional + unconditional,
-                    )
-                    .ipc()
-                });
-                TimelinePoint {
-                    cycles: timeline.cycles(),
-                    ipc: timeline.ipc(),
-                    model_ipc,
-                }
-            }));
+    let jobs = entries.iter().flat_map(|entry| {
+        specs
+            .iter()
+            .enumerate()
+            .map(move |(i, (_, spec))| (entry, i, spec))
+    });
+    let points = ctx.map_batch(jobs, |(entry, i, spec)| {
+        let stream = entry.stream(Binary::Predicated, EVAL_SEED);
+        let mut harness = PredictionHarness::new(
+            build_predictor(spec),
+            HarnessConfig {
+                timing,
+                insert: InsertFilter::All,
+            },
+        )
+        .with_timeline(pipe);
+        let summary = Executor::new(stream.program(), stream.memory().clone())
+            .run(&mut harness, 2 * DEFAULT_MAX_INSTRUCTIONS);
+        assert!(summary.halted);
+        harness.finish();
+        let timeline = *harness.timeline().expect("timeline attached");
+        let model_ipc = (i == 0).then(|| {
+            let unconditional = summary.branches - summary.conditional_branches;
+            PipelineModel::estimate(
+                &pipe,
+                summary.instructions,
+                harness.metrics().all.mispredictions.get(),
+                summary.taken_conditional + unconditional,
+            )
+            .ipc()
+        });
+        TimelinePoint {
+            cycles: timeline.cycles(),
+            ipc: timeline.ipc(),
+            model_ipc,
         }
-    }
-    let points = ctx.map_batch(jobs);
+    });
 
     let mut table = Table::new(
         "F8: IPC and speedup over the gshare baseline (event-driven fetch timeline)",

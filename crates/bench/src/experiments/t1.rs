@@ -21,28 +21,21 @@ struct Characterization {
 
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
-    let jobs = entries
-        .iter()
-        .map(|entry| {
-            let plain_stream = entry.stream(Binary::Plain, EVAL_SEED);
-            let pred_stream = entry.stream(Binary::Predicated, EVAL_SEED);
-            let job: Box<dyn FnOnce() -> Characterization + Send> = Box::new(move || {
-                let mut plain_metrics = ExecMetrics::new();
-                let plain = Executor::new(plain_stream.program(), plain_stream.memory().clone())
-                    .run(&mut plain_metrics, DEFAULT_MAX_INSTRUCTIONS);
-                let mut pred_metrics = ExecMetrics::new();
-                let pred = Executor::new(pred_stream.program(), pred_stream.memory().clone())
-                    .run(&mut pred_metrics, DEFAULT_MAX_INSTRUCTIONS);
-                Characterization {
-                    plain,
-                    pred,
-                    region_percent: pred_metrics.region_fraction().percent(),
-                }
-            });
-            job
-        })
-        .collect();
-    let rows = ctx.map_batch(jobs);
+    let rows = ctx.map_batch(entries.iter(), |entry| {
+        let plain_stream = entry.stream(Binary::Plain, EVAL_SEED);
+        let pred_stream = entry.stream(Binary::Predicated, EVAL_SEED);
+        let mut plain_metrics = ExecMetrics::new();
+        let plain = Executor::new(plain_stream.program(), plain_stream.memory().clone())
+            .run(&mut plain_metrics, DEFAULT_MAX_INSTRUCTIONS);
+        let mut pred_metrics = ExecMetrics::new();
+        let pred = Executor::new(pred_stream.program(), pred_stream.memory().clone())
+            .run(&mut pred_metrics, DEFAULT_MAX_INSTRUCTIONS);
+        Characterization {
+            plain,
+            pred,
+            region_percent: pred_metrics.region_fraction().percent(),
+        }
+    });
 
     let mut table = Table::new(
         "T1: workload characterization (plain vs if-converted)",

@@ -5,7 +5,7 @@
 //! ([`predbranch_stats::Table`] / [`predbranch_stats::Series`]); the
 //! `experiments` binary prints them, `perfbench/` times them, and
 //! EXPERIMENTS.md records their output against the paper's claims.
-//! The context carries the sweep machinery — worker pool, trace cache,
+//! The context carries the sweep machinery — lane count, trace cache,
 //! checkpoint journal, manifest — and experiments decompose their grids
 //! into [`runner::CellSpec`]s so output stays byte-identical at any
 //! `--jobs` level.

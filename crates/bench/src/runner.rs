@@ -1,20 +1,16 @@
 //! Shared run machinery for the experiments.
 //!
-//! The central type is [`RunContext`]: an explicit, cloneable handle
-//! threaded through every experiment module that owns the sweep's
-//! worker pool, the optional on-disk trace cache, the optional
-//! checkpoint journal, and the optional run manifest. It replaces the
-//! old process-global `static TRACE_CACHE: Mutex<Option<TraceCache>>`,
-//! which both serialized all access behind one poisoning lock (a
-//! panicking experiment wedged every later run) and made parallel
-//! sweeps impossible to reason about.
+//! The central type is [`RunContext`]: an explicit context threaded
+//! through every experiment module that holds the sweep's lane count,
+//! the optional on-disk trace cache, the optional checkpoint journal,
+//! and the optional run manifest.
 //!
 //! Experiments decompose their grids into [`CellSpec`]s — one
 //! (stream, predictor spec, machine options) point each, where a
 //! [`Stream`] is a binary and its input, digested once and shared by
 //! every cell over it — and call [`RunContext::run_cells`], which
 //! groups cells that share an event stream into gang units, runs each
-//! unit's one pass on the work-stealing pool, and returns outcomes
+//! unit's one pass on a lane of [`par_map`], and returns outcomes
 //! **in submission order**.
 //! Because every cell is a pure function of its spec, aggregation over
 //! that vector is byte-identical to the sequential loop it replaced, at
@@ -31,7 +27,7 @@ use predbranch_core::{GangHarness, HarnessConfig, InsertFilter, PredictionMetric
 use predbranch_isa::Program;
 use predbranch_modern::{build_modern_stack, ModernSpec};
 use predbranch_sim::{Event, EventSink, Executor, Memory, RunSummary, EVENT_BATCH_CAPACITY};
-use predbranch_sweep::{CellRecord, CellSource, Checkpoint, Json, ManifestBuilder, WorkerPool};
+use predbranch_sweep::{par_map, CellRecord, CellSource, Checkpoint, Json, ManifestBuilder};
 use predbranch_trace::{memory_fingerprint, program_hash, CacheKey, TraceCache};
 use predbranch_workloads::{
     compile_benchmark, suite, Benchmark, CompileOptions, CompiledBenchmark,
@@ -254,8 +250,7 @@ impl RunOutcome {
 
 /// One point of an experiment grid: a stream (binary and input), a
 /// predictor spec, and the machine options — everything that determines
-/// a [`RunOutcome`]. Cells are `'static` so they can migrate across
-/// worker threads; every cell over one (binary, input) shares its
+/// a [`RunOutcome`]. Every cell over one (binary, input) shares its
 /// entry's [`Stream`] instead of owning a copy.
 ///
 /// The spec is a [`ModernSpec`]: classic paper-era configurations and
@@ -434,19 +429,18 @@ struct PendingCell {
     key: Option<String>,
 }
 
-/// The sweep's execution context: worker pool, trace cache, checkpoint
+/// The sweep's execution context: lane count, trace cache, checkpoint
 /// journal, and manifest recorder, threaded explicitly through every
-/// experiment. Cloning is cheap (shared handles) and clones observe the
-/// same counters — workers receive a clone each, which is how every
-/// worker gets its own [`TraceCache`] handle without a global lock.
-#[derive(Debug, Clone, Default)]
+/// experiment. Lanes borrow the one context, so they share its
+/// counters, suite memo, journal and manifest.
+#[derive(Debug, Default)]
 pub struct RunContext {
-    pool: Option<Arc<WorkerPool>>,
+    jobs: usize,
     cache: Option<TraceCache>,
-    checkpoint: Option<Arc<Checkpoint>>,
-    manifest: Option<Arc<ManifestBuilder>>,
-    counters: Arc<RunCounters>,
-    suites: Arc<Mutex<SuiteMemo>>,
+    checkpoint: Option<Checkpoint>,
+    manifest: Option<ManifestBuilder>,
+    counters: RunCounters,
+    suites: Mutex<SuiteMemo>,
     shard: Option<Shard>,
 }
 
@@ -457,15 +451,10 @@ impl RunContext {
         RunContext::default()
     }
 
-    /// Executes cells on `jobs` concurrent lanes (1 = sequential,
-    /// spawning no threads; `n ≥ 2` spawns `n - 1` workers and the
-    /// submitting thread helps).
+    /// Executes cells on `jobs` concurrent lanes, the calling thread
+    /// being one of them (0 and 1 = sequential, spawning no threads).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.pool = if jobs >= 2 {
-            Some(Arc::new(WorkerPool::new(jobs)))
-        } else {
-            None
-        };
+        self.jobs = jobs;
         self
     }
 
@@ -500,20 +489,20 @@ impl RunContext {
     /// completed cells instead of re-running them — interrupted sweeps
     /// resume from where they died.
     pub fn with_checkpoint(mut self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        self.checkpoint = Some(Arc::new(Checkpoint::open(path.as_ref().to_path_buf())?));
+        self.checkpoint = Some(Checkpoint::open(path.as_ref().to_path_buf())?);
         Ok(self)
     }
 
     /// Records every cell (label, key, source, wall-clock) into
     /// `manifest` for the final run record.
     pub fn with_manifest(mut self, manifest: ManifestBuilder) -> Self {
-        self.manifest = Some(Arc::new(manifest));
+        self.manifest = Some(manifest);
         self
     }
 
     /// The configured parallelism.
     pub fn jobs(&self) -> usize {
-        self.pool.as_ref().map_or(1, |pool| pool.jobs())
+        self.jobs.max(1)
     }
 
     /// Whether a trace cache is attached.
@@ -523,7 +512,7 @@ impl RunContext {
 
     /// The manifest recorder, when one is attached.
     pub fn manifest(&self) -> Option<&ManifestBuilder> {
-        self.manifest.as_deref()
+        self.manifest.as_ref()
     }
 
     /// How many completed cells the checkpoint journal held when it was
@@ -613,15 +602,15 @@ impl RunContext {
         }
     }
 
-    /// Runs a grid of cells, in parallel when a pool is attached, and
-    /// returns outcomes **in submission order** at any worker count.
+    /// Runs a grid of cells on [`RunContext::jobs`] lanes and returns
+    /// outcomes **in submission order** at any lane count.
     ///
     /// Each cell is first looked up in the checkpoint journal. The rest
     /// are grouped by (stream, timing) into gang units — a lone cell is
     /// a unit of one — and each unit replays its stream **once**,
     /// feeding every member cell as an independent [`GangHarness`]
-    /// lane; the scheduling unit on the worker pool is the gang unit,
-    /// not the cell. Per-cell outcomes, cache keys, checkpoint records,
+    /// lane; the scheduling unit is the gang unit, not the cell.
+    /// Per-cell outcomes, cache keys, checkpoint records,
     /// and manifest records do not depend on the grouping; the
     /// replay/record/live counters count passes, one per unit. In a
     /// sharded context, units outside the shard yield placeholders
@@ -686,21 +675,7 @@ impl RunContext {
             }
         }
 
-        let unit_outcomes: Vec<Vec<(usize, RunOutcome)>> = match &self.pool {
-            Some(pool) if units.len() > 1 => {
-                let jobs = units
-                    .into_iter()
-                    .map(|unit| {
-                        let ctx = self.clone();
-                        let job: Box<dyn FnOnce() -> Vec<(usize, RunOutcome)> + Send> =
-                            Box::new(move || ctx.run_gang_unit(&unit));
-                        job
-                    })
-                    .collect();
-                pool.run_batch(jobs)
-            }
-            _ => units.iter().map(|unit| self.run_gang_unit(unit)).collect(),
-        };
+        let unit_outcomes = par_map(self.jobs(), units, |unit| self.run_gang_unit(&unit));
         for (index, outcome) in unit_outcomes.into_iter().flatten() {
             slots[index] = Some(outcome);
         }
@@ -744,19 +719,17 @@ impl RunContext {
             .collect()
     }
 
-    /// Runs arbitrary owned jobs on the pool (sequentially without
-    /// one), results in submission order. For experiment work that is
-    /// not a predictor cell — custom sinks, recompilation sweeps —
-    /// which wants the same determinism-under-parallelism contract but
-    /// no caching or checkpointing.
-    pub fn map_batch<T: Send + 'static>(
+    /// Maps `f` over `items` on [`RunContext::jobs`] lanes, results in
+    /// item order. For experiment work that is not a predictor cell —
+    /// custom sinks, recompilation sweeps — which wants the same
+    /// determinism-under-parallelism contract but no caching or
+    /// checkpointing.
+    pub fn map_batch<I: Send, T: Send>(
         &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
+        items: impl IntoIterator<Item = I>,
+        f: impl Fn(I) -> T + Sync,
     ) -> Vec<T> {
-        match &self.pool {
-            Some(pool) => pool.run_batch(jobs),
-            None => jobs.into_iter().map(|job| job()).collect(),
-        }
+        par_map(self.jobs(), items, f)
     }
 
     /// Streams one execution's decoded event stream into an arbitrary

@@ -19,9 +19,20 @@ const GOLDEN_IDS: [&str; 17] = [
     "f14", "f15",
 ];
 
+/// The sequential context and a parallel one: every batch site must
+/// render the same bytes on one lane and on several.
+fn contexts() -> [(&'static str, RunContext); 2] {
+    [
+        ("jobs1", RunContext::new()),
+        ("jobs3", RunContext::new().with_jobs(3)),
+    ]
+}
+
 #[test]
 fn quick_all_output_is_byte_identical_to_pre_refactor_golden() {
-    assert_golden(RunContext::new());
+    for (tag, ctx) in contexts() {
+        assert_golden(tag, &ctx);
+    }
 }
 
 /// F17 postdates the speculative-history refactor, so it gets its own
@@ -32,11 +43,13 @@ fn quick_all_output_is_byte_identical_to_pre_refactor_golden() {
 fn f17_quick_output_is_byte_identical_to_golden() {
     let golden = include_str!("golden/f17_quick.txt");
     let exp = find_experiment("f17").expect("f17 registered");
-    let mut rendered = String::new();
-    for artifact in (exp.run)(&RunContext::new(), &Scale::quick()) {
-        rendered.push_str(&format!("{artifact}\n"));
+    for (tag, ctx) in contexts() {
+        let mut rendered = String::new();
+        for artifact in (exp.run)(&ctx, &Scale::quick()) {
+            rendered.push_str(&format!("{artifact}\n"));
+        }
+        assert_eq!(rendered, golden, "f17 --quick output drifted ({tag})");
     }
-    assert_eq!(rendered, golden, "f17 --quick output drifted from golden");
 }
 
 /// F18 introduces the modern predictor tier (TAGE, multiperspective
@@ -60,7 +73,7 @@ fn f18_quick_output_is_byte_identical_on_every_path() {
     }
 }
 
-fn assert_golden(ctx: RunContext) {
+fn assert_golden(tag: &str, ctx: &RunContext) {
     let golden = include_str!("golden/quick_all.txt");
     let scale = Scale::quick();
     assert_eq!(scale.retire_latency, 0, "golden was captured at retire 0");
@@ -68,7 +81,7 @@ fn assert_golden(ctx: RunContext) {
     let mut rendered = String::new();
     for id in GOLDEN_IDS {
         let exp = find_experiment(id).expect(id);
-        for artifact in (exp.run)(&ctx, &scale) {
+        for artifact in (exp.run)(ctx, &scale) {
             // the binary prints each artifact with `println!("{artifact}")`
             rendered.push_str(&format!("{artifact}\n"));
         }
@@ -82,11 +95,11 @@ fn assert_golden(ctx: RunContext) {
             .find(|(_, (new, old))| new != old);
         match diverge {
             Some((line, (new, old))) => panic!(
-                "output diverges from the pre-refactor golden at line {}:\n  golden: {old}\n  now:    {new}",
+                "{tag}: output diverges from the pre-refactor golden at line {}:\n  golden: {old}\n  now:    {new}",
                 line + 1
             ),
             None => panic!(
-                "output length differs from the golden: {} vs {} bytes",
+                "{tag}: output length differs from the golden: {} vs {} bytes",
                 rendered.len(),
                 golden.len()
             ),

@@ -83,3 +83,25 @@ fn missing_file_and_bad_mode_fail() {
     let out = Command::new(env!("CARGO_BIN_EXE_pbasm")).output().unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let src = scratch("closed.s");
+    fs::write(&src, PROGRAM).unwrap();
+    // a pipe whose read end is already gone: every write the child
+    // makes fails with a broken pipe, as under `pbasm asm prog.s | head -1`
+    for mode in ["asm", "check"] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pbasm"))
+            .arg(mode)
+            .arg(&src)
+            .stdout(writer)
+            .output()
+            .expect("pbasm runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{mode}: {:?}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{mode}: {stderr}");
+    }
+    fs::remove_file(src).ok();
+}

@@ -19,11 +19,11 @@
 //! * [`stats`] — counters, histograms, and table/series rendering;
 //! * [`trace`] — binary trace record/replay with an on-disk trace
 //!   cache, so sweeps execute each (binary, input) once;
-//! * [`sweep`] — a deterministic work-stealing sweep engine (worker
-//!   pool, run manifests, resumable checkpoints) whose parallel output
-//!   is byte-identical to sequential; sweeps run *gang-replayed* by
-//!   default — one pass over each event stream feeds every predictor
-//!   configuration as an independent `GangHarness` lane;
+//! * [`sweep`] — a deterministic sweep engine (an order-preserving
+//!   scoped `par_map`, run manifests, resumable checkpoints) whose
+//!   parallel output is byte-identical to sequential; sweeps run
+//!   *gang-replayed* — one pass over each event stream feeds every
+//!   predictor configuration as an independent `GangHarness` lane;
 //! * [`characterize`] — streaming predictability characterization:
 //!   per-branch entropy / mutual-information metrics and the four-way
 //!   H2P taxonomy (biased / history-predictable / predicate-predictable
@@ -93,7 +93,7 @@ pub mod prelude {
     pub use predbranch_isa::{assemble, Gpr, PredReg, Program};
     pub use predbranch_sim::{Executor, Memory, PipelineConfig};
     pub use predbranch_stats::{Cell, Series, Table};
-    pub use predbranch_sweep::{Checkpoint, ManifestBuilder, WorkerPool};
+    pub use predbranch_sweep::{par_map, Checkpoint, ManifestBuilder};
     pub use predbranch_trace::{CacheKey, TraceCache, TraceReader, TraceWriter};
     pub use predbranch_workloads::{
         compile_benchmark, suite, CompileOptions, EVAL_SEED, TRAIN_SEED,

@@ -6,6 +6,7 @@
 //! ```
 
 use std::fs;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use predbranch_isa::assemble;
@@ -47,16 +48,18 @@ fn parse_args() -> Option<Options> {
     }
 }
 
-fn main() -> ExitCode {
+/// Runs the command, writing every line of its report to `out`. A
+/// write error ends the run early and is returned.
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let Some(opts) = parse_args() else {
         eprintln!("usage: pbsim <file.s> [--max N] [--latency L] [--trace]");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let text = match fs::read_to_string(&opts.path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("pbsim: cannot read {}: {e}", opts.path);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let program = if opts.hex {
@@ -74,7 +77,7 @@ fn main() -> ExitCode {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("pbsim: {}: {e}", opts.path);
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
@@ -82,7 +85,7 @@ fn main() -> ExitCode {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("pbsim: {}: {e}", opts.path);
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     };
@@ -98,43 +101,60 @@ fn main() -> ExitCode {
     if opts.trace {
         for event in trace.events() {
             match event {
-                Event::Branch(b) => println!(
+                Event::Branch(b) => writeln!(
+                    out,
                     "branch  @{:>5} pc {:>5} guard {:<4} {}",
                     b.index,
                     b.pc,
                     b.guard.to_string(),
                     if b.taken { "taken" } else { "not-taken" }
-                ),
-                Event::PredWrite(w) => println!(
+                )?,
+                Event::PredWrite(w) => writeln!(
+                    out,
                     "predset @{:>5} pc {:>5} {:<4} = {}",
                     w.index,
                     w.pc,
                     w.preg.to_string(),
                     w.value
-                ),
+                )?,
             }
         }
     }
 
-    println!("halted:              {}", summary.halted);
-    println!("instructions:        {}", summary.instructions);
-    println!("branches:            {}", summary.branches);
-    println!("  conditional:       {}", summary.conditional_branches);
-    println!("  taken:             {}", summary.taken_conditional);
-    println!("  region-based:      {}", summary.region_branches);
-    println!("predicate writes:    {}", summary.pred_writes);
-    println!("taken fraction:      {}", metrics.taken_fraction());
-    println!(
+    writeln!(out, "halted:              {}", summary.halted)?;
+    writeln!(out, "instructions:        {}", summary.instructions)?;
+    writeln!(out, "branches:            {}", summary.branches)?;
+    writeln!(out, "  conditional:       {}", summary.conditional_branches)?;
+    writeln!(out, "  taken:             {}", summary.taken_conditional)?;
+    writeln!(out, "  region-based:      {}", summary.region_branches)?;
+    writeln!(out, "predicate writes:    {}", summary.pred_writes)?;
+    writeln!(out, "taken fraction:      {}", metrics.taken_fraction())?;
+    writeln!(
+        out,
         "guard @fetch (lat {}): known-false {} / known-true {} / unknown {}",
         opts.latency,
         knowledge.known_false(),
         knowledge.known_true(),
         knowledge.unknown()
-    );
+    )?;
     if summary.halted {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("pbsim: instruction budget exhausted");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
+    }
+}
+
+fn main() -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match run(&mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        // a reader that stops early (`pbsim --trace prog.s | head`) is
+        // not a failure of the run
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("pbsim: cannot write stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

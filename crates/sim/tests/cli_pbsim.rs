@@ -79,3 +79,25 @@ fn budget_exhaustion_is_a_failure_exit() {
     assert!(!out.status.success());
     fs::remove_file(src).ok();
 }
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let src = scratch("closed.s");
+    fs::write(&src, PROGRAM).unwrap();
+    // a pipe whose read end is already gone: every write the child
+    // makes fails with a broken pipe, as under `pbsim prog.s | head -1`
+    for args in [&[][..], &["--trace"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pbsim"))
+            .arg(&src)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("pbsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    fs::remove_file(src).ok();
+}

@@ -5,14 +5,13 @@
 //! other. This crate supplies the machinery to execute such grids in
 //! parallel **without changing a byte of output**:
 //!
-//! * [`WorkerPool`] — a from-scratch work-stealing thread pool
-//!   (std::thread + mutexed deques, no external deps). Its
-//!   [`WorkerPool::run_batch`] primitive returns results in submission
-//!   order no matter which worker computed what when, which is the
-//!   whole determinism story: callers aggregate over the returned
-//!   vector exactly as a sequential loop would. The batch item is
-//!   whatever the caller makes it — since gang replay landed, the
-//!   bench runner schedules *gang units* (all cells sharing one event
+//! * [`par_map`] — the scheduler: maps a batch of independent items on
+//!   at most `N` lanes (the caller plus scoped threads drawing from one
+//!   shared queue) and returns the results in item order no matter
+//!   which lane computed what when, which is the whole determinism
+//!   story: callers aggregate over the returned vector exactly as a
+//!   sequential loop would. The item is whatever the caller makes it —
+//!   the bench runner maps *gang units* (all cells sharing one event
 //!   stream and timing, replayed in a single pass) rather than
 //!   individual cells, and flattens each unit's per-lane results back
 //!   into cell submission order.
@@ -50,4 +49,4 @@ pub use checkpoint::Checkpoint;
 pub use json::Json;
 pub use manifest::{CellRecord, CellSource, ManifestBuilder};
 pub use merge::{merge_journals, merge_manifests, MergeReport};
-pub use pool::WorkerPool;
+pub use pool::par_map;

@@ -1,394 +1,140 @@
-//! A from-scratch work-stealing thread pool (std::thread + mutexed
-//! deques — no external dependencies).
-//!
-//! The pool exists for one job shape: a *batch* of independent, pure,
-//! CPU-bound cells whose results must come back in submission order so
-//! downstream output is deterministic at any worker count. Each worker
-//! owns a deque; tasks spawned from a worker go to its own deque (LIFO
-//! for locality), external submissions go to a shared injector, and an
-//! idle worker steals FIFO from the injector first and then from its
-//! siblings. The thread that submits a batch does not block idly: it
-//! *helps*, executing queued tasks until its batch completes, so a pool
-//! configured for `n` jobs runs `n` cells concurrently with only `n - 1`
-//! spawned threads — and nested batches (a task submitting a sub-batch)
-//! cannot deadlock, because every waiter drains queues instead of
-//! parking unconditionally.
+//! The sweep's scheduler: [`par_map`], a scoped pool of lanes that maps
+//! a batch of independent items and returns the results in item order,
+//! so anything aggregated over them is the same at every lane count.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Locks a mutex, recovering the guard from a poisoned lock instead of
-/// propagating the panic: queue and result structures stay consistent
-/// under plain mutation, so a panicking cell must not wedge every
-/// subsequent batch (the cell's own panic is still reported by
-/// [`WorkerPool::run_batch`]).
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-struct Shared {
-    /// External submissions land here; workers drain it FIFO.
-    injector: Mutex<VecDeque<Task>>,
-    /// One deque per worker: owner pushes/pops the back, thieves steal
-    /// from the front.
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Sleep gate: `epoch` increments on every push so a worker that
-    /// found all queues empty can detect a submission that raced ahead
-    /// of its park.
-    gate: Mutex<u64>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl Shared {
-    fn push_external(&self, task: Task) {
-        lock_unpoisoned(&self.injector).push_back(task);
-        self.announce();
-    }
-
-    fn push_local(&self, worker: usize, task: Task) {
-        lock_unpoisoned(&self.locals[worker]).push_back(task);
-        self.announce();
-    }
-
-    fn announce(&self) {
-        let mut epoch = lock_unpoisoned(&self.gate);
-        *epoch += 1;
-        drop(epoch);
-        self.wake.notify_all();
-    }
-
-    /// One task from anywhere: `own` (may be `None` for a helping
-    /// non-worker thread) LIFO first, then the injector, then steal
-    /// FIFO from the other workers.
-    fn find_task(&self, own: Option<usize>) -> Option<Task> {
-        if let Some(w) = own {
-            if let Some(task) = lock_unpoisoned(&self.locals[w]).pop_back() {
-                return Some(task);
-            }
-        }
-        if let Some(task) = lock_unpoisoned(&self.injector).pop_front() {
-            return Some(task);
-        }
-        for (i, victim) in self.locals.iter().enumerate() {
-            if Some(i) == own {
-                continue;
-            }
-            if let Some(task) = lock_unpoisoned(victim).pop_front() {
-                return Some(task);
-            }
-        }
-        None
-    }
-}
-
-std::thread_local! {
-    /// (pool identity, worker index) of the current thread, when it is a
-    /// pool worker — routes nested spawns to the worker's own deque.
-    static WORKER: std::cell::Cell<Option<(usize, usize)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-fn worker_index(shared: &Arc<Shared>) -> Option<usize> {
-    WORKER.with(|w| match w.get() {
-        Some((pool, index)) if pool == Arc::as_ptr(shared) as usize => Some(index),
-        _ => None,
-    })
-}
-
-/// The scheduler. See the module docs for the execution model.
+/// Maps `f` over `items` on at most `jobs` lanes and returns the
+/// results **in item order**, whichever lane ran which item when.
+///
+/// The calling thread is one of the lanes, so `jobs <= 1` or a single
+/// item spawns no thread; the others are scoped threads, which is why
+/// `f` and the items may borrow from the caller. Lanes take items from
+/// one shared queue in submission order and own the item they take, so
+/// each item is dropped as soon as `f` returns. A panicking item does
+/// not stop the others: once every item has run, the first panic in
+/// item order is raised again with its original payload.
 ///
 /// # Examples
 ///
 /// ```
-/// use predbranch_sweep::WorkerPool;
+/// use predbranch_sweep::par_map;
 ///
-/// let pool = WorkerPool::new(4);
-/// let squares = pool.run_batch(
-///     (0u64..8)
-///         .map(|i| {
-///             let job: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || i * i);
-///             job
-///         })
-///         .collect(),
-/// );
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+/// let offset = 10;
+/// let shifted = par_map(4, 0u64..8, |i| i * i + offset);
+/// assert_eq!(shifted, vec![10, 11, 14, 19, 26, 35, 46, 59]);
 /// ```
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    jobs: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("jobs", &self.jobs)
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// A pool executing up to `jobs` tasks concurrently. `jobs - 1`
-    /// worker threads are spawned; the submitting thread contributes the
-    /// final lane by helping while it waits. `jobs` is clamped to at
-    /// least 1 (a 1-job pool spawns no threads and runs batches inline).
-    pub fn new(jobs: usize) -> Self {
-        let jobs = jobs.max(1);
-        let workers = jobs - 1;
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(0),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..workers)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("sweep-worker-{index}"))
-                    .spawn(move || worker_loop(shared, index))
-                    .expect("spawning a sweep worker thread")
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            handles,
-            jobs,
+pub fn par_map<I, T, F>(jobs: usize, items: impl IntoIterator<Item = I>, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let items: Vec<I> = items.into_iter().collect();
+    let lanes = jobs.min(items.len());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // a call, not a `while let` scrutinee, so the guard is released
+    // before the item runs
+    let next = || {
+        queue
+            .lock()
+            .expect("no lane panics holding the queue")
+            .next()
+    };
+    let lane = || {
+        let mut done = Vec::new();
+        while let Some((index, item)) = next() {
+            done.push((index, catch_unwind(AssertUnwindSafe(|| f(item)))));
         }
-    }
-
-    /// The configured parallelism (including the helping submitter).
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Submits a fire-and-forget task. From a worker thread of this
-    /// pool the task goes to that worker's own deque (and is the first
-    /// stolen by idle siblings); from any other thread it goes to the
-    /// shared injector.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        match worker_index(&self.shared) {
-            Some(w) => self.shared.push_local(w, Box::new(task)),
-            None => self.shared.push_external(Box::new(task)),
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+        let mut done = lane();
+        for helper in helpers {
+            done.extend(helper.join().expect("a lane catches its items' panics"));
         }
-    }
-
-    /// Runs every job and returns their results **in submission order**,
-    /// regardless of which worker executed what when — the property the
-    /// sweep's determinism guarantee rests on. The calling thread helps
-    /// execute queued tasks while it waits. If any job panicked, the
-    /// panic is re-raised here (after the whole batch has settled) with
-    /// the first failing job's message.
-    pub fn run_batch<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        let total = jobs.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let state = Arc::new(BatchState {
-            results: Mutex::new((0..total).map(|_| None).collect()),
-            done: AtomicUsize::new(0),
-        });
-        for (index, job) in jobs.into_iter().enumerate() {
-            let state = Arc::clone(&state);
-            self.spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(job))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                lock_unpoisoned(&state.results)[index] = Some(outcome);
-                state.done.fetch_add(1, Ordering::Release);
-            });
-        }
-
-        // Help until the batch settles. Tasks from *other* batches may be
-        // picked up here too; they are pure computation, so helping with
-        // them only shortens the global critical path.
-        let own = worker_index(&self.shared);
-        while state.done.load(Ordering::Acquire) < total {
-            match self.shared.find_task(own) {
-                Some(task) => task(),
-                None => {
-                    // Our remaining cells are mid-execution on other
-                    // workers; sleep until something is published or a
-                    // short timeout passes (re-checking `done` either way).
-                    let epoch = lock_unpoisoned(&self.shared.gate);
-                    if state.done.load(Ordering::Acquire) >= total {
-                        break;
-                    }
-                    let _unused = self
-                        .shared
-                        .wake
-                        .wait_timeout(epoch, Duration::from_millis(1))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }
-        }
-
-        let results = std::mem::take(&mut *lock_unpoisoned(&state.results));
-        results
-            .into_iter()
-            .map(|slot| match slot.expect("batch slot settled") {
-                Ok(value) => value,
-                Err(message) => panic!("sweep cell panicked: {message}"),
-            })
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.announce();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-struct BatchState<T> {
-    results: Mutex<Vec<Option<Result<T, String>>>>,
-    done: AtomicUsize,
-}
-
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, index))));
-    loop {
-        match shared.find_task(Some(index)) {
-            Some(task) => task(),
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let epoch = lock_unpoisoned(&shared.gate);
-                let before = *epoch;
-                // Re-check under the gate: a push after our scan bumped
-                // the epoch and we must not sleep through it.
-                let _unused = shared
-                    .wake
-                    .wait_timeout_while(epoch, Duration::from_millis(50), |now| *now == before)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
+        done
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter()
+        .map(|(_, result)| result.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     #[test]
     fn batch_results_come_back_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64)
-            .map(|i| {
-                let job: Box<dyn FnOnce() -> usize + Send> = Box::new(move || {
-                    // stagger completion to scramble execution order
-                    std::thread::sleep(Duration::from_micros((64 - i) as u64 * 10));
-                    i
-                });
-                job
-            })
-            .collect();
-        assert_eq!(pool.run_batch(jobs), (0..64).collect::<Vec<_>>());
+        // item 0 waits until item 2 has started and item 2 until item 3
+        // has finished, which forces the lanes to run [0, 3] and [1, 2]
+        // and to finish 1, 0, 3, 2; a serial scheduler times out here
+        // instead of hanging
+        let (item2_started, await_item2) = mpsc::channel();
+        let (item3_finished, await_item3) = mpsc::channel();
+        let (await_item2, await_item3) = (Mutex::new(await_item2), Mutex::new(await_item3));
+        let wait = |signal: &Mutex<mpsc::Receiver<()>>| {
+            let signal = signal.lock().unwrap();
+            signal
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the other lane ran meanwhile");
+        };
+        let results = par_map(2, 0..4, |i| {
+            match i {
+                0 => wait(&await_item2),
+                2 => {
+                    item2_started.send(()).unwrap();
+                    wait(&await_item3);
+                }
+                3 => item3_finished.send(()).unwrap(),
+                _ => {}
+            }
+            i * 10
+        });
+        assert_eq!(results, vec![0, 10, 20, 30]);
     }
 
     #[test]
     fn single_job_pool_runs_inline_without_threads() {
-        let pool = WorkerPool::new(1);
-        assert_eq!(pool.jobs(), 1);
-        let caller = std::thread::current().id();
-        let ids = pool.run_batch(vec![
-            Box::new(move || std::thread::current().id() == caller)
-                as Box<dyn FnOnce() -> bool + Send>,
-        ]);
-        assert_eq!(ids, vec![true], "a 1-job pool must execute on the caller");
+        let caller = thread::current().id();
+        let on_caller = |ids: Vec<ThreadId>| ids.iter().all(|&id| id == caller);
+        assert!(on_caller(par_map(1, 0..4, |_| thread::current().id())));
+        assert!(on_caller(par_map(0, 0..4, |_| thread::current().id())));
+        for jobs in [2, 8] {
+            assert!(on_caller(par_map(jobs, [()], |()| thread::current().id())));
+        }
     }
 
     #[test]
     fn nested_batches_do_not_deadlock() {
-        let pool = Arc::new(WorkerPool::new(3));
-        let outer: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..4)
-            .map(|i| {
-                let pool = Arc::clone(&pool);
-                let job: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || {
-                    let inner: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..4)
-                        .map(|j| {
-                            let job: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || i * 10 + j);
-                            job
-                        })
-                        .collect();
-                    pool.run_batch(inner).into_iter().sum()
-                });
-                job
-            })
-            .collect();
-        let sums = pool.run_batch(outer);
+        let sums = par_map(3, 0u64..4, |i| {
+            par_map(3, 0..4, |j| i * 10 + j).into_iter().sum::<u64>()
+        });
         assert_eq!(sums, vec![6, 46, 86, 126]);
     }
 
     #[test]
-    fn panicking_cell_reports_and_pool_survives() {
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("cell exploded")),
-            Box::new(|| 3),
-        ];
-        let err = catch_unwind(AssertUnwindSafe(|| pool.run_batch(jobs)))
-            .expect_err("batch must propagate the cell panic");
-        assert!(panic_message(err.as_ref()).contains("cell exploded"));
-        // the pool is still usable afterwards (no poisoned queues)
-        let ok = pool.run_batch(vec![
-            Box::new(|| 7u32) as Box<dyn FnOnce() -> u32 + Send>,
-            Box::new(|| 8),
-        ]);
-        assert_eq!(ok, vec![7, 8]);
-    }
-
-    #[test]
-    fn spawn_from_worker_lands_on_own_deque_and_runs() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let counter = Arc::new(AtomicUsize::new(0));
-        let (c, p) = (Arc::clone(&counter), Arc::clone(&pool));
-        let results = pool.run_batch(vec![Box::new(move || {
-            for _ in 0..10 {
-                let c = Arc::clone(&c);
-                p.spawn(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            true
-        }) as Box<dyn FnOnce() -> bool + Send>]);
-        assert_eq!(results, vec![true]);
-        // spawned tasks are fire-and-forget; wait for them to drain
-        for _ in 0..1000 {
-            if counter.load(Ordering::SeqCst) == 10 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+    fn panicking_item_is_reraised_after_the_others_run() {
+        for jobs in [1, 2] {
+            let ran = AtomicUsize::new(0);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                par_map(jobs, 0..8, |i| {
+                    if i == 3 {
+                        panic!("cell exploded");
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }))
+            .expect_err("the item's panic must reach the caller");
+            assert_eq!(ran.load(Ordering::Relaxed), 7, "jobs={jobs}");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"cell exploded"));
         }
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
     }
 }

@@ -1,10 +1,10 @@
 //! Property tests for the scheduler's determinism contract: for any
-//! batch of pure jobs and any worker count, `run_batch` must return
+//! batch of pure items and any lane count, `par_map` must return
 //! exactly what a sequential map would, in the same order.
 
 use proptest::prelude::*;
 
-use predbranch_sweep::WorkerPool;
+use predbranch_sweep::par_map;
 
 /// A deliberately order-sensitive pure function (mixes index and seed).
 fn cell(seed: u64, index: u64) -> u64 {
@@ -25,31 +25,17 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let sequential: Vec<u64> = (0..cells as u64).map(|i| cell(seed, i)).collect();
-        let pool = WorkerPool::new(jobs);
-        let batch: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..cells as u64)
-            .map(|i| {
-                let job: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || cell(seed, i));
-                job
-            })
-            .collect();
-        prop_assert_eq!(pool.run_batch(batch), sequential);
+        prop_assert_eq!(par_map(jobs, 0..cells as u64, |i| cell(seed, i)), sequential);
     }
 
     #[test]
-    fn repeated_batches_on_one_pool_stay_deterministic(
+    fn repeated_calls_stay_deterministic(
         rounds in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let pool = WorkerPool::new(4);
         let expected: Vec<u64> = (0..32).map(|i| cell(seed, i)).collect();
         for _ in 0..rounds {
-            let batch: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..32)
-                .map(|i| {
-                    let job: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || cell(seed, i));
-                    job
-                })
-                .collect();
-            prop_assert_eq!(pool.run_batch(batch), expected.clone());
+            prop_assert_eq!(par_map(4, 0..32, |i| cell(seed, i)), expected.clone());
         }
     }
 }

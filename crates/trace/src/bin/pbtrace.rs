@@ -34,13 +34,14 @@
 //! deterministic.
 
 use std::fs;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use predbranch_characterize::{Characterization, Characterizer};
 use predbranch_isa::{assemble, Program};
 use predbranch_sim::{Event, Executor, Memory};
-use predbranch_sweep::{Json, WorkerPool};
+use predbranch_sweep::{par_map, Json};
 use predbranch_trace::{program_hash, TraceHeader, TraceReader, TraceWriter};
 use predbranch_workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
 
@@ -55,34 +56,63 @@ const USAGE: &str = "usage:
   pbtrace characterize <dir|file.pbt> [--json] [--jobs N]
   pbtrace list";
 
+/// Why a command failed: a message for stderr, or a write to stdout
+/// that failed.
+enum Failure {
+    Message(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut stdout = io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("record") => record(&args[1..]),
-        Some("info") => info(&args[1..]),
-        Some("dump") => dump(&args[1..]),
-        Some("verify") => verify(&args[1..]),
-        Some("migrate") => migrate(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("characterize") => characterize(&args[1..]),
-        Some("list") => {
-            for bench in suite() {
-                println!("{:<12} {}", bench.name(), bench.description());
-            }
-            Ok(())
-        }
-        _ => Err(USAGE.to_string()),
+        Some("record") => record(&args[1..], &mut stdout),
+        Some("info") => info(&args[1..], &mut stdout),
+        Some("dump") => dump(&args[1..], &mut stdout),
+        Some("verify") => verify(&args[1..], &mut stdout),
+        Some("migrate") => migrate(&args[1..], &mut stdout),
+        Some("stats") => stats(&args[1..], &mut stdout),
+        Some("characterize") => characterize(&args[1..], &mut stdout),
+        Some("list") => list(&mut stdout),
+        _ => Err(USAGE.to_string().into()),
     };
-    match result {
+    match result.and_then(|()| Ok(stdout.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // a reader that stops early (`pbtrace list | head`) is not a
+        // failure of the command
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("pbtrace: cannot write stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(e)) => {
             eprintln!("pbtrace: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn record(args: &[String]) -> Result<(), String> {
+fn list(stdout: &mut impl Write) -> Result<(), Failure> {
+    for bench in suite() {
+        writeln!(stdout, "{:<12} {}", bench.name(), bench.description())?;
+    }
+    Ok(())
+}
+
+fn record(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let mut bench_name: Option<String> = None;
     let mut asm_path: Option<String> = None;
     let mut out: Option<String> = None;
@@ -102,7 +132,7 @@ fn record(args: &[String]) -> Result<(), String> {
             path if !path.starts_with('-') && asm_path.is_none() => {
                 asm_path = Some(path.to_string());
             }
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
+            other => return Err(format!("unknown argument {other}\n{USAGE}").into()),
         }
     }
     let out = out.ok_or_else(|| format!("record needs -o <file.pbt>\n{USAGE}"))?;
@@ -124,11 +154,12 @@ fn record(args: &[String]) -> Result<(), String> {
                 compiled.predicated
             };
             let variant = if plain { "plain" } else { "pred" };
-            println!(
+            writeln!(
+                stdout,
                 "compiled {} ({variant}, options fingerprint {:016x})",
                 bench.name(),
                 opts.fingerprint()
-            );
+            )?;
             let label = bench.trace_label(variant, seed);
             (label, program, bench.input(seed))
         }
@@ -143,19 +174,20 @@ fn record(args: &[String]) -> Result<(), String> {
                 .to_string();
             (name, program, Memory::new())
         }
-        _ => return Err(format!("record needs --bench <name> or <file.s>\n{USAGE}")),
+        _ => return Err(format!("record needs --bench <name> or <file.s>\n{USAGE}").into()),
     };
 
     let summary = record_program(&name, &program, memory, seed, budget, &out)
         .map_err(|e| format!("recording {out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "recorded {out}: {} instructions, {} branches ({} conditional), {} pred writes{}",
         summary.instructions,
         summary.branches,
         summary.conditional_branches,
         summary.pred_writes,
         if summary.halted { "" } else { " [budget hit]" },
-    );
+    )?;
     Ok(())
 }
 
@@ -174,7 +206,7 @@ fn record_program(
     Ok(summary)
 }
 
-fn info(args: &[String]) -> Result<(), String> {
+fn info(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let (path, json) = path_and_json(args, "info")?;
     let reader = TraceReader::open(&path).map_err(|e| format!("{path}: {e}"))?;
     let header = reader.header().clone();
@@ -198,28 +230,33 @@ fn info(args: &[String]) -> Result<(), String> {
             .field("instructions", json_u64(stats.summary.instructions))
             .field("halted", stats.summary.halted)
             .field("checksum", format!("{:016x}", stats.checksum));
-        println!("{}", doc.pretty());
+        writeln!(stdout, "{}", doc.pretty())?;
         return Ok(());
     }
-    println!("file:          {path}");
-    println!("format:        PBTR v{}", predbranch_trace::FORMAT_VERSION);
-    println!("benchmark:     {}", header.name);
-    println!("program hash:  {:016x}", header.program_hash);
-    println!("input seed:    {:#x}", header.seed);
-    println!("budget:        {}", header.budget);
-    println!("events:        {}", stats.events);
-    println!(
+    writeln!(stdout, "file:          {path}")?;
+    writeln!(
+        stdout,
+        "format:        PBTR v{}",
+        predbranch_trace::FORMAT_VERSION
+    )?;
+    writeln!(stdout, "benchmark:     {}", header.name)?;
+    writeln!(stdout, "program hash:  {:016x}", header.program_hash)?;
+    writeln!(stdout, "input seed:    {:#x}", header.seed)?;
+    writeln!(stdout, "budget:        {}", header.budget)?;
+    writeln!(stdout, "events:        {}", stats.events)?;
+    writeln!(
+        stdout,
         "  branches:    {} ({} conditional, {} region)",
         stats.branches, stats.summary.conditional_branches, stats.summary.region_branches
-    );
-    println!("  pred writes: {}", stats.pred_writes);
-    println!("instructions:  {}", stats.summary.instructions);
-    println!("halted:        {}", stats.summary.halted);
-    println!("checksum:      {:016x}", stats.checksum);
+    )?;
+    writeln!(stdout, "  pred writes: {}", stats.pred_writes)?;
+    writeln!(stdout, "instructions:  {}", stats.summary.instructions)?;
+    writeln!(stdout, "halted:        {}", stats.summary.halted)?;
+    writeln!(stdout, "checksum:      {:016x}", stats.checksum)?;
     Ok(())
 }
 
-fn dump(args: &[String]) -> Result<(), String> {
+fn dump(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let mut path: Option<String> = None;
     let mut limit = u64::MAX;
     let mut it = args.iter();
@@ -227,7 +264,7 @@ fn dump(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--limit" => limit = parse(&take(&mut it, "--limit")?)?,
             p if !p.starts_with('-') && path.is_none() => path = Some(p.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
+            other => return Err(format!("unknown argument {other}\n{USAGE}").into()),
         }
     }
     let path = path.ok_or_else(|| format!("dump needs a file\n{USAGE}"))?;
@@ -235,7 +272,8 @@ fn dump(args: &[String]) -> Result<(), String> {
     let (events, stats) = reader.read_events().map_err(|e| format!("{path}: {e}"))?;
     for event in events.iter().take(limit as usize) {
         match event {
-            Event::Branch(b) => println!(
+            Event::Branch(b) => writeln!(
+                stdout,
                 "{:>10}  branch     pc={:<6} target={:<6} {} {}{}",
                 b.index,
                 b.pc,
@@ -247,20 +285,22 @@ fn dump(args: &[String]) -> Result<(), String> {
                     "uncond".into()
                 },
                 b.region.map_or(String::new(), |r| format!(" region={r}")),
-            ),
-            Event::PredWrite(p) => println!(
+            )?,
+            Event::PredWrite(p) => writeln!(
+                stdout,
                 "{:>10}  pred-write pc={:<6} {}={} (guard {}={})",
                 p.index, p.pc, p.preg, p.value as u8, p.guard, p.guard_value as u8,
-            ),
+            )?,
         }
     }
     if (events.len() as u64) > limit {
-        println!("... {} more events", events.len() as u64 - limit);
+        writeln!(stdout, "... {} more events", events.len() as u64 - limit)?;
     }
-    println!(
+    writeln!(
+        stdout,
         "{} events, {} instructions, checksum {:016x}",
         stats.events, stats.summary.instructions, stats.checksum
-    );
+    )?;
     Ok(())
 }
 
@@ -269,7 +309,7 @@ fn dump(args: &[String]) -> Result<(), String> {
 /// source binding). Prints one line per checked file; OK lines are
 /// suppressed under `--quiet`. Returns how many of the checked files
 /// failed.
-fn verify_one(path: &std::path::Path, quiet: bool) -> u64 {
+fn verify_one(path: &std::path::Path, quiet: bool, stdout: &mut impl Write) -> io::Result<u64> {
     let shown = path.display();
     let mut failed = 0u64;
     match TraceReader::open(path).and_then(|r| {
@@ -278,14 +318,15 @@ fn verify_one(path: &std::path::Path, quiet: bool) -> u64 {
     }) {
         Ok((name, stats)) => {
             if !quiet {
-                println!(
+                writeln!(
+                    stdout,
                     "{shown}: OK ({name}, {} events, checksum {:016x})",
                     stats.events, stats.checksum
-                );
+                )?;
             }
         }
         Err(e) => {
-            println!("{shown}: FAILED: {e}");
+            writeln!(stdout, "{shown}: FAILED: {e}")?;
             failed += 1;
         }
     }
@@ -294,43 +335,44 @@ fn verify_one(path: &std::path::Path, quiet: bool) -> u64 {
         match predbranch_trace::TraceMap::open_bound(path) {
             Ok(map) => {
                 if !quiet {
-                    println!(
+                    writeln!(
+                        stdout,
                         "{}: OK ({} events, segment-served)",
                         seg.display(),
                         map.header().event_count
-                    );
+                    )?;
                 }
             }
             Err(e) => {
-                println!("{}: FAILED: {e}", seg.display());
+                writeln!(stdout, "{}: FAILED: {e}", seg.display())?;
                 failed += 1;
             }
         }
     }
-    failed
+    Ok(failed)
 }
 
-fn verify(args: &[String]) -> Result<(), String> {
+fn verify(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let mut path: Option<String> = None;
     let mut quiet = false;
     for arg in args {
         match arg.as_str() {
             "--quiet" | "-q" => quiet = true,
             p if !p.starts_with('-') && path.is_none() => path = Some(p.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
+            other => return Err(format!("unknown argument {other}\n{USAGE}").into()),
         }
     }
     let path = path.ok_or_else(|| format!("verify needs a cache dir or file\n{USAGE}"))?;
     let files = trace_files(&path)?;
     let mut failed = 0u64;
     for file in &files {
-        failed += verify_one(file, quiet);
+        failed += verify_one(file, quiet, stdout)?;
     }
     if failed > 0 {
-        return Err(format!("{failed} file(s) under {path} failed verification"));
+        return Err(format!("{failed} file(s) under {path} failed verification").into());
     }
     if !quiet {
-        println!("{}: all traces verified", path);
+        writeln!(stdout, "{}: all traces verified", path)?;
     }
     Ok(())
 }
@@ -339,31 +381,38 @@ fn verify(args: &[String]) -> Result<(), String> {
 /// one. Idempotent: entries whose sidecar is already current are
 /// skipped; publication is atomic (temp file + rename), so a crashed or
 /// concurrent migrate never leaves a partial sidecar.
-fn migrate(args: &[String]) -> Result<(), String> {
+fn migrate(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let dir = one_path(args)?;
     if !std::path::Path::new(&dir).is_dir() {
-        return Err(format!("{dir}: not a directory\n{USAGE}"));
+        return Err(format!("{dir}: not a directory\n{USAGE}").into());
     }
     let files = trace_files(&dir)?;
     let (mut built, mut current, mut failed) = (0u64, 0u64, 0u64);
     for file in &files {
         match predbranch_trace::migrate_trace(file) {
             Ok(predbranch_trace::MigrateOutcome::Built) => {
-                println!("{}: built", predbranch_trace::segment_path(file).display());
+                writeln!(
+                    stdout,
+                    "{}: built",
+                    predbranch_trace::segment_path(file).display()
+                )?;
                 built += 1;
             }
             Ok(predbranch_trace::MigrateOutcome::UpToDate) => {
                 current += 1;
             }
             Err(e) => {
-                println!("{}: FAILED: {e}", file.display());
+                writeln!(stdout, "{}: FAILED: {e}", file.display())?;
                 failed += 1;
             }
         }
     }
-    println!("migrated {dir}: {built} built, {current} up to date, {failed} failed");
+    writeln!(
+        stdout,
+        "migrated {dir}: {built} built, {current} up to date, {failed} failed"
+    )?;
     if failed > 0 {
-        return Err(format!("{failed} entr(ies) under {dir} failed to migrate"));
+        return Err(format!("{failed} entr(ies) under {dir} failed to migrate").into());
     }
     Ok(())
 }
@@ -394,12 +443,12 @@ fn trace_files(path: &str) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-fn stats(args: &[String]) -> Result<(), String> {
+fn stats(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let (dir, json) = path_and_json(args, "stats")?;
     // TraceCache::open creates missing directories; a read-only command
     // must not, and a trace file is not a cache
     if !std::path::Path::new(&dir).is_dir() {
-        return Err(format!("{dir}: not a trace-cache directory"));
+        return Err(format!("{dir}: not a trace-cache directory").into());
     }
     let cache = predbranch_trace::TraceCache::open(&dir).map_err(|e| format!("{dir}: {e}"))?;
     let entries = cache.scan().map_err(|e| format!("{dir}: {e}"))?;
@@ -449,39 +498,48 @@ fn stats(args: &[String]) -> Result<(), String> {
                     .field("bytes", json_u64(segment_bytes)),
             )
             .field("benchmarks", Json::Arr(benchmarks));
-        println!("{}", doc.pretty());
+        writeln!(stdout, "{}", doc.pretty())?;
         return Ok(());
     }
 
     if entries.is_empty() {
-        println!("{dir}: empty cache (0 entries)");
+        writeln!(stdout, "{dir}: empty cache (0 entries)")?;
         return Ok(());
     }
-    println!("cache:     {dir}");
-    println!("entries:   {}", entries.len());
-    println!("bytes:     {total_bytes} ({})", human_bytes(total_bytes));
+    writeln!(stdout, "cache:     {dir}")?;
+    writeln!(stdout, "entries:   {}", entries.len())?;
+    writeln!(
+        stdout,
+        "bytes:     {total_bytes} ({})",
+        human_bytes(total_bytes)
+    )?;
     if corrupt > 0 {
-        println!("corrupt:   {corrupt} (unreadable headers)");
+        writeln!(stdout, "corrupt:   {corrupt} (unreadable headers)")?;
     }
-    println!(
+    writeln!(
+        stdout,
         "segments:  {segments} of {} entries segment-served ({})",
         entries.len(),
         human_bytes(segment_bytes)
-    );
-    println!();
-    println!("{:<14} {:>8} {:>14}", "benchmark", "entries", "bytes");
+    )?;
+    writeln!(stdout)?;
+    writeln!(
+        stdout,
+        "{:<14} {:>8} {:>14}",
+        "benchmark", "entries", "bytes"
+    )?;
     for (bench, (count, bytes)) in &per_bench {
-        println!("{bench:<14} {count:>8} {bytes:>14}");
+        writeln!(stdout, "{bench:<14} {count:>8} {bytes:>14}")?;
     }
     Ok(())
 }
 
 /// Characterizes every trace in a cache directory (or one `.pbt` file):
-/// replays each through a [`Characterizer`] — one worker job per trace
-/// when `--jobs N` is given — and prints per-trace taxonomy tables or
+/// replays each through a [`Characterizer`] — on `--jobs N` lanes,
+/// one trace per item — and prints per-trace taxonomy tables or
 /// one ordered-JSON document. Results print in scan order regardless of
 /// job count, so output is byte-identical at any `--jobs` level.
-fn characterize(args: &[String]) -> Result<(), String> {
+fn characterize(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let mut path: Option<String> = None;
     let mut json = false;
     let mut jobs = 1usize;
@@ -491,7 +549,7 @@ fn characterize(args: &[String]) -> Result<(), String> {
             "--json" => json = true,
             "--jobs" => jobs = parse(&take(&mut it, "--jobs")?)? as usize,
             p if !p.starts_with('-') && path.is_none() => path = Some(p.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
+            other => return Err(format!("unknown argument {other}\n{USAGE}").into()),
         }
     }
     let path = path.ok_or_else(|| format!("characterize needs a cache dir or file\n{USAGE}"))?;
@@ -506,23 +564,18 @@ fn characterize(args: &[String]) -> Result<(), String> {
     } else if std::path::Path::new(&path).is_file() {
         vec![PathBuf::from(&path)]
     } else {
-        return Err(format!("{path}: no such file or directory"));
+        return Err(format!("{path}: no such file or directory").into());
     };
     if files.is_empty() {
-        return Err(format!("{path}: no .pbt traces found"));
+        return Err(format!("{path}: no .pbt traces found").into());
     }
 
-    type CharTask = Box<dyn FnOnce() -> Result<(String, String, Characterization), String> + Send>;
-    let tasks: Vec<CharTask> = files
-        .into_iter()
-        .map(|file| Box::new(move || characterize_one(&file)) as CharTask)
-        .collect();
-    // run_batch returns results in submission (= scan) order, so the
-    // rendering below is independent of worker interleaving
-    let results: Vec<(String, String, Characterization)> = WorkerPool::new(jobs)
-        .run_batch(tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+    // par_map returns results in item (= scan) order, so the rendering
+    // below is independent of lane interleaving
+    let results: Vec<(String, String, Characterization)> =
+        par_map(jobs, files, |file| characterize_one(&file))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
 
     if json {
         let traces: Vec<Json> = results
@@ -544,16 +597,16 @@ fn characterize(args: &[String]) -> Result<(), String> {
                 }
                 buckets
             });
-        println!("{}", doc.pretty());
+        writeln!(stdout, "{}", doc.pretty())?;
         return Ok(());
     }
 
     for (i, (_, benchmark, report)) in results.iter().enumerate() {
         if i > 0 {
-            println!();
+            writeln!(stdout)?;
         }
-        println!("{}", report.table(benchmark.as_str()));
-        println!("{}", report.summary());
+        writeln!(stdout, "{}", report.table(benchmark.as_str()))?;
+        writeln!(stdout, "{}", report.summary())?;
     }
     Ok(())
 }

@@ -136,20 +136,19 @@ impl CacheKey {
 ///     .unwrap();
 /// assert!(summary.halted && !hit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceCache {
     dir: PathBuf,
     maps: MapTable,
-    serve_counters: Arc<ServeCounters>,
+    serve_counters: ServeCounters,
 }
 
-/// Open segment maps shared by every clone of a [`TraceCache`], keyed
-/// by trace path. Maps are validated once at open and immutable after,
-/// so concurrent replays share one `Arc<TraceMap>` per stream.
-type MapTable = Arc<Mutex<Vec<(PathBuf, Arc<TraceMap>)>>>;
+/// A [`TraceCache`]'s open segment maps, keyed by trace path. Maps are
+/// validated once at open and immutable after, so concurrent replays
+/// share one `Arc<TraceMap>` per stream.
+type MapTable = Mutex<Vec<(PathBuf, Arc<TraceMap>)>>;
 
-/// Segment-serving traffic counters, shared by every clone of a
-/// [`TraceCache`].
+/// A [`TraceCache`]'s segment-serving traffic counters.
 #[derive(Debug, Default)]
 struct ServeCounters {
     replays: AtomicU64,
@@ -200,13 +199,12 @@ impl TraceCache {
         fs::create_dir_all(&dir)?;
         Ok(TraceCache {
             dir,
-            maps: Arc::new(Mutex::new(Vec::new())),
-            serve_counters: Arc::new(ServeCounters::default()),
+            maps: Mutex::new(Vec::new()),
+            serve_counters: ServeCounters::default(),
         })
     }
 
-    /// A snapshot of segment-serving traffic across this cache and
-    /// every clone of it.
+    /// A snapshot of segment-serving traffic through this cache.
     pub fn serve_stats(&self) -> ServeStats {
         ServeStats {
             segment_replays: self.serve_counters.replays.load(Ordering::Relaxed),

@@ -308,3 +308,19 @@ fn stats_rejects_a_missing_directory_without_creating_it() {
     assert!(!typo.exists(), "stats must not create {typo:?}");
     fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // a pipe whose read end is already gone: every write the child
+    // makes fails with a broken pipe, as under `pbtrace list | head -1`
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_pbtrace"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("pbtrace runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -1,7 +1,7 @@
-//! Regression tests for concurrent trace-cache publishers: the parallel
-//! sweep hands every worker its own `TraceCache` handle, so two (or
-//! eight) threads recording the same `CacheKey` at once is the *normal*
-//! cold-cache case, not an edge case. All publishers must succeed, every
+//! Regression tests for concurrent trace-cache publishers: parallel
+//! sweep lanes, and the processes of a sharded sweep, publish into one
+//! cache directory, so two (or eight) threads recording the same
+//! `CacheKey` at once is the *normal* cold-cache case, not an edge case. All publishers must succeed, every
 //! observed event stream must be identical, and the surviving sealed
 //! entry must verify.
 
@@ -46,7 +46,7 @@ fn racing_publishers_all_succeed_and_entry_verifies() {
             let key = key.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                // each thread opens its own handle, as sweep workers do
+                // each thread opens its own handle, as sharded processes do
                 // (TraceCache::open itself must tolerate the race on
                 // create_dir_all)
                 let cache = TraceCache::open(&dir).expect("concurrent open");

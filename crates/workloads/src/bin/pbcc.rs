@@ -10,6 +10,7 @@
 //!
 //! The emitted text round-trips through `pbasm`/`pbsim`.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use predbranch_workloads::{compile_benchmark, suite, CompileOptions, IfConvertConfig};
@@ -47,20 +48,22 @@ fn parse_args() -> Option<Options> {
     }
 }
 
-fn main() -> ExitCode {
+/// Runs the command, writing its output to `out`. A write error ends
+/// the run early and is returned.
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let Some(opts) = parse_args() else {
         eprintln!("usage: pbcc <bench|list> [--ifconvert] [--threshold X] [--report]");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     if opts.bench == "list" {
         for bench in suite() {
-            println!("{:<9} {}", bench.name(), bench.description());
+            writeln!(out, "{:<9} {}", bench.name(), bench.description())?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let Some(bench) = suite().into_iter().find(|b| b.name() == opts.bench) else {
         eprintln!("pbcc: unknown benchmark `{}` (try `pbcc list`)", opts.bench);
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
 
     let mut compile_opts = CompileOptions::default();
@@ -73,25 +76,26 @@ fn main() -> ExitCode {
     let compiled = compile_benchmark(&bench, &compile_opts);
 
     if opts.report {
-        println!("benchmark:           {}", compiled.name);
-        println!("plain instructions:  {}", compiled.plain.len());
-        println!("pred  instructions:  {}", compiled.predicated.len());
+        writeln!(out, "benchmark:           {}", compiled.name)?;
+        writeln!(out, "plain instructions:  {}", compiled.plain.len())?;
+        writeln!(out, "pred  instructions:  {}", compiled.predicated.len())?;
         let stats = compiled.ifconv_stats;
-        println!("regions formed:      {}", stats.regions_formed);
-        println!("branches converted:  {}", stats.branches_converted);
-        println!("region branches:     {}", stats.branches_kept);
-        println!("blocks predicated:   {}", stats.blocks_predicated);
+        writeln!(out, "regions formed:      {}", stats.regions_formed)?;
+        writeln!(out, "branches converted:  {}", stats.branches_converted)?;
+        writeln!(out, "region branches:     {}", stats.branches_kept)?;
+        writeln!(out, "blocks predicated:   {}", stats.blocks_predicated)?;
         for region in &compiled.regions {
-            println!(
+            writeln!(
+                out,
                 "  region {:>2} @ {:<5} {:>2} blocks, {} converted, {} kept",
                 region.id,
                 region.seed.to_string(),
                 region.blocks.len(),
                 region.converted_branches,
                 region.kept_branches
-            );
+            )?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let program = if opts.ifconvert {
@@ -99,6 +103,20 @@ fn main() -> ExitCode {
     } else {
         &compiled.plain
     };
-    print!("{program}");
-    ExitCode::SUCCESS
+    write!(out, "{program}")?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match run(&mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        // a reader that stops early (`pbcc list | head`) is not a
+        // failure of the run
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("pbcc: cannot write stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

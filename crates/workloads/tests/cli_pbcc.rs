@@ -50,3 +50,21 @@ fn unknown_benchmark_fails() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // a pipe whose read end is already gone: every write the child
+    // makes fails with a broken pipe, as under `pbcc list | head -1`
+    for args in [&["list"][..], &["gzip", "--report"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pbcc"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("pbcc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
