@@ -33,8 +33,9 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let pipe = PipelineConfig::default();
     let base = base_spec();
     let both = base.clone().with_sfpf().with_pgu(PGU_DELAY);
-    // the default-options suite doubles as the plain-binary reference
-    // (threshold-independent)
+    // the default-options suite doubles as the plain-binary reference:
+    // `compile_benchmark` lowers the plain binary without options, so
+    // it (and its branch count) is the same at every threshold
     let entries = ctx.suite(scale.limit);
 
     let reference_outs = ctx.run_cells(
@@ -71,23 +72,13 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         compile_benchmark(&entry.bench, &opts)
     });
 
-    // three cells per (threshold, bench): plain/gshare (branch-count
-    // reference), pred/gshare, pred/+both
+    // two cells per (threshold, bench): pred/gshare, pred/+both
     let n = entries.len();
-    let mut cells_in = Vec::with_capacity(THRESHOLDS.len() * n * 3);
+    let mut cells_in = Vec::with_capacity(THRESHOLDS.len() * n * 2);
     for ti in 0..THRESHOLDS.len() {
         for (ei, entry) in entries.iter().enumerate() {
             let recompiled = SuiteEntry::new(entry.bench.clone(), compiled[ti * n + ei].clone());
             let name = recompiled.compiled.name;
-            let mut plain_cell = CellSpec::plain(
-                &recompiled,
-                format!("f11/{name}/t{ti}/plain"),
-                &base,
-                scale.timing(),
-                InsertFilter::All,
-            );
-            plain_cell.cache_label = format!("{name}-plain-ifc{ti}");
-            cells_in.push(plain_cell);
             for (tag, spec) in [("gshare", &base), ("both", &both)] {
                 let mut cell = CellSpec::predicated(
                     &recompiled,
@@ -120,12 +111,12 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         let mut misp_both = Vec::new();
         let mut rel_base = Vec::new();
         let mut rel_both = Vec::new();
-        for (ei, &ref_cycles) in reference.iter().enumerate() {
-            let at = (ti * n + ei) * 3;
-            let (out_plain_br, out_base, out_both) = (&outs[at], &outs[at + 1], &outs[at + 2]);
+        for (ei, (&ref_cycles, out_plain)) in reference.iter().zip(&reference_outs).enumerate() {
+            let at = (ti * n + ei) * 2;
+            let (out_base, out_both) = (&outs[at], &outs[at + 1]);
             kept_frac.push(
                 100.0 * out_base.summary.conditional_branches as f64
-                    / out_plain_br.summary.conditional_branches.max(1) as f64,
+                    / out_plain.summary.conditional_branches.max(1) as f64,
             );
             misp_base.push(out_base.misp_percent());
             misp_both.push(out_both.misp_percent());

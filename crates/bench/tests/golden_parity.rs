@@ -6,10 +6,11 @@
 //! refactor (when the harness trained predictors inline, with no
 //! window). Any drift in any of the original seventeen experiments —
 //! a changed misprediction count, a reordered row, even a formatting
-//! change — fails this test.
+//! change — fails this test. `golden/quick_all_r32.txt` pins the whole
+//! quick study again at retire latency 32, where the window matters.
 
 use predbranch_bench::experiments::find_experiment;
-use predbranch_bench::{RunContext, Scale};
+use predbranch_bench::{all_experiments, RunContext, Scale};
 
 /// The experiment ids the golden file covers, in `all` order. F16 was
 /// added together with the retire-latency knob, so it has no
@@ -30,8 +31,27 @@ fn contexts() -> [(&'static str, RunContext); 2] {
 
 #[test]
 fn quick_all_output_is_byte_identical_to_pre_refactor_golden() {
+    let golden = include_str!("golden/quick_all.txt");
+    let scale = Scale::quick();
+    assert_eq!(scale.retire_latency, 0, "golden was captured at retire 0");
     for (tag, ctx) in contexts() {
-        assert_golden(tag, &ctx);
+        assert_golden(tag, &ctx, &scale, &GOLDEN_IDS, golden);
+    }
+}
+
+/// Windowed lanes at scale: `golden/quick_all_r32.txt` is the captured
+/// stdout of `experiments --quick --retire-latency 32 all`. Up to a
+/// retire latency of 25 the quick study prints the retire-0 bytes, so
+/// the goldens above never see a branch commit late enough to matter;
+/// this one pins the in-flight window's drain, flush and squash paths
+/// in every experiment.
+#[test]
+fn quick_all_at_retire_32_is_byte_identical_to_golden() {
+    let golden = include_str!("golden/quick_all_r32.txt");
+    let scale = Scale::quick().with_retire(32);
+    let ids: Vec<&str> = all_experiments().iter().map(|exp| exp.id).collect();
+    for (tag, ctx) in contexts() {
+        assert_golden(tag, &ctx, &scale, &ids, golden);
     }
 }
 
@@ -73,15 +93,13 @@ fn f18_quick_output_is_byte_identical_on_every_path() {
     }
 }
 
-fn assert_golden(tag: &str, ctx: &RunContext) {
-    let golden = include_str!("golden/quick_all.txt");
-    let scale = Scale::quick();
-    assert_eq!(scale.retire_latency, 0, "golden was captured at retire 0");
-
+/// Renders the experiments `ids` at `scale` as the binary prints them
+/// and compares the text with `golden`, naming the first diverging line.
+fn assert_golden(tag: &str, ctx: &RunContext, scale: &Scale, ids: &[&str], golden: &str) {
     let mut rendered = String::new();
-    for id in GOLDEN_IDS {
+    for &id in ids {
         let exp = find_experiment(id).expect(id);
-        for artifact in (exp.run)(ctx, &scale) {
+        for artifact in (exp.run)(ctx, scale) {
             // the binary prints each artifact with `println!("{artifact}")`
             rendered.push_str(&format!("{artifact}\n"));
         }
@@ -95,7 +113,7 @@ fn assert_golden(tag: &str, ctx: &RunContext) {
             .find(|(_, (new, old))| new != old);
         match diverge {
             Some((line, (new, old))) => panic!(
-                "{tag}: output diverges from the pre-refactor golden at line {}:\n  golden: {old}\n  now:    {new}",
+                "{tag}: output diverges from the golden at line {}:\n  golden: {old}\n  now:    {new}",
                 line + 1
             ),
             None => panic!(

@@ -8,8 +8,6 @@
 //! the other 1990s technique aimed at exactly the branch population this
 //! study targets.
 
-use predbranch_sim::PredicateScoreboard;
-
 use crate::history::GlobalHistory;
 use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
 use crate::ring::Checkpoints;
@@ -73,7 +71,7 @@ impl BranchPredictor for Agree {
         format!("agree-{}/{}", self.bias_bits, self.history.len())
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         // first encounter: BTFN until the bias latches
         let bias = self.bias[self.bias_slot(branch.pc)].unwrap_or(branch.is_backward());
         let agree = self.table.predict(self.index(branch.pc));
@@ -84,12 +82,12 @@ impl BranchPredictor for Agree {
         }
     }
 
-    fn speculate(&mut self, _branch: &BranchInfo, predicted: bool, _sb: &PredicateScoreboard) {
+    fn speculate(&mut self, _branch: &BranchInfo, predicted: bool) {
         self.checkpoints.push_back(self.history);
         self.history.shift_in(predicted);
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
         let checkpoint = self
             .checkpoints
             .pop_front()
@@ -100,7 +98,7 @@ impl BranchPredictor for Agree {
         self.table.update(index, taken == bias);
     }
 
-    fn squash(&mut self, _branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn squash(&mut self, _branch: &BranchInfo, taken: bool) {
         let checkpoint = *self
             .checkpoints
             .front()
@@ -131,6 +129,7 @@ impl HistoryInsert for Agree {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32) -> BranchInfo {
         BranchInfo {
@@ -139,22 +138,18 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: Some(0),
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
-    }
-
-    fn sb() -> PredicateScoreboard {
-        PredicateScoreboard::new(0)
     }
 
     #[test]
     fn bias_latches_on_first_outcome() {
-        let sb = sb();
         let mut p = Agree::new(8, 8);
         assert_eq!(p.bias_of(5), None);
-        p.update(&info(5), true, &sb);
+        p.update(&info(5), true);
         assert_eq!(p.bias_of(5), Some(true));
         // later contrary outcomes do not relatch
-        p.update(&info(5), false, &sb);
+        p.update(&info(5), false);
         assert_eq!(p.bias_of(5), Some(true));
     }
 
@@ -162,10 +157,9 @@ mod tests {
     fn biased_branch_predicted_from_the_start() {
         // a 95%-taken branch: after the bias latches taken, the
         // weakly-agree initial counters predict taken immediately
-        let sb = sb();
         let mut p = Agree::new(10, 8);
-        p.update(&info(9), true, &sb);
-        assert!(p.predict(&info(9), &sb));
+        p.update(&info(9), true);
+        assert!(p.predict(&info(9)));
     }
 
     #[test]
@@ -173,16 +167,15 @@ mod tests {
         // two branches, opposite biases, deliberately aliasing the same
         // counters (same pc modulo table, tiny table): agree encoding
         // keeps both accurate where raw gshare would fight
-        let sb = sb();
         let mut p = Agree::new(2, 1); // 4 counters and bias slots: heavy aliasing
         let mut wrong = 0;
         for i in 0..400 {
             for (pc, outcome) in [(1u32, true), (3u32, false)] {
-                let predicted = p.predict(&info(pc), &sb);
+                let predicted = p.predict(&info(pc));
                 if i >= 50 && predicted != outcome {
                     wrong += 1;
                 }
-                p.update(&info(pc), outcome, &sb);
+                p.update(&info(pc), outcome);
             }
         }
         assert_eq!(
@@ -193,16 +186,15 @@ mod tests {
 
     #[test]
     fn unbiased_branch_still_learns_patterns() {
-        let sb = sb();
         let mut p = Agree::new(10, 8);
         let mut outcome = false;
         let mut wrong_tail = 0;
         for i in 0..300 {
             outcome = !outcome;
-            if i >= 150 && p.predict(&info(7), &sb) != outcome {
+            if i >= 150 && p.predict(&info(7)) != outcome {
                 wrong_tail += 1;
             }
-            p.update(&info(7), outcome, &sb);
+            p.update(&info(7), outcome);
         }
         assert_eq!(wrong_tail, 0, "alternation is learnable through agree bits");
     }

@@ -1,7 +1,5 @@
 //! The bimodal (per-PC 2-bit counter) predictor.
 
-use predbranch_sim::PredicateScoreboard;
-
 use crate::predictor::{BranchInfo, BranchPredictor};
 use crate::tables::CounterTable;
 
@@ -43,13 +41,13 @@ impl BranchPredictor for Bimodal {
         format!("bimodal-{}", self.table.index_bits())
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         self.table.predict(branch.pc as u64)
     }
 
     // No speculative state: the counter index depends only on the PC, so
     // the default no-op `speculate`/`squash` are exact.
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
         self.table.update(branch.pc as u64, taken);
     }
 
@@ -62,6 +60,7 @@ impl BranchPredictor for Bimodal {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32) -> BranchInfo {
         BranchInfo {
@@ -70,33 +69,32 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
     }
 
     #[test]
     fn learns_per_branch_bias() {
-        let sb = PredicateScoreboard::new(0);
         let mut p = Bimodal::new(10);
         for _ in 0..4 {
-            p.update(&info(100), true, &sb);
-            p.update(&info(200), false, &sb);
+            p.update(&info(100), true);
+            p.update(&info(200), false);
         }
-        assert!(p.predict(&info(100), &sb));
-        assert!(!p.predict(&info(200), &sb));
+        assert!(p.predict(&info(100)));
+        assert!(!p.predict(&info(200)));
     }
 
     #[test]
     fn alternating_branch_stays_wrong_half_the_time() {
-        let sb = PredicateScoreboard::new(0);
         let mut p = Bimodal::new(10);
         let mut wrong = 0;
         let mut outcome = false;
         for _ in 0..100 {
             outcome = !outcome;
-            if p.predict(&info(7), &sb) != outcome {
+            if p.predict(&info(7)) != outcome {
                 wrong += 1;
             }
-            p.update(&info(7), outcome, &sb);
+            p.update(&info(7), outcome);
         }
         // bimodal cannot learn alternation
         assert!(wrong >= 50, "wrong = {wrong}");
@@ -104,11 +102,10 @@ mod tests {
 
     #[test]
     fn distinct_pcs_use_distinct_counters() {
-        let sb = PredicateScoreboard::new(0);
         let mut p = Bimodal::new(4);
-        p.update(&info(1), true, &sb);
-        p.update(&info(1), true, &sb);
-        assert!(p.predict(&info(1), &sb));
-        assert!(!p.predict(&info(2), &sb));
+        p.update(&info(1), true);
+        p.update(&info(1), true);
+        assert!(p.predict(&info(1)));
+        assert!(!p.predict(&info(2)));
     }
 }

@@ -1,7 +1,5 @@
 //! The gshare global-history predictor.
 
-use predbranch_sim::PredicateScoreboard;
-
 use crate::history::GlobalHistory;
 use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
 use crate::ring::Checkpoints;
@@ -70,16 +68,16 @@ impl BranchPredictor for Gshare {
         format!("gshare-{}/{}", self.table.index_bits(), self.history.len())
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         self.table.predict(self.index(branch.pc))
     }
 
-    fn speculate(&mut self, _branch: &BranchInfo, predicted: bool, _sb: &PredicateScoreboard) {
+    fn speculate(&mut self, _branch: &BranchInfo, predicted: bool) {
         self.checkpoints.push_back(self.history);
         self.history.shift_in(predicted);
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
         let checkpoint = self
             .checkpoints
             .pop_front()
@@ -88,7 +86,7 @@ impl BranchPredictor for Gshare {
         self.table.update(index, taken);
     }
 
-    fn squash(&mut self, _branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn squash(&mut self, _branch: &BranchInfo, taken: bool) {
         let checkpoint = *self
             .checkpoints
             .front()
@@ -118,6 +116,7 @@ impl HistoryInsert for Gshare {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32) -> BranchInfo {
         BranchInfo {
@@ -126,27 +125,23 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
-    }
-
-    fn sb() -> PredicateScoreboard {
-        PredicateScoreboard::new(0)
     }
 
     #[test]
     fn learns_alternating_pattern() {
         // gshare's defining advantage over bimodal
-        let sb = sb();
         let mut p = Gshare::new(10, 8);
         let mut outcome = false;
         let mut wrong_tail = 0;
         for i in 0..200 {
             outcome = !outcome;
-            let predicted = p.predict(&info(7), &sb);
+            let predicted = p.predict(&info(7));
             if i >= 100 && predicted != outcome {
                 wrong_tail += 1;
             }
-            p.update(&info(7), outcome, &sb);
+            p.update(&info(7), outcome);
         }
         assert_eq!(wrong_tail, 0, "gshare must lock onto alternation");
     }
@@ -154,16 +149,15 @@ mod tests {
     #[test]
     fn learns_correlated_branches() {
         // branch B repeats branch A's outcome; pattern of A is period-3.
-        let sb = sb();
         let mut p = Gshare::new(12, 10);
         let pattern = [true, true, false];
         let mut wrong_tail = 0;
         for i in 0..300 {
             let a = pattern[i % 3];
-            let pa = p.predict(&info(100), &sb);
-            p.update(&info(100), a, &sb);
-            let pb = p.predict(&info(200), &sb);
-            p.update(&info(200), a, &sb);
+            let pa = p.predict(&info(100));
+            p.update(&info(100), a);
+            let pb = p.predict(&info(200));
+            p.update(&info(200), a);
             if i >= 150 {
                 if pa != a {
                     wrong_tail += 1;
@@ -178,10 +172,9 @@ mod tests {
 
     #[test]
     fn history_updates_on_outcome() {
-        let sb = sb();
         let mut p = Gshare::new(8, 8);
-        p.update(&info(0), true, &sb);
-        p.update(&info(0), false, &sb);
+        p.update(&info(0), true);
+        p.update(&info(0), false);
         assert_eq!(p.history().value(), 0b10);
     }
 

@@ -7,7 +7,7 @@ use predbranch_sim::{
 };
 
 use crate::filter::{InsertFilter, LoweredFilter};
-use crate::predictor::{BranchInfo, BranchPredictor, PredictionMetrics};
+use crate::predictor::{BranchInfo, BranchPredictor, PredictionMetrics, PredictorVisitor};
 use crate::ring::{Ring, WINDOW_CAPACITY};
 
 /// Update-timing knobs of the prediction pathway.
@@ -80,68 +80,131 @@ impl Default for HarnessConfig {
     }
 }
 
-/// A conditional branch in flight between fetch and retire.
+/// A conditional branch as a lane sees it: the fetch-time view, guard
+/// knowledge included, and the resolved direction.
 #[derive(Debug, Clone, Copy)]
-struct InFlightBranch {
+struct FetchedBranch {
     info: BranchInfo,
-    predicted: bool,
     taken: bool,
 }
 
-/// Everything a prediction lane owns *except* the predicate
-/// scoreboard: predictor stack, insert filter, metrics, optional
-/// timeline, and the in-flight branch window.
-///
-/// The scoreboard is factored out because its state is a pure function
-/// of the event stream and the resolve latency — it never depends on
-/// the predictor. A [`PredictionHarness`] pairs one lane with its own
-/// scoreboard; a [`GangHarness`] advances many lanes against a single
-/// shared scoreboard, which is the bulk of gang replay's win (predicate
-/// writes outnumber branches in predicated code, and each one costs a
-/// scoreboard query + record).
+impl FetchedBranch {
+    /// Resolves `event` against the scoreboard as it stands at the
+    /// branch's fetch.
+    #[inline]
+    fn new(event: &BranchEvent, scoreboard: &PredicateScoreboard) -> Self {
+        FetchedBranch {
+            info: BranchInfo::from_event(event, scoreboard),
+            taken: event.taken,
+        }
+    }
+}
+
+/// One batch as a gang's lanes see it: its events, and its conditional
+/// branches resolved once against the gang's scoreboard.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedBatch<'a> {
+    events: &'a [Event],
+    /// The batch's conditional branches, in stream order.
+    branches: &'a [FetchedBranch],
+}
+
+/// A conditional branch in flight between fetch and retire.
+#[derive(Debug, Clone, Copy)]
+struct InFlightBranch {
+    branch: FetchedBranch,
+    predicted: bool,
+}
+
+/// One prediction lane: a predictor stack and the state that drives it.
 #[derive(Debug)]
 struct Lane<P> {
     predictor: P,
+    state: LaneState,
+}
+
+impl<P: BranchPredictor> Lane<P> {
+    fn new(predictor: P, config: &HarnessConfig) -> Self {
+        let insert = config.insert.lower();
+        let listens = predictor.wants_pred_writes() && insert != LoweredFilter::None;
+        Lane {
+            predictor,
+            state: LaneState {
+                insert,
+                listens,
+                metrics: PredictionMetrics::default(),
+                retire_latency: config.timing.retire_latency,
+                window: Ring::new(),
+                flush_pending: false,
+            },
+        }
+    }
+
+    /// Runs one resolved batch with a single dispatch: the predictor
+    /// accepts the whole loop as a visitor, so an enum stack picks its
+    /// variant once per batch and the loop runs against the variant's
+    /// concrete type.
+    fn run(&mut self, batch: ResolvedBatch) {
+        let state = &mut self.state;
+        if state.listens {
+            self.predictor.accept(BatchRun::<true> { state, batch });
+        } else {
+            self.predictor.accept(BatchRun::<false> { state, batch });
+        }
+    }
+
+    /// Retires every still-in-flight branch.
+    fn finish(&mut self) {
+        self.state.flush_window(&mut self.predictor);
+    }
+}
+
+/// Everything a lane owns besides its predictor: the lowered insert
+/// filter, metrics, and the in-flight branch window. Its methods take
+/// the predictor as an argument, so they run against whatever concrete
+/// type a [`BatchRun`] visit hands them. The lane counts only its own
+/// mispredictions; the harness counts what every lane over the stream
+/// shares (see [`PredictionMetrics::with_stream`]).
+///
+/// The predicate scoreboard is not lane state. The one fact a lane
+/// needs from it, each branch's guard knowledge at fetch, arrives
+/// resolved in [`BranchInfo::guard_knowledge`]. A [`PredictionHarness`]
+/// resolves branches one at a time against its own scoreboard; a
+/// [`GangHarness`] resolves each batch once for all of its lanes.
+#[derive(Debug)]
+struct LaneState {
     /// The configured [`InsertFilter`], lowered at construction to a
-    /// sorted-slice form so the per-event check needs no hashing.
+    /// sorted-slice form so the per-write check needs no hashing.
     insert: LoweredFilter,
+    /// Whether a predicate write can reach the predictor: it wants
+    /// writes and the insert filter passes some. A gang delivers writes
+    /// only to listening lanes.
+    listens: bool,
     metrics: PredictionMetrics,
-    timeline: Option<FetchTimeline>,
     retire_latency: u64,
     window: Ring<InFlightBranch, WINDOW_CAPACITY>,
     flush_pending: bool,
 }
 
-impl<P: BranchPredictor> Lane<P> {
-    fn new(predictor: P, config: &HarnessConfig) -> Self {
-        Lane {
-            predictor,
-            insert: config.insert.lower(),
-            metrics: PredictionMetrics::default(),
-            timeline: None,
-            retire_latency: config.timing.retire_latency,
-            window: Ring::new(),
-            flush_pending: false,
-        }
-    }
-
+impl LaneState {
     /// Retires the oldest in-flight branch: `squash` (on a
     /// misprediction) then `commit`.
-    fn retire_front(&mut self, scoreboard: &PredicateScoreboard) {
-        if let Some(entry) = self.window.pop_front() {
-            if entry.predicted != entry.taken {
-                self.predictor.squash(&entry.info, entry.taken, scoreboard);
+    fn retire_front<P: BranchPredictor>(&mut self, predictor: &mut P) {
+        if let Some(InFlightBranch { branch, predicted }) = self.window.pop_front() {
+            if predicted != branch.taken {
+                predictor.squash(&branch.info, branch.taken);
             }
-            self.predictor.commit(&entry.info, entry.taken, scoreboard);
+            predictor.commit(&branch.info, branch.taken);
         }
     }
 
-    /// Retires the whole window after a misprediction (the pipeline
-    /// flush that resolves the mispredicted branch).
+    /// Retires the whole window: after a misprediction (the pipeline
+    /// flush that resolves the mispredicted branch) and at the end of
+    /// the stream.
     #[cold]
-    fn flush_window(&mut self, scoreboard: &PredicateScoreboard) {
+    fn flush_window<P: BranchPredictor>(&mut self, predictor: &mut P) {
         while !self.window.is_empty() {
-            self.retire_front(scoreboard);
+            self.retire_front(predictor);
         }
         self.flush_pending = false;
     }
@@ -150,72 +213,34 @@ impl<P: BranchPredictor> Lane<P> {
     /// `fetch_index` — or the whole window if a misprediction flush is
     /// pending.
     #[inline]
-    fn drain_ready(&mut self, fetch_index: u64, scoreboard: &PredicateScoreboard) {
+    fn drain_ready<P: BranchPredictor>(&mut self, predictor: &mut P, fetch_index: u64) {
         if self.flush_pending {
-            self.flush_window(scoreboard);
+            self.flush_window(predictor);
             return;
         }
         while let Some(entry) = self.window.front() {
-            if entry.info.index + self.retire_latency > fetch_index {
+            if entry.branch.info.index + self.retire_latency > fetch_index {
                 break;
             }
-            self.retire_front(scoreboard);
+            self.retire_front(predictor);
         }
     }
 
-    fn finish(&mut self, scoreboard: &PredicateScoreboard) {
-        while !self.window.is_empty() {
-            self.retire_front(scoreboard);
-        }
-        self.flush_pending = false;
-    }
-
+    /// Processes a conditional branch and returns whether it was
+    /// predicted correctly.
     #[inline]
-    fn instruction(&mut self) {
-        if let Some(timeline) = &mut self.timeline {
-            timeline.instruction();
-        }
-    }
-
-    /// Processes a conditional branch. `guard_known_false` is the
-    /// scoreboard's verdict on the branch's guard at its fetch index —
-    /// hoisted to the caller because a gang computes it once for all
-    /// lanes (the scoreboard never mutates during branch processing).
-    fn branch(
-        &mut self,
-        event: &BranchEvent,
-        scoreboard: &PredicateScoreboard,
-        guard_known_false: bool,
-    ) {
+    fn branch<P: BranchPredictor>(&mut self, predictor: &mut P, branch: &FetchedBranch) -> bool {
+        let info = &branch.info;
         if self.retire_latency != 0 {
-            self.drain_ready(event.index, scoreboard);
+            self.drain_ready(predictor, info.index);
         }
-        let info = BranchInfo::from_event(event);
-        let predicted = self.predictor.predict(&info, scoreboard);
-        let correct = predicted == event.taken;
-
-        self.metrics.all.record(correct);
-        if event.region.is_some() {
-            self.metrics.region.record(correct);
-        } else {
-            self.metrics.non_region.record(correct);
-        }
-        if guard_known_false {
-            self.metrics.known_false_guard.increment();
-            if !correct {
-                self.metrics.known_false_mispredicted.increment();
-            }
+        let predicted = predictor.predict(info);
+        let correct = predicted == branch.taken;
+        if !correct {
+            self.metrics.count_miss(info);
         }
 
-        if let Some(timeline) = &mut self.timeline {
-            if !correct {
-                timeline.mispredict();
-            } else if event.taken {
-                timeline.taken_branch();
-            }
-        }
-
-        self.predictor.speculate(&info, predicted, scoreboard);
+        predictor.speculate(info, predicted);
         if self.retire_latency == 0 {
             // Immediate-update fast path: with retire latency 0 the
             // branch would be drained by the very next event (indices
@@ -226,48 +251,94 @@ impl<P: BranchPredictor> Lane<P> {
             // sequence while skipping all window bookkeeping (pinned
             // by the window_props suite at retire 0).
             if !correct {
-                self.predictor.squash(&info, event.taken, scoreboard);
+                predictor.squash(info, branch.taken);
             }
-            self.predictor.commit(&info, event.taken, scoreboard);
-            return;
+            predictor.commit(info, branch.taken);
+            return correct;
         }
         if self.window.len() >= WINDOW_CAPACITY {
             // bounded reorder buffer: make room by retiring the oldest
-            self.retire_front(scoreboard);
+            self.retire_front(predictor);
         }
         self.window.push_back(InFlightBranch {
-            info,
+            branch: *branch,
             predicted,
-            taken: event.taken,
         });
         if !correct {
             self.flush_pending = true;
         }
+        correct
     }
 
-    /// Processes a predicate write against the *pre-write* scoreboard.
-    /// The caller observes the event on the scoreboard afterwards —
-    /// retiring first keeps the scoreboard (and any PGU insertion)
-    /// reflecting the pre-write world when older branches commit, and
-    /// [`BranchPredictor::on_pred_write`] never reads the scoreboard,
-    /// so observing after it is indistinguishable. At retire 0 the
-    /// window is provably empty (branches retire inline), so there is
-    /// nothing to drain.
-    fn pred_write(&mut self, event: &PredWriteEvent, scoreboard: &PredicateScoreboard) {
+    /// Processes a predicate write: retires what is ready by the write's
+    /// index, then hands the write to the predictor if the insert filter
+    /// passes it. At retire 0 the window is provably empty (branches
+    /// retire inline), so there is nothing to drain.
+    #[inline]
+    fn pred_write<P: BranchPredictor>(&mut self, predictor: &mut P, write: &PredWriteEvent) {
         if self.retire_latency != 0 {
-            self.drain_ready(event.index, scoreboard);
+            self.drain_ready(predictor, write.index);
         }
-        self.metrics.pred_writes.increment();
-        if self.insert.passes(event) {
-            self.predictor.on_pred_write(event);
+        if self.insert.passes(write) {
+            predictor.on_pred_write(write);
+        }
+    }
+
+    /// Runs a resolved batch's branches and skips its writes, for a lane
+    /// that does not listen. Skipping is exact at any retire latency:
+    /// the predictor ignores the write itself, and the drain the write
+    /// would trigger retires only branches that the next branch's drain
+    /// (or the final flush) retires anyway, in the same order and before
+    /// the next `predict`.
+    fn run_branches<P: BranchPredictor>(&mut self, predictor: &mut P, batch: ResolvedBatch) {
+        for branch in batch.branches {
+            self.branch(predictor, branch);
+        }
+    }
+
+    /// Runs a resolved batch's branches and writes in stream order, for
+    /// a listening lane.
+    fn run_listening<P: BranchPredictor>(&mut self, predictor: &mut P, batch: ResolvedBatch) {
+        let mut branches = batch.branches.iter();
+        for event in batch.events {
+            match event {
+                Event::Branch(branch) if branch.conditional => {
+                    let branch = branches
+                        .next()
+                        .expect("one resolved branch per conditional branch");
+                    self.branch(predictor, branch);
+                }
+                Event::Branch(_) => {}
+                Event::PredWrite(write) => self.pred_write(predictor, write),
+            }
+        }
+    }
+}
+
+/// A lane's run over one resolved batch, handed to the lane's predictor
+/// through [`BranchPredictor::accept`]; `LISTENS` picks whether the run
+/// delivers the batch's writes.
+struct BatchRun<'a, const LISTENS: bool> {
+    state: &'a mut LaneState,
+    batch: ResolvedBatch<'a>,
+}
+
+impl<const LISTENS: bool> PredictorVisitor for BatchRun<'_, LISTENS> {
+    type Output = ();
+
+    fn visit<P: BranchPredictor>(self, predictor: &mut P) {
+        if LISTENS {
+            self.state.run_listening(predictor, self.batch);
+        } else {
+            self.state.run_branches(predictor, self.batch);
         }
     }
 }
 
 /// An [`EventSink`] that runs the full prediction methodology around an
 /// in-flight branch window: for each conditional branch, query the
-/// predictor at fetch (with the scoreboard reflecting resolved predicate
-/// values), let it speculate on its own prediction, and enqueue the
+/// predictor at fetch (with its guard's scoreboard knowledge at that
+/// point), let it speculate on its own prediction, and enqueue the
 /// branch in a bounded reorder buffer. The branch's outcome trains the
 /// predictor (`commit`, preceded by `squash` on a misprediction) only
 /// once [`Timing::retire_latency`] fetch slots have passed — with
@@ -284,6 +355,10 @@ impl<P: BranchPredictor> Lane<P> {
 /// oldest outstanding checkpoint at `squash` time is the squashed
 /// branch's own.
 ///
+/// The harness takes events one at a time and hands every predicate
+/// write to its lane, whether or not the predictor wants writes, so it
+/// is the reference a [`GangHarness`] is checked against.
+///
 /// Call [`PredictionHarness::finish`] (or [`PredictionHarness::into_parts`],
 /// which does it for you) after the event stream ends to retire the last
 /// in-flight branches.
@@ -293,6 +368,7 @@ impl<P: BranchPredictor> Lane<P> {
 pub struct PredictionHarness<P> {
     scoreboard: PredicateScoreboard,
     lane: Lane<P>,
+    timeline: Option<FetchTimeline>,
 }
 
 impl<P: BranchPredictor> PredictionHarness<P> {
@@ -301,6 +377,7 @@ impl<P: BranchPredictor> PredictionHarness<P> {
         PredictionHarness {
             scoreboard: PredicateScoreboard::new(config.timing.resolve_latency),
             lane: Lane::new(predictor, &config),
+            timeline: None,
         }
     }
 
@@ -309,18 +386,18 @@ impl<P: BranchPredictor> PredictionHarness<P> {
     /// accounted, giving event-driven cycle counts (see
     /// [`PredictionHarness::timeline`]).
     pub fn with_timeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.lane.timeline = Some(FetchTimeline::new(pipeline));
+        self.timeline = Some(FetchTimeline::new(pipeline));
         self
     }
 
     /// The attached fetch timeline, if any.
     pub fn timeline(&self) -> Option<&FetchTimeline> {
-        self.lane.timeline.as_ref()
+        self.timeline.as_ref()
     }
 
     /// The accumulated metrics.
     pub fn metrics(&self) -> &PredictionMetrics {
-        &self.lane.metrics
+        &self.lane.state.metrics
     }
 
     /// The driven predictor.
@@ -331,20 +408,20 @@ impl<P: BranchPredictor> PredictionHarness<P> {
     /// Retires all still-in-flight branches. Call once the event stream
     /// ends; without it the tail of the run never trains the predictor.
     pub fn finish(&mut self) {
-        self.lane.finish(&self.scoreboard);
+        self.lane.finish();
     }
 
     /// Number of branches currently in flight (fetched, not yet
     /// retired).
     pub fn in_flight(&self) -> usize {
-        self.lane.window.len()
+        self.lane.state.window.len()
     }
 
     /// Consumes the harness, returning predictor and metrics. Retires
     /// any still-in-flight branches first.
     pub fn into_parts(mut self) -> (P, PredictionMetrics) {
         self.finish();
-        (self.lane.predictor, self.lane.metrics)
+        (self.lane.predictor, self.lane.state.metrics)
     }
 
     /// Drives the harness from a buffered event stream — the
@@ -370,26 +447,36 @@ impl<P: BranchPredictor> PredictionHarness<P> {
 ///
 /// The scoreboard can be shared because its state is a pure function of
 /// the event stream and the resolve latency: every lane of a dedicated
-/// per-cell pass would build the identical scoreboard. Sharing it turns
-/// the per-predicate-write query + record from `N×` into `1×`, which
-/// matters because predicated code emits more predicate writes than
-/// branches. The price is that all lanes of one gang must use the same
-/// resolve latency ([`GangHarness::push_lane`] asserts this); retire
-/// latency and insert filter remain free per lane. The sweep runner
-/// already groups cells into gang units by (stream, timing), so the
-/// constraint is invisible there.
+/// per-cell pass would build the identical scoreboard. The price is that
+/// all lanes of one gang must use the same resolve latency
+/// ([`GangHarness::push_lane`] asserts this); retire latency and insert
+/// filter remain free per lane. The sweep runner already groups cells
+/// into gang units by (stream, timing), so the constraint is invisible
+/// there.
+///
+/// # Lane-major delivery
+///
+/// [`EventSink::events`] takes a batch in two steps. First the gang
+/// advances the scoreboard over the whole batch once, turning each
+/// conditional branch into a [`BranchInfo`] that carries its guard's
+/// knowledge at fetch, and counting once what every lane shares:
+/// branches per class, known-false fetches and predicate writes. Then
+/// each lane, which counts only its own mispredictions, runs over the
+/// whole batch with one dispatch (see [`BranchPredictor::accept`]). A
+/// lane whose predictor wants
+/// predicate writes ([`BranchPredictor::wants_pred_writes`]) and whose
+/// insert filter passes some sees the batch's events in stream order;
+/// every other lane sees only its branches, which is exact because such
+/// a predictor ignores writes and every drain a write would trigger is
+/// repeated by the next branch. Single-event delivery
+/// ([`EventSink::branch`], [`EventSink::pred_write`]) is a batch of one.
 ///
 /// # Determinism contract
 ///
-/// Apart from the scoreboard — identical by construction to the one a
-/// solo pass builds — lanes share **no** state, so delivering each
-/// event to lane 0, then lane 1, … is observationally identical to
-/// running each lane over the full stream on its own: every lane's
-/// metrics and final predictor state are byte-for-byte what a dedicated
-/// [`PredictionHarness`] pass would have produced. For predicate
-/// writes, every lane processes the event against the pre-write
-/// scoreboard before the write is observed once — exactly the order a
-/// solo harness uses.
+/// Lanes share no state — the scoreboard is read only to resolve guard
+/// knowledge, which is what a solo pass reads at each branch — so every
+/// lane's metrics and final predictor state are byte-for-byte what a
+/// dedicated [`PredictionHarness`] pass over the same stream produces.
 ///
 /// Timelines are intentionally unsupported: gang replay rides the
 /// batched event path, which does not forward per-instruction callbacks
@@ -413,6 +500,12 @@ pub struct GangHarness<P> {
     /// [`GangHarness::push_lane`].
     scoreboard: Option<PredicateScoreboard>,
     lanes: Vec<Lane<P>>,
+    /// The current batch's conditional branches, resolved once for
+    /// every lane; the buffer is reused from batch to batch.
+    branches: Vec<FetchedBranch>,
+    /// The counts every lane shares (branches per class, known-false
+    /// fetches, predicate writes), kept once for all of them.
+    stream: PredictionMetrics,
 }
 
 impl<P: BranchPredictor> GangHarness<P> {
@@ -422,6 +515,8 @@ impl<P: BranchPredictor> GangHarness<P> {
         GangHarness {
             scoreboard: None,
             lanes: Vec::new(),
+            branches: Vec::new(),
+            stream: PredictionMetrics::default(),
         }
     }
 
@@ -461,27 +556,31 @@ impl<P: BranchPredictor> GangHarness<P> {
     /// Retires every lane's still-in-flight branches. Call once the
     /// event stream ends (consuming accessors do it for you).
     pub fn finish(&mut self) {
-        if let Some(scoreboard) = &self.scoreboard {
-            for lane in &mut self.lanes {
-                lane.finish(scoreboard);
-            }
+        for lane in &mut self.lanes {
+            lane.finish();
         }
     }
 
     /// Consumes the gang, returning one [`PredictionHarness`] per lane
     /// (tails retired). Each harness carries a copy of the shared
-    /// scoreboard — the state a dedicated pass would have built — so
-    /// the result is indistinguishable from `N` solo passes.
+    /// scoreboard and the gang's write count — the state a dedicated
+    /// pass would have built — so the result is indistinguishable from
+    /// `N` solo passes.
     pub fn into_lanes(mut self) -> Vec<PredictionHarness<P>> {
         self.finish();
-        let scoreboard = self.scoreboard;
+        let scoreboard = self
+            .scoreboard
+            .unwrap_or_else(|| PredicateScoreboard::new(DEFAULT_RESOLVE_LATENCY));
+        let stream = self.stream;
         self.lanes
             .into_iter()
-            .map(|lane| PredictionHarness {
-                scoreboard: scoreboard
-                    .clone()
-                    .unwrap_or_else(|| PredicateScoreboard::new(DEFAULT_RESOLVE_LATENCY)),
-                lane,
+            .map(|mut lane| {
+                lane.state.metrics = lane.state.metrics.with_stream(&stream);
+                PredictionHarness {
+                    scoreboard: scoreboard.clone(),
+                    lane,
+                    timeline: None,
+                }
             })
             .collect()
     }
@@ -490,53 +589,50 @@ impl<P: BranchPredictor> GangHarness<P> {
     /// (tails retired).
     pub fn into_metrics(mut self) -> Vec<PredictionMetrics> {
         self.finish();
-        self.lanes.into_iter().map(|lane| lane.metrics).collect()
+        let stream = self.stream;
+        self.lanes
+            .into_iter()
+            .map(|lane| lane.state.metrics.with_stream(&stream))
+            .collect()
     }
 }
 
 impl<P: BranchPredictor> EventSink for GangHarness<P> {
-    fn instruction(&mut self, _pc: u32, _index: u64) {
-        for lane in &mut self.lanes {
-            lane.instruction();
-        }
-    }
-
     fn branch(&mut self, event: &BranchEvent) {
-        if !event.conditional {
-            // gang lanes carry no timelines, and unconditional
-            // branches touch nothing else — skip the lane loop
-            return;
-        }
-        if let Some(scoreboard) = &self.scoreboard {
-            // one guard query serves every lane: the scoreboard is
-            // shared and branch processing never mutates it
-            let guard_known_false = scoreboard.query(event.guard, event.index).is_known_false();
-            for lane in &mut self.lanes {
-                lane.branch(event, scoreboard, guard_known_false);
-            }
-        }
+        self.events(&[Event::Branch(*event)]);
     }
 
     fn pred_write(&mut self, event: &PredWriteEvent) {
-        // Every lane drains and inserts against the pre-write
-        // scoreboard, then the write becomes visible once — the same
-        // order each solo pass uses.
-        if let Some(scoreboard) = &self.scoreboard {
-            for lane in &mut self.lanes {
-                lane.pred_write(event, scoreboard);
-            }
-        }
-        if let Some(scoreboard) = &mut self.scoreboard {
-            scoreboard.observe(event);
-        }
+        self.events(&[Event::PredWrite(*event)]);
     }
 
-    fn events(&mut self, batch: &[Event]) {
-        // Event-major: the shared scoreboard must advance in stream
-        // order, so each event visits every lane before the next event
-        // is delivered.
-        for event in batch {
-            self.event(event);
+    fn events(&mut self, events: &[Event]) {
+        let Some(scoreboard) = &mut self.scoreboard else {
+            return; // no lanes
+        };
+        // Resolve the batch once, in stream order: each conditional
+        // branch reads its guard before any later write is observed.
+        self.branches.clear();
+        for event in events {
+            match event {
+                Event::Branch(branch) if branch.conditional => {
+                    let branch = FetchedBranch::new(branch, scoreboard);
+                    self.stream.count_fetch(&branch.info);
+                    self.branches.push(branch);
+                }
+                Event::Branch(_) => {}
+                Event::PredWrite(write) => {
+                    scoreboard.observe(write);
+                    self.stream.pred_writes.increment();
+                }
+            }
+        }
+        let batch = ResolvedBatch {
+            events,
+            branches: &self.branches,
+        };
+        for lane in &mut self.lanes {
+            lane.run(batch);
         }
     }
 }
@@ -544,29 +640,35 @@ impl<P: BranchPredictor> EventSink for GangHarness<P> {
 impl<P: BranchPredictor> EventSink for PredictionHarness<P> {
     #[inline]
     fn instruction(&mut self, _pc: u32, _index: u64) {
-        self.lane.instruction();
+        if let Some(timeline) = &mut self.timeline {
+            timeline.instruction();
+        }
     }
 
     fn branch(&mut self, event: &BranchEvent) {
         if !event.conditional {
             // unconditional branches are not predicted, but a taken
             // branch still fragments fetch
-            if let Some(timeline) = &mut self.lane.timeline {
+            if let Some(timeline) = &mut self.timeline {
                 timeline.taken_branch();
             }
             return;
         }
-        let guard_known_false = self
-            .scoreboard
-            .query(event.guard, event.index)
-            .is_known_false();
-        self.lane.branch(event, &self.scoreboard, guard_known_false);
+        let branch = FetchedBranch::new(event, &self.scoreboard);
+        self.lane.state.metrics.count_fetch(&branch.info);
+        let correct = self.lane.state.branch(&mut self.lane.predictor, &branch);
+        if let Some(timeline) = &mut self.timeline {
+            if !correct {
+                timeline.mispredict();
+            } else if event.taken {
+                timeline.taken_branch();
+            }
+        }
     }
 
     fn pred_write(&mut self, event: &PredWriteEvent) {
-        // The lane drains and inserts against the pre-write scoreboard;
-        // the write becomes visible only afterwards.
-        self.lane.pred_write(event, &self.scoreboard);
+        self.lane.state.metrics.pred_writes.increment();
+        self.lane.state.pred_write(&mut self.lane.predictor, event);
         self.scoreboard.observe(event);
     }
 }
@@ -575,6 +677,7 @@ impl<P: BranchPredictor> EventSink for PredictionHarness<P> {
 mod tests {
     use super::*;
     use crate::gshare::Gshare;
+    use crate::oracle::PerfectGuard;
     use crate::pgu::Pgu;
     use crate::predictor::StaticPredictor;
     use crate::sfpf::SquashFilter;
@@ -751,11 +854,11 @@ mod tests {
         for event in trace.events() {
             match event {
                 Event::Branch(b) if b.conditional => {
-                    let info = BranchInfo::from_event(b);
-                    if reference.predict(&info, &sb) != b.taken {
+                    let info = BranchInfo::from_event(b, &sb);
+                    if reference.predict(&info) != b.taken {
                         mispredictions += 1;
                     }
-                    reference.update(&info, b.taken, &sb);
+                    reference.update(&info, b.taken);
                 }
                 Event::PredWrite(w) => {
                     sb.observe(w);
@@ -818,27 +921,160 @@ mod tests {
         }
     }
 
+    /// The lane shapes the batch-boundary test mixes in one gang, behind
+    /// one enum that hands its payload to visitors the way the modern
+    /// tier's stack does.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Mixed {
+        Gshare(Gshare),
+        Sfpf(SquashFilter<Gshare>),
+        Pgu(Pgu<Gshare>),
+        Oracle(Box<PerfectGuard>),
+    }
+
+    macro_rules! mixed {
+        ($self:expr, $p:ident => $body:expr) => {
+            match $self {
+                Mixed::Gshare($p) => $body,
+                Mixed::Sfpf($p) => $body,
+                Mixed::Pgu($p) => $body,
+                Mixed::Oracle($p) => $body,
+            }
+        };
+    }
+
+    impl BranchPredictor for Mixed {
+        fn name(&self) -> String {
+            mixed!(self, p => p.name())
+        }
+        fn predict(&mut self, branch: &BranchInfo) -> bool {
+            mixed!(self, p => p.predict(branch))
+        }
+        fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
+            mixed!(self, p => p.speculate(branch, predicted))
+        }
+        fn commit(&mut self, branch: &BranchInfo, taken: bool) {
+            mixed!(self, p => p.commit(branch, taken))
+        }
+        fn squash(&mut self, branch: &BranchInfo, taken: bool) {
+            mixed!(self, p => p.squash(branch, taken))
+        }
+        fn on_pred_write(&mut self, write: &PredWriteEvent) {
+            mixed!(self, p => p.on_pred_write(write))
+        }
+        fn wants_pred_writes(&self) -> bool {
+            mixed!(self, p => p.wants_pred_writes())
+        }
+        fn storage_bits(&self) -> usize {
+            mixed!(self, p => p.storage_bits())
+        }
+        fn accept<V: PredictorVisitor>(&mut self, visitor: V) -> V::Output {
+            mixed!(self, p => visitor.visit(p))
+        }
+    }
+
+    /// Three guarded branches per trip over 400 trips: 3,600 events, so
+    /// 1024-event batches end mid-stream, and every trip's predicate
+    /// writes precede its branches by fewer slots than PGU's delay of 8
+    /// at some batch boundary.
+    const TRIPS: &str = r#"
+            mov r1 = 0
+        loop:
+            and r2 = r1, 3
+            cmp.eq p3, p4 = r2, 0
+            add r1 = r1, 1
+            cmp.lt p1, p2 = r1, 400
+            nop
+            nop
+            (p3) br.region 0, skip
+            (p4) add r5 = r5, 1
+        skip:
+            cmp.gt p6, p7 = r2, 1
+            (p6) br.region 2, next
+            nop
+        next:
+            (p1) br.region 1, loop
+            halt
+    "#;
+
     #[test]
     fn gang_per_event_and_batched_delivery_agree() {
-        let program = assemble(LOOP).unwrap();
+        let program = assemble(TRIPS).unwrap();
         let mut trace = predbranch_sim::TraceSink::new();
         Executor::new(&program, Memory::new()).run(&mut trace, 1_000_000);
         let events: Vec<Event> = trace.events().to_vec();
+        assert!(events.len() > 3 * predbranch_sim::EVENT_BATCH_CAPACITY);
 
-        let mut batched = GangHarness::new();
-        let mut per_event = GangHarness::new();
-        for gang in [&mut batched, &mut per_event] {
-            gang.push_lane(Gshare::new(10, 10), HarnessConfig::default());
-            gang.push_lane(Gshare::new(12, 12), HarnessConfig::default());
-        }
-        batched.events(&events);
-        for event in &events {
-            per_event.event(event);
-        }
-        let (b, p) = (batched.into_lanes(), per_event.into_lanes());
-        for i in 0..2 {
-            assert_eq!(b[i].metrics(), p[i].metrics(), "lane {i}");
-            assert_eq!(b[i].predictor(), p[i].predictor(), "lane {i}");
+        let pgu = || Pgu::new(Gshare::new(10, 10)).with_delay(8);
+        let config = |retire, insert| HarnessConfig {
+            timing: Timing::new(8, retire),
+            insert,
+        };
+        let lanes = || {
+            vec![
+                (
+                    Mixed::Gshare(Gshare::new(10, 10)),
+                    config(0, InsertFilter::All),
+                ),
+                (
+                    Mixed::Sfpf(SquashFilter::new(Gshare::new(10, 10))),
+                    config(0, InsertFilter::All),
+                ),
+                (Mixed::Pgu(pgu()), config(0, InsertFilter::All)),
+                (Mixed::Oracle(Box::default()), config(0, InsertFilter::All)),
+                (
+                    Mixed::Gshare(Gshare::new(10, 10)),
+                    config(8, InsertFilter::All),
+                ),
+                (Mixed::Pgu(pgu()), config(8, InsertFilter::All)),
+                (
+                    Mixed::Pgu(pgu()),
+                    config(0, InsertFilter::Pcs(crate::filter::guard_def_pcs(&program))),
+                ),
+            ]
+        };
+        let solo: Vec<(Mixed, PredictionMetrics)> = lanes()
+            .into_iter()
+            .map(|(predictor, config)| {
+                let mut harness = PredictionHarness::new(predictor, config);
+                harness.replay_events(&events);
+                harness.into_parts()
+            })
+            .collect();
+        let Mixed::Pgu(inserting) = &solo[2].0 else {
+            unreachable!("lane 2 is the PGU lane")
+        };
+        assert!(inserting.inserted_count() > 0);
+
+        for batch in [1, 7, predbranch_sim::EVENT_BATCH_CAPACITY, events.len()] {
+            let mut gang = GangHarness::new();
+            for (predictor, config) in lanes() {
+                gang.push_lane(predictor, config);
+            }
+            // the PGU lane takes every write, so whatever it has not
+            // inserted yet is pending
+            let (mut writes, mut pending_mid_stream) = (0, false);
+            let mut chunks = events.chunks(batch).peekable();
+            while let Some(chunk) = chunks.next() {
+                gang.events(chunk);
+                writes += chunk
+                    .iter()
+                    .filter(|event| matches!(event, Event::PredWrite(_)))
+                    .count() as u64;
+                if let (Some(_), Mixed::Pgu(pgu)) = (chunks.peek(), &gang.lanes[2].predictor) {
+                    pending_mid_stream |= pgu.inserted_count() < writes;
+                }
+            }
+            assert_eq!(
+                pending_mid_stream,
+                batch < events.len(),
+                "batch {batch}: PGU insertions must outlive some batch"
+            );
+            for (i, (lane, (predictor, metrics))) in gang.into_lanes().iter().zip(&solo).enumerate()
+            {
+                assert_eq!(lane.metrics(), metrics, "batch {batch}, lane {i}");
+                assert_eq!(lane.predictor(), predictor, "batch {batch}, lane {i}");
+            }
         }
     }
 

@@ -64,17 +64,16 @@ impl<P: BranchPredictor> EventSink for HotBranches<P> {
         if !event.conditional {
             return;
         }
-        let info = BranchInfo::from_event(event);
-        let predicted = self.predictor.predict(&info, &self.scoreboard);
+        let info = BranchInfo::from_event(event, &self.scoreboard);
+        let predicted = self.predictor.predict(&info);
         self.per_pc
             .entry(event.pc)
             .or_default()
             .record(predicted == event.taken);
         // Attribution drives the lifecycle at retire latency 0: each
         // branch speculates on its real outcome and commits immediately.
-        self.predictor
-            .speculate(&info, event.taken, &self.scoreboard);
-        self.predictor.commit(&info, event.taken, &self.scoreboard);
+        self.predictor.speculate(&info, event.taken);
+        self.predictor.commit(&info, event.taken);
     }
 
     fn pred_write(&mut self, event: &PredWriteEvent) {

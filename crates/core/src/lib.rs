@@ -95,6 +95,7 @@ pub use pgu::Pgu;
 pub use predictor::StaticPredictor;
 pub use predictor::{
     BranchInfo, BranchPredictor, ClassCounts, HasGlobalHistory, HistoryInsert, PredictionMetrics,
+    PredictorVisitor,
 };
 pub use ring::{checkpoint_capacity, Checkpoints, Ring, CHECKPOINT_CAPACITY, WINDOW_CAPACITY};
 pub use sfpf::SquashFilter;

@@ -1,7 +1,5 @@
 //! The two-level local-history predictor (PAg-style).
 
-use predbranch_sim::PredicateScoreboard;
-
 use crate::predictor::{BranchInfo, BranchPredictor};
 use crate::ring::Checkpoints;
 use crate::tables::CounterTable;
@@ -85,18 +83,18 @@ impl BranchPredictor for Local {
         )
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         self.pattern.predict(self.pattern_index(branch.pc))
     }
 
-    fn speculate(&mut self, branch: &BranchInfo, predicted: bool, _sb: &PredicateScoreboard) {
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
         let slot = self.bht_slot(branch.pc);
         self.checkpoints.push_back((slot, self.histories[slot]));
         self.histories[slot] =
             ((self.histories[slot] << 1) | u64::from(predicted)) & self.history_mask();
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
         let (_, fetch_history) = self
             .checkpoints
             .pop_front()
@@ -105,7 +103,7 @@ impl BranchPredictor for Local {
             .update(fetch_history ^ (u64::from(branch.pc) << 1), taken);
     }
 
-    fn squash(&mut self, _branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn squash(&mut self, _branch: &BranchInfo, taken: bool) {
         let (slot, fetch_history) = *self
             .checkpoints
             .front()
@@ -122,6 +120,7 @@ impl BranchPredictor for Local {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32) -> BranchInfo {
         BranchInfo {
@@ -130,35 +129,34 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
     }
 
     #[test]
     fn learns_periodic_pattern() {
-        let sb = PredicateScoreboard::new(0);
         let mut p = Local::new(8, 10, 12);
         let pattern = [true, true, true, false]; // period 4
         let mut wrong_tail = 0;
         for i in 0..400 {
             let outcome = pattern[i % 4];
-            if i >= 200 && p.predict(&info(9), &sb) != outcome {
+            if i >= 200 && p.predict(&info(9)) != outcome {
                 wrong_tail += 1;
             }
-            p.update(&info(9), outcome, &sb);
+            p.update(&info(9), outcome);
         }
         assert_eq!(wrong_tail, 0, "period-4 pattern must be learned");
     }
 
     #[test]
     fn branches_have_independent_histories() {
-        let sb = PredicateScoreboard::new(0);
         let mut p = Local::new(8, 8, 12);
         for _ in 0..50 {
-            p.update(&info(1), true, &sb);
-            p.update(&info(2), false, &sb);
+            p.update(&info(1), true);
+            p.update(&info(2), false);
         }
-        assert!(p.predict(&info(1), &sb));
-        assert!(!p.predict(&info(2), &sb));
+        assert!(p.predict(&info(1)));
+        assert!(!p.predict(&info(2)));
     }
 
     #[test]

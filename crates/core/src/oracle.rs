@@ -50,18 +50,22 @@ impl BranchPredictor for PerfectGuard {
         "oracle-guard".to_string()
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         self.values
             .query(branch.guard, branch.index)
             .value()
             .unwrap_or(false)
     }
 
-    fn commit(&mut self, _: &BranchInfo, _: bool, _: &PredicateScoreboard) {}
+    fn commit(&mut self, _: &BranchInfo, _: bool) {}
 
     fn on_pred_write(&mut self, write: &PredWriteEvent) {
         self.values
             .record_write(write.preg, write.value, write.index);
+    }
+
+    fn wants_pred_writes(&self) -> bool {
+        true
     }
 
     fn storage_bits(&self) -> usize {
@@ -74,6 +78,7 @@ mod tests {
     use super::*;
     use crate::harness::{HarnessConfig, PredictionHarness};
     use predbranch_isa::assemble;
+    use predbranch_sim::PredKnowledge;
     use predbranch_sim::{Executor, Memory};
 
     #[test]
@@ -99,14 +104,14 @@ mod tests {
     #[test]
     fn never_written_guard_predicts_not_taken() {
         let mut p = PerfectGuard::new();
-        let sb = PredicateScoreboard::new(0);
         let branch = BranchInfo {
             pc: 0,
             target: 0,
             guard: predbranch_isa::PredReg::new(9).unwrap(),
             region: None,
             index: 5,
+            guard_knowledge: PredKnowledge::Unknown,
         };
-        assert!(!p.predict(&branch, &sb));
+        assert!(!p.predict(&branch));
     }
 }

@@ -3,8 +3,6 @@
 //! global-history bits, it is a natural consumer of PGU's predicate
 //! bits, rewarding informative predicates and zeroing out diluting ones.
 
-use predbranch_sim::PredicateScoreboard;
-
 use crate::history::GlobalHistory;
 use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
 use crate::ring::Checkpoints;
@@ -93,16 +91,16 @@ impl BranchPredictor for Perceptron {
         format!("perceptron-{}/{}", self.index_bits, self.history.len())
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         self.output(branch.pc) >= 0
     }
 
-    fn speculate(&mut self, _branch: &BranchInfo, predicted: bool, _sb: &PredicateScoreboard) {
+    fn speculate(&mut self, _branch: &BranchInfo, predicted: bool) {
         self.checkpoints.push_back(self.history);
         self.history.shift_in(predicted);
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
         let checkpoint = self
             .checkpoints
             .pop_front()
@@ -122,7 +120,7 @@ impl BranchPredictor for Perceptron {
         }
     }
 
-    fn squash(&mut self, _branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn squash(&mut self, _branch: &BranchInfo, taken: bool) {
         let checkpoint = *self
             .checkpoints
             .front()
@@ -153,6 +151,7 @@ impl HistoryInsert for Perceptron {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32) -> BranchInfo {
         BranchInfo {
@@ -161,17 +160,13 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
-    }
-
-    fn sb() -> PredicateScoreboard {
-        PredicateScoreboard::new(0)
     }
 
     #[test]
     fn learns_single_history_bit_function() {
         // outcome == history bit 3 (the outcome four branches ago)
-        let sb = sb();
         let mut p = Perceptron::new(8, 16);
         let mut outcomes = std::collections::VecDeque::from(vec![false; 4]);
         let mut wrong_tail = 0;
@@ -179,11 +174,11 @@ mod tests {
             let outcome = outcomes[0] ^ (i % 7 == 0); // mostly bit-3 history
             let target = *outcomes.front().unwrap();
             let _ = target;
-            let predicted = p.predict(&info(5), &sb);
+            let predicted = p.predict(&info(5));
             if i >= 1000 && predicted != outcome {
                 wrong_tail += 1;
             }
-            p.update(&info(5), outcome, &sb);
+            p.update(&info(5), outcome);
             outcomes.pop_front();
             outcomes.push_back(outcome);
         }
@@ -196,7 +191,6 @@ mod tests {
     fn learns_majority_function_counters_cannot() {
         // taken iff at least 2 of the last 3 outcomes were taken — linearly
         // separable, so the perceptron nails it
-        let sb = sb();
         let mut p = Perceptron::new(8, 12);
         let mut last = [false; 3];
         let mut wrong_tail = 0;
@@ -204,11 +198,11 @@ mod tests {
         for i in 0..3000usize {
             let raw = pattern[i % 7];
             let outcome = (last.iter().filter(|&&b| b).count() >= 2) ^ !raw; // mix
-            let predicted = p.predict(&info(9), &sb);
+            let predicted = p.predict(&info(9));
             if i >= 2000 && predicted != outcome {
                 wrong_tail += 1;
             }
-            p.update(&info(9), outcome, &sb);
+            p.update(&info(9), outcome);
             last = [last[1], last[2], outcome];
         }
         // the stream is a deterministic function of the last few outcomes
@@ -218,14 +212,13 @@ mod tests {
 
     #[test]
     fn weights_saturate() {
-        let sb = sb();
         let mut p = Perceptron::new(4, 4);
         for _ in 0..10_000 {
-            p.update(&info(1), true, &sb);
+            p.update(&info(1), true);
         }
         let w = &p.weights[p.slot(1)];
         assert!(w.iter().all(|&wi| (WEIGHT_MIN..=WEIGHT_MAX).contains(&wi)));
-        assert!(p.predict(&info(1), &sb));
+        assert!(p.predict(&info(1)));
     }
 
     #[test]

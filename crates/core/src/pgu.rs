@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::PredWriteEvent;
 
 use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
 
@@ -99,30 +99,25 @@ impl<P: BranchPredictor + HistoryInsert> BranchPredictor for Pgu<P> {
         }
     }
 
-    fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         self.drain_visible(branch.index);
-        self.inner.predict(branch, scoreboard)
+        self.inner.predict(branch)
     }
 
     // The lifecycle passes straight through to the wrapped predictor:
     // `drain_visible` runs in `predict`, before `speculate` checkpoints
     // the inner history, so checkpoints always include the predicate bits
     // visible at fetch and a squash never rolls an insertion back.
-    fn speculate(
-        &mut self,
-        branch: &BranchInfo,
-        predicted: bool,
-        scoreboard: &PredicateScoreboard,
-    ) {
-        self.inner.speculate(branch, predicted, scoreboard);
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
+        self.inner.speculate(branch, predicted);
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        self.inner.commit(branch, taken, scoreboard);
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
+        self.inner.commit(branch, taken);
     }
 
-    fn squash(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        self.inner.squash(branch, taken, scoreboard);
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
+        self.inner.squash(branch, taken);
     }
 
     fn on_pred_write(&mut self, write: &PredWriteEvent) {
@@ -137,6 +132,10 @@ impl<P: BranchPredictor + HistoryInsert> BranchPredictor for Pgu<P> {
         // predicate-history register this way); the classic bases all
         // ignore the event, so forwarding is behavior-preserving.
         self.inner.on_pred_write(write);
+    }
+
+    fn wants_pred_writes(&self) -> bool {
+        true
     }
 
     fn storage_bits(&self) -> usize {
@@ -161,6 +160,7 @@ mod tests {
     use super::*;
     use crate::gshare::Gshare;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn p(i: u8) -> PredReg {
         PredReg::new(i).unwrap()
@@ -184,11 +184,8 @@ mod tests {
             guard: p(1),
             region: Some(0),
             index,
+            guard_knowledge: PredKnowledge::Unknown,
         }
-    }
-
-    fn sb() -> PredicateScoreboard {
-        PredicateScoreboard::new(64) // guards never resolve: pure PGU test
     }
 
     #[test]
@@ -202,14 +199,13 @@ mod tests {
 
     #[test]
     fn delayed_insertion_waits_for_fetch_distance() {
-        let scoreboard = sb();
         let mut pgu = Pgu::new(Gshare::new(8, 8)).with_delay(5);
         pgu.on_pred_write(&write(10, true));
         // branch fetched 3 slots later: bit not yet visible
-        pgu.predict(&info(1, 13), &scoreboard);
+        pgu.predict(&info(1, 13));
         assert_eq!(pgu.inner().history().value(), 0);
         // branch fetched 5 slots later: bit visible
-        pgu.predict(&info(1, 15), &scoreboard);
+        pgu.predict(&info(1, 15));
         assert_eq!(pgu.inner().history().value(), 1);
         assert_eq!(pgu.inserted_count(), 1);
     }
@@ -220,7 +216,6 @@ mod tests {
         // shortly before it, where the predicate stream is random-ish
         // (period 7, looks irregular to a short PC-only history with no
         // other branches contributing bits).
-        let scoreboard = sb();
         let pattern = [true, false, true, true, false, false, true];
 
         let run = |insert: bool| -> u64 {
@@ -232,11 +227,11 @@ mod tests {
                     pgu.on_pred_write(&write(i * 10, value));
                 }
                 let branch = info(42, i * 10 + 5);
-                let predicted = pgu.predict(&branch, &scoreboard);
+                let predicted = pgu.predict(&branch);
                 if i >= 1000 && predicted != value {
                     wrong_tail += 1;
                 }
-                pgu.update(&branch, value, &scoreboard);
+                pgu.update(&branch, value);
             }
             wrong_tail
         };
@@ -262,11 +257,10 @@ mod tests {
 
     #[test]
     fn pending_drains_in_order() {
-        let scoreboard = sb();
         let mut pgu = Pgu::new(Gshare::new(8, 8)).with_delay(2);
         pgu.on_pred_write(&write(0, true));
         pgu.on_pred_write(&write(1, false));
-        pgu.predict(&info(1, 3), &scoreboard);
+        pgu.predict(&info(1, 3));
         // both visible (3-0 >= 2 and 3-1 >= 2), order preserved: 1 then 0
         assert_eq!(pgu.inner().history().value(), 0b10);
     }

@@ -1,6 +1,6 @@
 //! The predictor interface and prediction metrics.
 
-use predbranch_sim::{BranchEvent, PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::{BranchEvent, PredKnowledge, PredWriteEvent, PredicateScoreboard};
 use predbranch_stats::{Counter, Ratio};
 
 /// The fetch-time view of a conditional branch presented to a predictor.
@@ -14,19 +14,26 @@ pub struct BranchInfo {
     pub guard: predbranch_isa::PredReg,
     /// The if-converted region the branch belongs to, if region-based.
     pub region: Option<u16>,
-    /// Dynamic fetch index, used for scoreboard timing queries.
+    /// Dynamic fetch index, used for timing (delayed insertions).
     pub index: u64,
+    /// What the fetch stage knows about the guard's value: the predicate
+    /// scoreboard's answer for `guard` at `index`. It is the only
+    /// scoreboard fact a predictor reads (the squash filter's trigger).
+    pub guard_knowledge: PredKnowledge,
 }
 
 impl BranchInfo {
-    /// Builds the fetch-time view from a dynamic branch event.
-    pub fn from_event(event: &BranchEvent) -> Self {
+    /// Builds the fetch-time view of a dynamic branch event, reading the
+    /// guard's knowledge from `scoreboard` as it stands at the branch's
+    /// fetch.
+    pub fn from_event(event: &BranchEvent, scoreboard: &PredicateScoreboard) -> Self {
         BranchInfo {
             pc: event.pc,
             target: event.target,
             guard: event.guard,
             region: event.region,
             index: event.index,
+            guard_knowledge: scoreboard.query(event.guard, event.index),
         }
     }
 
@@ -39,20 +46,23 @@ impl BranchInfo {
 /// A dynamic branch-direction predictor with a speculative-update
 /// lifecycle.
 ///
-/// Predictors are driven by [`crate::PredictionHarness`] through four
-/// phases, mirroring what real front ends do (speculative history update
-/// with checkpoint/repair) instead of the older idealized
-/// train-at-predict loop:
+/// Predictors are driven by [`crate::PredictionHarness`] and
+/// [`crate::GangHarness`] through four phases, mirroring what real front
+/// ends do (speculative history update with checkpoint/repair) instead of
+/// the older idealized train-at-predict loop:
 ///
-/// 1. **`predict`** — called at fetch, with the predicate scoreboard
-///    reflecting what has resolved by then. Must not change predictor
-///    state.
-/// 2. **`speculate`** — called immediately after `predict` (same
-///    scoreboard state) with the *predicted* direction. The predictor
-///    checkpoints whatever state the branch will later need to train or
-///    repair (history registers, BHT entries, component predictions) and
-///    shifts the predicted outcome into its speculative history, so
-///    younger branches predict against the speculated path.
+/// 1. **`predict`** — called at fetch. Must not change predictor state.
+///    No method takes the predicate scoreboard: what fetch knows about
+///    the branch's guard travels in [`BranchInfo::guard_knowledge`], and
+///    a predictor that needs more predicate state (PGU's delayed
+///    insertions, the oracle's architectural values) builds it from
+///    [`BranchPredictor::on_pred_write`].
+/// 2. **`speculate`** — called immediately after `predict` with the
+///    *predicted* direction. The predictor checkpoints whatever state the
+///    branch will later need to train or repair (history registers, BHT
+///    entries, component predictions) and shifts the predicted outcome
+///    into its speculative history, so younger branches predict against
+///    the speculated path.
 /// 3. **`commit`** — called once per speculated branch, in fetch order,
 ///    after the harness's retire latency elapses. Pops the oldest
 ///    checkpoint and trains the tables with the *fetch-time* state it
@@ -78,13 +88,15 @@ impl BranchInfo {
 ///
 /// Predicate-definition events are forwarded through
 /// [`BranchPredictor::on_pred_write`] for predictors (like
-/// [`crate::Pgu`]) that consume them.
+/// [`crate::Pgu`]) that consume them; such a predictor says so through
+/// [`BranchPredictor::wants_pred_writes`], and a gang delivers writes to
+/// no other lane.
 pub trait BranchPredictor {
     /// A short human-readable name (used in table rows).
     fn name(&self) -> String;
 
     /// Predicts the branch direction: `true` = taken.
-    fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool;
+    fn predict(&mut self, branch: &BranchInfo) -> bool;
 
     /// Checkpoints repair state for the fetched branch and speculatively
     /// applies the predicted direction to the predictor's history.
@@ -92,40 +104,64 @@ pub trait BranchPredictor {
     /// The default is for predictors with no speculative state (static,
     /// oracle, per-PC counters): nothing to checkpoint, nothing to
     /// shift.
-    fn speculate(
-        &mut self,
-        _branch: &BranchInfo,
-        _predicted: bool,
-        _scoreboard: &PredicateScoreboard,
-    ) {
-    }
+    fn speculate(&mut self, _branch: &BranchInfo, _predicted: bool) {}
 
     /// Retires the oldest speculated branch: trains the tables on the
     /// resolved outcome using the checkpointed fetch-time state.
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard);
+    fn commit(&mut self, branch: &BranchInfo, taken: bool);
 
     /// Repairs a misprediction: restores the speculative state to the
     /// oldest checkpoint and shifts in the correct outcome. Always
     /// followed by the branch's `commit`.
     ///
     /// The default is for predictors whose `speculate` is a no-op.
-    fn squash(&mut self, _branch: &BranchInfo, _taken: bool, _scoreboard: &PredicateScoreboard) {}
+    fn squash(&mut self, _branch: &BranchInfo, _taken: bool) {}
 
     /// Trains on the resolved outcome with zero retire latency:
     /// `speculate` + `commit` back to back. This is the idealized
     /// immediate-update convenience for drivers that don't model an
     /// in-flight window (unit tests, throughput benches,
     /// [`crate::HotBranches`]).
-    fn update(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        self.speculate(branch, taken, scoreboard);
-        self.commit(branch, taken, scoreboard);
+    fn update(&mut self, branch: &BranchInfo, taken: bool) {
+        self.speculate(branch, taken);
+        self.commit(branch, taken);
     }
 
     /// Observes a predicate definition (default: ignored).
     fn on_pred_write(&mut self, _write: &PredWriteEvent) {}
 
+    /// Whether [`BranchPredictor::on_pred_write`] can change what this
+    /// predictor does. A predictor answering `false` must ignore every
+    /// write, so a gang may leave writes out of its lane entirely.
+    /// Wrappers answer for their inner predictor.
+    fn wants_pred_writes(&self) -> bool {
+        false
+    }
+
     /// Hardware budget of the prediction state, in bits.
     fn storage_bits(&self) -> usize;
+
+    /// Runs `visitor` against this predictor's concrete type. The default
+    /// visits `self`; a predictor that dispatches to one of several
+    /// payloads (an enum) visits the payload instead, so a harness loop
+    /// handed over as a visitor pays the dispatch once per loop rather
+    /// than once per call.
+    fn accept<V: PredictorVisitor>(&mut self, visitor: V) -> V::Output
+    where
+        Self: Sized,
+    {
+        visitor.visit(self)
+    }
+}
+
+/// Code that runs against a predictor's concrete type, through
+/// [`BranchPredictor::accept`].
+pub trait PredictorVisitor {
+    /// What the visit returns.
+    type Output;
+
+    /// Runs against `predictor`.
+    fn visit<P: BranchPredictor>(self, predictor: &mut P) -> Self::Output;
 }
 
 impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
@@ -133,33 +169,32 @@ impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
         (**self).name()
     }
 
-    fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool {
-        (**self).predict(branch, scoreboard)
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
+        (**self).predict(branch)
     }
 
-    fn speculate(
-        &mut self,
-        branch: &BranchInfo,
-        predicted: bool,
-        scoreboard: &PredicateScoreboard,
-    ) {
-        (**self).speculate(branch, predicted, scoreboard)
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
+        (**self).speculate(branch, predicted)
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        (**self).commit(branch, taken, scoreboard)
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
+        (**self).commit(branch, taken)
     }
 
-    fn squash(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        (**self).squash(branch, taken, scoreboard)
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
+        (**self).squash(branch, taken)
     }
 
-    fn update(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        (**self).update(branch, taken, scoreboard)
+    fn update(&mut self, branch: &BranchInfo, taken: bool) {
+        (**self).update(branch, taken)
     }
 
     fn on_pred_write(&mut self, write: &PredWriteEvent) {
         (**self).on_pred_write(write)
+    }
+
+    fn wants_pred_writes(&self) -> bool {
+        (**self).wants_pred_writes()
     }
 
     fn storage_bits(&self) -> usize {
@@ -212,7 +247,7 @@ impl BranchPredictor for StaticPredictor {
         }
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         match self {
             StaticPredictor::NotTaken => false,
             StaticPredictor::Taken => true,
@@ -220,7 +255,7 @@ impl BranchPredictor for StaticPredictor {
         }
     }
 
-    fn commit(&mut self, _: &BranchInfo, _: bool, _: &PredicateScoreboard) {}
+    fn commit(&mut self, _: &BranchInfo, _: bool) {}
 
     fn storage_bits(&self) -> usize {
         0
@@ -289,6 +324,52 @@ impl PredictionMetrics {
     pub fn filter_coverage(&self) -> Ratio {
         Ratio::of(self.known_false_guard.get(), self.all.branches.get())
     }
+
+    /// Counts a fetched conditional branch in its classes, whatever the
+    /// prediction: the counts every lane over one stream shares.
+    pub(crate) fn count_fetch(&mut self, branch: &BranchInfo) {
+        self.all.branches.increment();
+        if branch.region.is_some() {
+            self.region.branches.increment();
+        } else {
+            self.non_region.branches.increment();
+        }
+        if branch.guard_knowledge.is_known_false() {
+            self.known_false_guard.increment();
+        }
+    }
+
+    /// Counts a mispredicted branch in its classes: the counts that are
+    /// a lane's own.
+    pub(crate) fn count_miss(&mut self, branch: &BranchInfo) {
+        self.all.mispredictions.increment();
+        if branch.region.is_some() {
+            self.region.mispredictions.increment();
+        } else {
+            self.non_region.mispredictions.increment();
+        }
+        if branch.guard_knowledge.is_known_false() {
+            self.known_false_mispredicted.increment();
+        }
+    }
+
+    /// A lane's misprediction counts completed with the counts its stream
+    /// shares with every other lane: branches per class, known-false
+    /// fetches and predicate writes, taken from `stream`.
+    pub(crate) fn with_stream(self, stream: &PredictionMetrics) -> PredictionMetrics {
+        let class = |own: ClassCounts, shared: ClassCounts| ClassCounts {
+            branches: shared.branches,
+            mispredictions: own.mispredictions,
+        };
+        PredictionMetrics {
+            all: class(self.all, stream.all),
+            region: class(self.region, stream.region),
+            non_region: class(self.non_region, stream.non_region),
+            known_false_guard: stream.known_false_guard,
+            known_false_mispredicted: self.known_false_mispredicted,
+            pred_writes: stream.pred_writes,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +384,7 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
     }
 
@@ -315,11 +397,10 @@ mod tests {
 
     #[test]
     fn static_predictors() {
-        let sb = PredicateScoreboard::new(0);
-        assert!(!StaticPredictor::NotTaken.predict(&info(0, 5), &sb));
-        assert!(StaticPredictor::Taken.predict(&info(0, 5), &sb));
-        assert!(StaticPredictor::Btfn.predict(&info(10, 0), &sb));
-        assert!(!StaticPredictor::Btfn.predict(&info(0, 10), &sb));
+        assert!(!StaticPredictor::NotTaken.predict(&info(0, 5)));
+        assert!(StaticPredictor::Taken.predict(&info(0, 5)));
+        assert!(StaticPredictor::Btfn.predict(&info(10, 0)));
+        assert!(!StaticPredictor::Btfn.predict(&info(0, 10)));
         assert_eq!(StaticPredictor::Btfn.storage_bits(), 0);
     }
 
@@ -345,11 +426,10 @@ mod tests {
 
     #[test]
     fn boxed_predictor_delegates() {
-        let sb = PredicateScoreboard::new(0);
         let mut boxed: Box<dyn BranchPredictor> = Box::new(StaticPredictor::Taken);
         assert_eq!(boxed.name(), "static-t");
-        assert!(boxed.predict(&info(0, 1), &sb));
-        boxed.update(&info(0, 1), true, &sb);
+        assert!(boxed.predict(&info(0, 1)));
+        boxed.update(&info(0, 1), true);
         assert_eq!(boxed.storage_bits(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! The squash false-path filter (SFPF).
 
-use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::PredWriteEvent;
 
 use crate::predictor::{BranchInfo, BranchPredictor};
 use crate::ring::Checkpoints;
@@ -11,8 +11,9 @@ use crate::ring::Checkpoints;
 ///
 /// In this ISA a branch guarded by a false predicate is architecturally
 /// not-taken, so whenever the guard's defining compare has resolved by
-/// fetch time (a [`PredicateScoreboard`] query), the filter's prediction
-/// cannot be wrong. Everything else falls through to the wrapped
+/// fetch time (the scoreboard's answer in
+/// [`BranchInfo::guard_knowledge`]), the filter's prediction cannot be
+/// wrong. Everything else falls through to the wrapped
 /// predictor.
 ///
 /// Two policy knobs reproduce the design space around the basic filter:
@@ -27,8 +28,8 @@ use crate::ring::Checkpoints;
 ///
 /// Under the speculate/commit/squash lifecycle the filter latches its
 /// train-the-inner-predictor decision per branch at `speculate` time
-/// (when the scoreboard still holds its fetch-time state) and replays it
-/// at `commit`/`squash`, so a retire-delayed commit gates the inner
+/// (when a learned guard table still holds its fetch-time state) and
+/// replays it at `commit`/`squash`, so a retire-delayed commit gates the inner
 /// predictor exactly as the fetch-time filter decision did. Filtered
 /// predictions are architecturally exact and are never squashed.
 ///
@@ -112,26 +113,21 @@ impl<P> SquashFilter<P> {
         (pc as usize) & (table.len() - 1)
     }
 
-    /// The guard the filter may act on at fetch: the true guard when
-    /// decode info is assumed, otherwise the learned table entry (which
-    /// must match the real guard — aliased stale entries are unusable).
-    fn known_guard(&self, branch: &BranchInfo) -> Option<predbranch_isa::PredReg> {
+    /// Whether fetch can tell which predicate guards the branch: always
+    /// when decode info is assumed, otherwise only when the learned table
+    /// entry matches the real guard (aliased stale entries are unusable).
+    fn guard_identified(&self, branch: &BranchInfo) -> bool {
         match &self.guard_table {
-            None => Some(branch.guard),
-            Some(table) => {
-                let learned = table[Self::guard_slot(table, branch.pc)]?;
-                (learned == branch.guard).then_some(learned)
-            }
+            None => true,
+            Some(table) => table[Self::guard_slot(table, branch.pc)] == Some(branch.guard),
         }
     }
 
-    fn filter_decision(
-        &self,
-        branch: &BranchInfo,
-        scoreboard: &PredicateScoreboard,
-    ) -> Option<bool> {
-        let guard = self.known_guard(branch)?;
-        match scoreboard.query(guard, branch.index).value() {
+    fn filter_decision(&self, branch: &BranchInfo) -> Option<bool> {
+        if !self.guard_identified(branch) {
+            return None;
+        }
+        match branch.guard_knowledge.value() {
             Some(false) => Some(false),
             Some(true) if self.use_known_true => Some(true),
             _ => None,
@@ -149,39 +145,35 @@ impl<P: BranchPredictor> BranchPredictor for SquashFilter<P> {
         format!("{mode}+{}", self.inner.name())
     }
 
-    fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool {
-        match self.filter_decision(branch, scoreboard) {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
+        match self.filter_decision(branch) {
             Some(direction) => {
                 self.filtered += 1;
                 direction
             }
-            None => self.inner.predict(branch, scoreboard),
+            None => self.inner.predict(branch),
         }
     }
 
-    fn speculate(
-        &mut self,
-        branch: &BranchInfo,
-        predicted: bool,
-        scoreboard: &PredicateScoreboard,
-    ) {
-        // Latch the gate with the fetch-time scoreboard state — the same
-        // state `predict` just saw — so a delayed commit reproduces the
-        // fetch-time filtering decision.
-        let inner_sees = self.update_filtered || self.filter_decision(branch, scoreboard).is_none();
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
+        // Latch the gate with the fetch-time guard table — the same state
+        // `predict` just saw — so a delayed commit reproduces the
+        // fetch-time filtering decision even after older commits have
+        // taught the table new guards.
+        let inner_sees = self.update_filtered || self.filter_decision(branch).is_none();
         self.inflight.push_back(inner_sees);
         if inner_sees {
-            self.inner.speculate(branch, predicted, scoreboard);
+            self.inner.speculate(branch, predicted);
         }
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
         let inner_sees = self
             .inflight
             .pop_front()
             .expect("sfpf commit without a matching speculate");
         if inner_sees {
-            self.inner.commit(branch, taken, scoreboard);
+            self.inner.commit(branch, taken);
         }
         if let Some(table) = &mut self.guard_table {
             let slot = Self::guard_slot(table, branch.pc);
@@ -189,16 +181,20 @@ impl<P: BranchPredictor> BranchPredictor for SquashFilter<P> {
         }
     }
 
-    fn squash(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
         // Filtered predictions are architecturally exact, so a squash can
         // only belong to a branch the inner predictor speculated on.
         if self.inflight.front().copied().unwrap_or(false) {
-            self.inner.squash(branch, taken, scoreboard);
+            self.inner.squash(branch, taken);
         }
     }
 
     fn on_pred_write(&mut self, write: &PredWriteEvent) {
         self.inner.on_pred_write(write);
+    }
+
+    fn wants_pred_writes(&self) -> bool {
+        self.inner.wants_pred_writes()
     }
 
     fn storage_bits(&self) -> usize {
@@ -215,18 +211,22 @@ mod tests {
     use super::*;
     use crate::predictor::StaticPredictor;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredicateScoreboard;
 
     fn p(i: u8) -> PredReg {
         PredReg::new(i).unwrap()
     }
 
-    fn info(guard: PredReg, index: u64) -> BranchInfo {
+    /// A branch at pc 10 fetched at `index`, with what `sb` knows about
+    /// its guard then.
+    fn info(guard: PredReg, index: u64, sb: &PredicateScoreboard) -> BranchInfo {
         BranchInfo {
             pc: 10,
             target: 0,
             guard,
             region: Some(0),
             index,
+            guard_knowledge: sb.query(guard, index),
         }
     }
 
@@ -236,7 +236,7 @@ mod tests {
         sb.record_write(p(1), false, 0);
         // inner always predicts taken; the filter must override
         let mut f = SquashFilter::new(StaticPredictor::Taken);
-        assert!(!f.predict(&info(p(1), 100), &sb));
+        assert!(!f.predict(&info(p(1), 100, &sb)));
         assert_eq!(f.filtered_count(), 1);
     }
 
@@ -246,7 +246,7 @@ mod tests {
         sb.record_write(p(1), false, 98);
         let mut f = SquashFilter::new(StaticPredictor::Taken);
         // distance 2 < 8: unknown, inner decides
-        assert!(f.predict(&info(p(1), 100), &sb));
+        assert!(f.predict(&info(p(1), 100, &sb)));
         assert_eq!(f.filtered_count(), 0);
     }
 
@@ -255,7 +255,7 @@ mod tests {
         let mut sb = PredicateScoreboard::new(0);
         sb.record_write(p(1), true, 0);
         let mut f = SquashFilter::new(StaticPredictor::NotTaken);
-        assert!(!f.predict(&info(p(1), 10), &sb));
+        assert!(!f.predict(&info(p(1), 10, &sb)));
     }
 
     #[test]
@@ -263,7 +263,7 @@ mod tests {
         let mut sb = PredicateScoreboard::new(0);
         sb.record_write(p(1), true, 0);
         let mut f = SquashFilter::new(StaticPredictor::NotTaken).with_known_true(true);
-        assert!(f.predict(&info(p(1), 10), &sb));
+        assert!(f.predict(&info(p(1), 10, &sb)));
         assert_eq!(f.filtered_count(), 1);
     }
 
@@ -275,16 +275,16 @@ mod tests {
         // hidden updates: inner never sees the filtered branch
         let mut f = SquashFilter::new(Bimodal::new(6)).with_update_filtered(false);
         for _ in 0..4 {
-            f.update(&info(p(1), 10), false, &sb);
+            f.update(&info(p(1), 10, &sb), false);
         }
         // inner still predicts its initial weakly-not-taken... train the
         // OTHER direction through an unknown guard to see it move.
         let mut sb_unknown = PredicateScoreboard::new(8);
         sb_unknown.record_write(p(1), false, 9);
         for _ in 0..4 {
-            f.update(&info(p(1), 10), true, &sb_unknown);
+            f.update(&info(p(1), 10, &sb_unknown), true);
         }
-        assert!(f.predict(&info(p(1), 10), &sb_unknown));
+        assert!(f.predict(&info(p(1), 10, &sb_unknown)));
     }
 
     #[test]
@@ -293,11 +293,11 @@ mod tests {
         sb.record_write(p(1), false, 0);
         let mut f = SquashFilter::new(StaticPredictor::Taken).with_learned_guards(6);
         // first fetch: guard unknown to the table → inner predicts taken
-        assert!(f.predict(&info(p(1), 10), &sb));
+        assert!(f.predict(&info(p(1), 10, &sb)));
         assert_eq!(f.filtered_count(), 0);
-        f.update(&info(p(1), 10), false, &sb);
+        f.update(&info(p(1), 10, &sb), false);
         // second fetch: guard learned → filter fires
-        assert!(!f.predict(&info(p(1), 11), &sb));
+        assert!(!f.predict(&info(p(1), 11, &sb)));
         assert_eq!(f.filtered_count(), 1);
     }
 
@@ -314,6 +314,7 @@ mod tests {
             guard: p(1),
             region: None,
             index: 10,
+            guard_knowledge: sb.query(p(1), 10),
         };
         let b = BranchInfo {
             pc: 2,
@@ -321,11 +322,12 @@ mod tests {
             guard: p(2),
             region: None,
             index: 11,
+            guard_knowledge: sb.query(p(2), 11),
         };
-        f.update(&a, false, &sb); // slot learns p1
-                                  // b aliases the slot but its real guard is p2: the stale entry
-                                  // must not be used (no filter fire, no wrong squash)
-        assert!(f.predict(&b, &sb), "inner decides");
+        f.update(&a, false); // slot learns p1
+                             // b aliases the slot but its real guard is p2: the stale entry
+                             // must not be used (no filter fire, no wrong squash)
+        assert!(f.predict(&b), "inner decides");
         assert_eq!(f.filtered_count(), 0);
     }
 

@@ -1,7 +1,5 @@
 //! The McFarling tournament (combining) predictor.
 
-use predbranch_sim::PredicateScoreboard;
-
 use crate::bimodal::Bimodal;
 use crate::gshare::Gshare;
 use crate::history::GlobalHistory;
@@ -59,9 +57,9 @@ impl BranchPredictor for Tournament {
         format!("tournament-{}", self.chooser.index_bits())
     }
 
-    fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool {
-        let g = self.gshare.predict(branch, scoreboard);
-        let b = self.bimodal.predict(branch, scoreboard);
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
+        let g = self.gshare.predict(branch);
+        let b = self.bimodal.predict(branch);
         // chooser counter: taken-side (>=2) means "trust gshare"
         if self.chooser.predict(branch.pc as u64) {
             g
@@ -70,23 +68,18 @@ impl BranchPredictor for Tournament {
         }
     }
 
-    fn speculate(
-        &mut self,
-        branch: &BranchInfo,
-        predicted: bool,
-        scoreboard: &PredicateScoreboard,
-    ) {
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
         // Latch the fetch-time component predictions before the
         // components speculate (their speculative shifts would change
         // what the gshare component predicts).
-        let g = self.gshare.predict(branch, scoreboard);
-        let b = self.bimodal.predict(branch, scoreboard);
+        let g = self.gshare.predict(branch);
+        let b = self.bimodal.predict(branch);
         self.checkpoints.push_back((g, b));
-        self.gshare.speculate(branch, predicted, scoreboard);
-        self.bimodal.speculate(branch, predicted, scoreboard);
+        self.gshare.speculate(branch, predicted);
+        self.bimodal.speculate(branch, predicted);
     }
 
-    fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, taken: bool) {
         let (g, b) = self
             .checkpoints
             .pop_front()
@@ -94,13 +87,13 @@ impl BranchPredictor for Tournament {
         if g != b {
             self.chooser.update(branch.pc as u64, g == taken);
         }
-        self.gshare.commit(branch, taken, scoreboard);
-        self.bimodal.commit(branch, taken, scoreboard);
+        self.gshare.commit(branch, taken);
+        self.bimodal.commit(branch, taken);
     }
 
-    fn squash(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-        self.gshare.squash(branch, taken, scoreboard);
-        self.bimodal.squash(branch, taken, scoreboard);
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
+        self.gshare.squash(branch, taken);
+        self.bimodal.squash(branch, taken);
     }
 
     fn storage_bits(&self) -> usize {
@@ -124,6 +117,7 @@ impl HistoryInsert for Tournament {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32) -> BranchInfo {
         BranchInfo {
@@ -132,11 +126,8 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index: 0,
+            guard_knowledge: PredKnowledge::Unknown,
         }
-    }
-
-    fn sb() -> PredicateScoreboard {
-        PredicateScoreboard::new(0)
     }
 
     fn accuracy<P: BranchPredictor>(
@@ -144,18 +135,17 @@ mod tests {
         outcomes: impl Iterator<Item = (u32, bool)>,
         warmup: usize,
     ) -> f64 {
-        let sb = sb();
         let mut total = 0u64;
         let mut right = 0u64;
         for (i, (pc, outcome)) in outcomes.enumerate() {
-            let predicted = p.predict(&info(pc), &sb);
+            let predicted = p.predict(&info(pc));
             if i >= warmup {
                 total += 1;
                 if predicted == outcome {
                     right += 1;
                 }
             }
-            p.update(&info(pc), outcome, &sb);
+            p.update(&info(pc), outcome);
         }
         right as f64 / total as f64
     }
@@ -179,11 +169,10 @@ mod tests {
 
     #[test]
     fn chooser_only_trains_on_disagreement() {
-        let sb = sb();
         let mut t = Tournament::new(6, 6, 6, 6);
         let before = t.chooser.counter(5).state();
         // both components agree (both predict not-taken initially)
-        t.update(&info(5), false, &sb);
+        t.update(&info(5), false);
         assert_eq!(t.chooser.counter(5).state(), before);
     }
 

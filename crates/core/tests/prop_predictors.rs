@@ -112,17 +112,19 @@ fn replay(spec: &PredictorSpec, events: &[Ev], latency: u64) -> u64 {
                 taken,
                 region,
             } => {
+                let guard = PredReg::new(guard).unwrap();
                 let info = BranchInfo {
                     pc,
                     target: pc / 2,
-                    guard: PredReg::new(guard).unwrap(),
+                    guard,
                     region: region.then_some(0),
                     index,
+                    guard_knowledge: scoreboard.query(guard, index),
                 };
-                if predictor.predict(&info, &scoreboard) != taken {
+                if predictor.predict(&info) != taken {
                     wrong += 1;
                 }
-                predictor.update(&info, taken, &scoreboard);
+                predictor.update(&info, taken);
             }
         }
     }
@@ -189,19 +191,21 @@ proptest! {
                     pgu.on_pred_write(&event);
                 }
                 Ev::Branch { pc, guard, taken, region } => {
+                    let guard = PredReg::new(guard).unwrap();
                     let info = BranchInfo {
                         pc,
                         target: 0,
-                        guard: PredReg::new(guard).unwrap(),
+                        guard,
                         region: region.then_some(0),
                         index: index as u64,
+                        guard_knowledge: scoreboard.query(guard, index as u64),
                     };
                     prop_assert_eq!(
-                        plain.predict(&info, &scoreboard),
-                        pgu.predict(&info, &scoreboard)
+                        plain.predict(&info),
+                        pgu.predict(&info)
                     );
-                    plain.update(&info, taken, &scoreboard);
-                    pgu.update(&info, taken, &scoreboard);
+                    plain.update(&info, taken);
+                    pgu.update(&info, taken);
                 }
             }
         }
@@ -260,15 +264,17 @@ proptest! {
                     guard_value: true,
                 }),
                 Ev::Branch { pc, guard, taken, .. } => {
+                    let guard = PredReg::new(guard).unwrap();
                     let info = BranchInfo {
                         pc,
                         target: 0,
-                        guard: PredReg::new(guard).unwrap(),
+                        guard,
                         region: None,
                         index: index as u64,
+                        guard_knowledge: scoreboard.query(guard, index as u64),
                     };
-                    predictor.predict(&info, &scoreboard);
-                    predictor.update(&info, taken, &scoreboard);
+                    predictor.predict(&info);
+                    predictor.update(&info, taken);
                 }
             }
         }
@@ -283,19 +289,21 @@ fn filtered_counter_counts_fires_only() {
     let mut sb = PredicateScoreboard::new(4);
     let mut filter = SquashFilter::new(Gshare::new(6, 6));
     let p5 = PredReg::new(5).unwrap();
-    let info = BranchInfo {
+    // the branch as fetched at index 100 against the scoreboard's state
+    let info = |sb: &PredicateScoreboard| BranchInfo {
         pc: 3,
         target: 0,
         guard: p5,
         region: None,
         index: 100,
+        guard_knowledge: sb.query(p5, 100),
     };
     // in-flight guard: no fire
     sb.record_write(p5, false, 99);
-    filter.predict(&info, &sb);
+    filter.predict(&info(&sb));
     assert_eq!(filter.filtered_count(), 0);
     // resolved-false guard: fires
     sb.record_write(p5, false, 0);
-    filter.predict(&info, &sb);
+    filter.predict(&info(&sb));
     assert_eq!(filter.filtered_count(), 1);
 }

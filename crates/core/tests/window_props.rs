@@ -15,7 +15,7 @@ use predbranch_core::{
     BranchInfo, BranchPredictor, HarnessConfig, InsertFilter, PredictionHarness, Ring, Timing,
 };
 use predbranch_isa::PredReg;
-use predbranch_sim::{BranchEvent, EventSink, PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::{BranchEvent, EventSink, PredKnowledge, PredWriteEvent};
 
 /// One lifecycle call the probe predictor observed, tagged with the
 /// branch's dynamic index.
@@ -45,21 +45,21 @@ impl BranchPredictor for Probe {
         "probe".to_string()
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         self.calls.borrow_mut().push(Call::Predict(branch.index));
         Probe::answer(branch)
     }
 
-    fn speculate(&mut self, branch: &BranchInfo, predicted: bool, _: &PredicateScoreboard) {
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
         assert_eq!(predicted, Probe::answer(branch), "speculate echoes predict");
         self.calls.borrow_mut().push(Call::Speculate(branch.index));
     }
 
-    fn commit(&mut self, branch: &BranchInfo, _: bool, _: &PredicateScoreboard) {
+    fn commit(&mut self, branch: &BranchInfo, _: bool) {
         self.calls.borrow_mut().push(Call::Commit(branch.index));
     }
 
-    fn squash(&mut self, branch: &BranchInfo, taken: bool, _: &PredicateScoreboard) {
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
         assert_ne!(taken, Probe::answer(branch), "squash only on mispredicts");
         self.calls.borrow_mut().push(Call::Squash(branch.index));
     }
@@ -110,6 +110,7 @@ fn drive(events: &[Ev], timing: Timing) -> (Vec<Call>, Vec<u64>, Vec<u64>) {
                     guard: PredReg::new(1).unwrap(),
                     region: None,
                     index,
+                    guard_knowledge: PredKnowledge::Unknown,
                 };
                 if Probe::answer(&info) != taken {
                     mispredicted.push(index);

@@ -1,7 +1,7 @@
 //! A multiperspective perceptron predictor.
 
 use predbranch_core::{BranchInfo, BranchPredictor, Checkpoints, GlobalHistory, HistoryInsert};
-use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::PredWriteEvent;
 
 use crate::predhist::PredicateHistory;
 
@@ -252,19 +252,14 @@ impl BranchPredictor for Mpp {
         )
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         if self.predicate {
             self.pred_hist.drain_visible(branch.index);
         }
         self.derive(branch.pc).1 >= 0
     }
 
-    fn speculate(
-        &mut self,
-        branch: &BranchInfo,
-        predicted: bool,
-        _scoreboard: &PredicateScoreboard,
-    ) {
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
         if self.predicate {
             // idempotent re-drain: predict already ran at this index
             self.pred_hist.drain_visible(branch.index);
@@ -282,7 +277,7 @@ impl BranchPredictor for Mpp {
         self.path = (self.path << 4) ^ u64::from(branch.pc >> 2);
     }
 
-    fn commit(&mut self, _branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, _branch: &BranchInfo, taken: bool) {
         let cp = self
             .checkpoints
             .pop_front()
@@ -290,7 +285,7 @@ impl BranchPredictor for Mpp {
         self.train(&cp, taken);
     }
 
-    fn squash(&mut self, branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn squash(&mut self, branch: &BranchInfo, taken: bool) {
         let cp = *self
             .checkpoints
             .front()
@@ -306,6 +301,10 @@ impl BranchPredictor for Mpp {
         if self.predicate {
             self.pred_hist.observe(write);
         }
+    }
+
+    fn wants_pred_writes(&self) -> bool {
+        self.predicate
     }
 
     fn storage_bits(&self) -> usize {
@@ -336,6 +335,7 @@ impl HistoryInsert for Mpp {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32, index: u64) -> BranchInfo {
         BranchInfo {
@@ -344,6 +344,7 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index,
+            guard_knowledge: PredKnowledge::Unknown,
         }
     }
 
@@ -358,10 +359,6 @@ mod tests {
         }
     }
 
-    fn sb() -> PredicateScoreboard {
-        PredicateScoreboard::new(64)
-    }
-
     #[test]
     fn name_encodes_table_size() {
         assert_eq!(Mpp::new(12).name(), "mpp-12");
@@ -372,7 +369,6 @@ mod tests {
     fn learns_a_local_pattern_global_noise_cannot_hide() {
         // two interleaved branches: one random (noise in global
         // history), one with a short per-PC period the local view nails
-        let scoreboard = sb();
         let mut mpp = Mpp::new(12);
         let mut x = 0xDEAD_BEEF_CAFE_F00Du64;
         let mut wrong_tail = 0;
@@ -380,17 +376,17 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let noise = info(0x80, i * 2);
             let noise_taken = x >> 63 == 1;
-            let p = mpp.predict(&noise, &scoreboard);
+            let p = mpp.predict(&noise);
             let _ = p;
-            mpp.update(&noise, noise_taken, &scoreboard);
+            mpp.update(&noise, noise_taken);
 
             let b = info(0x40, i * 2 + 1);
             let taken = matches!(i % 5, 0 | 2 | 3);
-            let predicted = mpp.predict(&b, &scoreboard);
+            let predicted = mpp.predict(&b);
             if i >= 5000 && predicted != taken {
                 wrong_tail += 1;
             }
-            mpp.update(&b, taken, &scoreboard);
+            mpp.update(&b, taken);
         }
         assert!(
             wrong_tail <= 20,
@@ -400,33 +396,31 @@ mod tests {
 
     #[test]
     fn squash_repair_equals_correct_speculation() {
-        let scoreboard = sb();
         let mut a = Mpp::new(10);
         for i in 0..300u64 {
             let b = info(0x10 + (i % 5) as u32 * 4, i);
-            a.update(&b, i % 3 != 1, &scoreboard);
+            a.update(&b, i % 3 != 1);
         }
         let mut b = a.clone();
 
         let branch = info(0x77, 900);
         let taken = false;
-        a.speculate(&branch, !taken, &scoreboard);
-        a.squash(&branch, taken, &scoreboard);
-        a.commit(&branch, taken, &scoreboard);
-        b.update(&branch, taken, &scoreboard);
+        a.speculate(&branch, !taken);
+        a.squash(&branch, taken);
+        a.commit(&branch, taken);
+        b.update(&branch, taken);
         assert_eq!(a, b, "squash repair must fully erase the wrong-path shift");
     }
 
     #[test]
     fn predict_is_pure() {
-        let scoreboard = sb();
         let mut m = Mpp::new(10);
         for i in 0..100u64 {
-            m.update(&info(0x20, i), i % 2 == 0, &scoreboard);
+            m.update(&info(0x20, i), i % 2 == 0);
         }
         let before = m.clone();
-        let p1 = m.predict(&info(0x20, 200), &scoreboard);
-        let p2 = m.predict(&info(0x20, 200), &scoreboard);
+        let p1 = m.predict(&info(0x20, 200));
+        let p2 = m.predict(&info(0x20, 200));
         assert_eq!(p1, p2);
         assert_eq!(m, before);
     }
@@ -435,7 +429,6 @@ mod tests {
     fn predicate_view_reads_predicate_context() {
         // outcome = most recent predicate value, predicate stream
         // pseudo-random: only the predicate view carries signal
-        let scoreboard = sb();
         let run = |predicate: bool| -> u32 {
             let mut m = Mpp::new(12);
             if predicate {
@@ -450,11 +443,11 @@ mod tests {
                 let value = x >> 63 == 1;
                 m.on_pred_write(&write(i * 20, value));
                 let b = info(0x40, i * 20 + PRED_DELAY + 2);
-                let predicted = m.predict(&b, &scoreboard);
+                let predicted = m.predict(&b);
                 if i >= 6000 && predicted != value {
                     wrong_tail += 1;
                 }
-                m.update(&b, value, &scoreboard);
+                m.update(&b, value);
             }
             wrong_tail
         };
@@ -480,7 +473,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "commit without a matching speculate")]
     fn unbalanced_commit_rejected() {
-        let scoreboard = sb();
-        Mpp::new(8).commit(&info(0, 0), true, &scoreboard);
+        Mpp::new(8).commit(&info(0, 0), true);
     }
 }

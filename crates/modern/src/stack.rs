@@ -7,7 +7,9 @@
 //! on the replay hot path, nested once per SFPF/PGU wrapper.
 //! [`ModernStack`] has one variant per shape, so a single `match` at the
 //! enum boundary replaces the vtable chain and the compiler can inline
-//! the whole wrapper composition into the harness loop.
+//! the whole wrapper composition into the harness loop. A gang lane
+//! pays even that match once per batch: it hands its loop to
+//! [`BranchPredictor::accept`], which runs it against the payload.
 //! [`build_modern_stack`] follows the boxed builders' composition rules,
 //! so the two differ only in dispatch.
 
@@ -15,9 +17,9 @@ use std::fmt;
 
 use predbranch_core::{
     Agree, Bimodal, BranchInfo, BranchPredictor, Gshare, Local, Perceptron, PerfectGuard, Pgu,
-    PredictorSpec, SquashFilter, StaticPredictor, Tournament,
+    PredictorSpec, PredictorVisitor, SquashFilter, StaticPredictor, Tournament,
 };
-use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::PredWriteEvent;
 
 use crate::mpp::Mpp;
 use crate::spec::{mpp_from, tage_from, ModernSpec};
@@ -53,8 +55,9 @@ impl StackVariant {
 /// with global history — its `+pgu` and `+sfpf+pgu` variants. Emits the
 /// enum (bases, then each wrapper group, then `Dyn`), its
 /// [`StackVariant`] table, the [`BranchPredictor`] delegation (every
-/// trait method is one `match` handing the call to the payload), and the
-/// two wrapping steps [`build_modern_stack`] composes.
+/// trait method is one `match` handing the call to the payload, and
+/// `accept` hands a whole visitor to it), and the two wrapping steps
+/// [`build_modern_stack`] composes.
 macro_rules! modern_stack {
     ($(
         $(#[$meta:meta])*
@@ -147,33 +150,28 @@ macro_rules! modern_stack {
             }
 
             #[inline]
-            fn predict(&mut self, branch: &BranchInfo, scoreboard: &PredicateScoreboard) -> bool {
-                match self { $( ModernStack::$variant(p) => p.predict(branch, scoreboard), )+ }
+            fn predict(&mut self, branch: &BranchInfo) -> bool {
+                match self { $( ModernStack::$variant(p) => p.predict(branch), )+ }
             }
 
             #[inline]
-            fn speculate(
-                &mut self,
-                branch: &BranchInfo,
-                predicted: bool,
-                scoreboard: &PredicateScoreboard,
-            ) {
-                match self { $( ModernStack::$variant(p) => p.speculate(branch, predicted, scoreboard), )+ }
+            fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
+                match self { $( ModernStack::$variant(p) => p.speculate(branch, predicted), )+ }
             }
 
             #[inline]
-            fn commit(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-                match self { $( ModernStack::$variant(p) => p.commit(branch, taken, scoreboard), )+ }
+            fn commit(&mut self, branch: &BranchInfo, taken: bool) {
+                match self { $( ModernStack::$variant(p) => p.commit(branch, taken), )+ }
             }
 
             #[inline]
-            fn squash(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-                match self { $( ModernStack::$variant(p) => p.squash(branch, taken, scoreboard), )+ }
+            fn squash(&mut self, branch: &BranchInfo, taken: bool) {
+                match self { $( ModernStack::$variant(p) => p.squash(branch, taken), )+ }
             }
 
             #[inline]
-            fn update(&mut self, branch: &BranchInfo, taken: bool, scoreboard: &PredicateScoreboard) {
-                match self { $( ModernStack::$variant(p) => p.update(branch, taken, scoreboard), )+ }
+            fn update(&mut self, branch: &BranchInfo, taken: bool) {
+                match self { $( ModernStack::$variant(p) => p.update(branch, taken), )+ }
             }
 
             #[inline]
@@ -181,8 +179,18 @@ macro_rules! modern_stack {
                 match self { $( ModernStack::$variant(p) => p.on_pred_write(write), )+ }
             }
 
+            fn wants_pred_writes(&self) -> bool {
+                match self { $( ModernStack::$variant(p) => p.wants_pred_writes(), )+ }
+            }
+
             fn storage_bits(&self) -> usize {
                 match self { $( ModernStack::$variant(p) => p.storage_bits(), )+ }
+            }
+
+            /// Visits the payload, so a harness loop handed over as
+            /// `visitor` runs monomorphized for this variant's type.
+            fn accept<V: PredictorVisitor>(&mut self, visitor: V) -> V::Output {
+                match self { $( ModernStack::$variant(p) => visitor.visit(p), )+ }
             }
         }
     };
@@ -366,9 +374,9 @@ pub fn build_modern_stack(spec: &ModernSpec) -> ModernStack {
 mod tests {
     use super::*;
     use crate::spec::build_modern;
-    use predbranch_core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
+    use predbranch_core::{GangHarness, HarnessConfig, InsertFilter, PredictionHarness, Timing};
     use predbranch_isa::{assemble, Program};
-    use predbranch_sim::{Executor, Memory};
+    use predbranch_sim::{EventSink, Executor, Memory, TraceSink, EVENT_BATCH_CAPACITY};
 
     /// A counted loop with a guard that holds every fourth trip: its
     /// branch and the loop exit have guards resolved at fetch (SFPF fires
@@ -506,27 +514,79 @@ mod tests {
         assert_eq!(specs.len(), 13 * (1 + 7 + 49 + 343));
 
         let program = program();
-        let config = HarnessConfig {
-            timing: Timing::new(4, 8),
+        let config = |retire| HarnessConfig {
+            timing: Timing::new(4, retire),
             insert: InsertFilter::All,
         };
-        for (spec, filters) in specs {
-            let boxed = build_modern(&spec);
-            let stack = build_modern_stack(&spec);
+        let mut trace = TraceSink::new();
+        Executor::new(&program, Memory::new()).run(&mut trace, 100_000);
+        let events = trace.events();
+        // the reference: the boxed predictor in a solo harness, which
+        // hands every predicate write to the predictor
+        let solo = |spec: &ModernSpec, retire| {
+            let mut harness = PredictionHarness::new(build_modern(spec), config(retire));
+            harness.replay_events(events);
+            harness.into_parts().1
+        };
+
+        let mut expected_r8 = Vec::with_capacity(specs.len());
+        for (spec, filters) in &specs {
+            let boxed = build_modern(spec);
+            let stack = build_modern_stack(spec);
             assert_eq!(stack.name(), boxed.name(), "{spec:?}");
             assert_eq!(
                 stack.is_statically_dispatched(),
-                filters <= 1,
+                *filters <= 1,
                 "{spec:?} as {stack:?}"
             );
-            let mut boxed = PredictionHarness::new(boxed, config.clone());
+            let mut boxed = PredictionHarness::new(boxed, config(8));
             Executor::new(&program, Memory::new()).run(&mut boxed, 100_000);
-            let mut stack = PredictionHarness::new(stack, config.clone());
+            let mut stack = PredictionHarness::new(stack, config(8));
             Executor::new(&program, Memory::new()).run(&mut stack, 100_000);
             let (_, boxed_metrics) = boxed.into_parts();
             let (_, stack_metrics) = stack.into_parts();
             assert!(boxed_metrics.all.branches.get() > 0, "{spec:?}");
             assert_eq!(boxed_metrics, stack_metrics, "{spec:?}");
+            expected_r8.push(boxed_metrics);
+        }
+
+        // The gang leg: the same specs as lanes of four large gangs, each
+        // beside a lane that ignores predicate writes and one that reads
+        // them. A gang hands writes only to lanes whose predictor asks
+        // for them, so a wrapper that under-reports `wants_pred_writes`
+        // starves its inner PGU or predicate history and shows up here.
+        let neighbours: Vec<ModernSpec> = ["gshare:10/10", "gshare:10/10+pgu8"]
+            .iter()
+            .map(|text| text.parse().unwrap())
+            .collect();
+        let gang_size = specs.len() / 4;
+        for retire in [0, 8] {
+            let expected = if retire == 8 {
+                expected_r8.clone()
+            } else {
+                specs.iter().map(|(spec, _)| solo(spec, retire)).collect()
+            };
+            let neighbours_expected: Vec<_> = neighbours.iter().map(|n| solo(n, retire)).collect();
+            for batch in [EVENT_BATCH_CAPACITY, 7] {
+                for (lanes, expected) in specs.chunks(gang_size).zip(expected.chunks(gang_size)) {
+                    let mut gang = GangHarness::new();
+                    for spec in neighbours.iter().chain(lanes.iter().map(|(spec, _)| spec)) {
+                        gang.push_lane(build_modern_stack(spec), config(retire));
+                    }
+                    for chunk in events.chunks(batch) {
+                        gang.events(chunk);
+                    }
+                    let metrics = gang.into_metrics();
+                    let (got_neighbours, got) = metrics.split_at(neighbours.len());
+                    assert_eq!(
+                        got_neighbours, neighbours_expected,
+                        "retire {retire}, batch {batch}"
+                    );
+                    for (((spec, _), got), want) in lanes.iter().zip(got).zip(expected) {
+                        assert_eq!(got, want, "{spec:?} at retire {retire}, batch {batch}");
+                    }
+                }
+            }
         }
     }
 

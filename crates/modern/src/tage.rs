@@ -4,7 +4,7 @@ use predbranch_core::{
     checkpoint_capacity, BranchInfo, BranchPredictor, CounterTable, FoldedHistory, HistoryInsert,
     LongHistory, Ring, WINDOW_CAPACITY,
 };
-use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
+use predbranch_sim::PredWriteEvent;
 
 use crate::predhist::PredicateHistory;
 
@@ -439,19 +439,14 @@ impl BranchPredictor for Tage {
         )
     }
 
-    fn predict(&mut self, branch: &BranchInfo, _scoreboard: &PredicateScoreboard) -> bool {
+    fn predict(&mut self, branch: &BranchInfo) -> bool {
         if self.predicate {
             self.pred_hist.drain_visible(branch.index);
         }
         self.lookup(branch.pc).prediction
     }
 
-    fn speculate(
-        &mut self,
-        branch: &BranchInfo,
-        predicted: bool,
-        _scoreboard: &PredicateScoreboard,
-    ) {
+    fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
         if self.predicate {
             // idempotent re-drain: predict already ran at this index
             self.pred_hist.drain_visible(branch.index);
@@ -466,7 +461,7 @@ impl BranchPredictor for Tage {
         self.shift_outcome(predicted);
     }
 
-    fn commit(&mut self, _branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn commit(&mut self, _branch: &BranchInfo, taken: bool) {
         let cp = self
             .checkpoints
             .pop_front()
@@ -474,7 +469,7 @@ impl BranchPredictor for Tage {
         self.train(&cp, taken);
     }
 
-    fn squash(&mut self, _branch: &BranchInfo, taken: bool, _scoreboard: &PredicateScoreboard) {
+    fn squash(&mut self, _branch: &BranchInfo, taken: bool) {
         let cp = *self
             .checkpoints
             .front()
@@ -489,6 +484,10 @@ impl BranchPredictor for Tage {
         if self.predicate {
             self.pred_hist.observe(write);
         }
+    }
+
+    fn wants_pred_writes(&self) -> bool {
+        self.predicate
     }
 
     fn storage_bits(&self) -> usize {
@@ -516,6 +515,7 @@ impl HistoryInsert for Tage {
 mod tests {
     use super::*;
     use predbranch_isa::PredReg;
+    use predbranch_sim::PredKnowledge;
 
     fn info(pc: u32, index: u64) -> BranchInfo {
         BranchInfo {
@@ -524,6 +524,7 @@ mod tests {
             guard: PredReg::new(1).unwrap(),
             region: None,
             index,
+            guard_knowledge: PredKnowledge::Unknown,
         }
     }
 
@@ -536,10 +537,6 @@ mod tests {
             guard: PredReg::TRUE,
             guard_value: true,
         }
-    }
-
-    fn sb() -> PredicateScoreboard {
-        PredicateScoreboard::new(64)
     }
 
     #[test]
@@ -571,17 +568,16 @@ mod tests {
     fn learns_a_long_irregular_period() {
         // period-23 pattern: beyond a bimodal, learnable from history
         let pattern: Vec<bool> = (0..23).map(|i| (0x5A_F3F2u32 >> i) & 1 == 1).collect();
-        let scoreboard = sb();
         let mut tage = Tage::new(4, 10, 64);
         let mut wrong_tail = 0;
         for i in 0..4000usize {
             let taken = pattern[i % 23];
             let b = info(0x40, i as u64);
-            let predicted = tage.predict(&b, &scoreboard);
+            let predicted = tage.predict(&b);
             if i >= 3000 && predicted != taken {
                 wrong_tail += 1;
             }
-            tage.update(&b, taken, &scoreboard);
+            tage.update(&b, taken);
         }
         assert!(
             wrong_tail <= 10,
@@ -591,36 +587,34 @@ mod tests {
 
     #[test]
     fn squash_repair_equals_correct_speculation() {
-        let scoreboard = sb();
         let mut a = Tage::new(4, 8, 48);
         // warm up with some state so the test isn't on a blank predictor
         for i in 0..200u64 {
             let b = info(0x10 + (i % 7) as u32 * 4, i);
-            a.update(&b, i % 3 == 0, &scoreboard);
+            a.update(&b, i % 3 == 0);
         }
         let mut b = a.clone();
 
         let branch = info(0x99, 1000);
         let taken = true;
         // a: mispredicted path — speculate wrong, squash, commit
-        a.speculate(&branch, !taken, &scoreboard);
-        a.squash(&branch, taken, &scoreboard);
-        a.commit(&branch, taken, &scoreboard);
+        a.speculate(&branch, !taken);
+        a.squash(&branch, taken);
+        a.commit(&branch, taken);
         // b: correct path — speculate right, commit
-        b.update(&branch, taken, &scoreboard);
+        b.update(&branch, taken);
         assert_eq!(a, b, "squash repair must fully erase the wrong-path shift");
     }
 
     #[test]
     fn predict_is_pure() {
-        let scoreboard = sb();
         let mut t = Tage::new(4, 8, 48);
         for i in 0..100u64 {
-            t.update(&info(0x20, i), i % 2 == 0, &scoreboard);
+            t.update(&info(0x20, i), i % 2 == 0);
         }
         let before = t.clone();
-        let p1 = t.predict(&info(0x20, 200), &scoreboard);
-        let p2 = t.predict(&info(0x20, 200), &scoreboard);
+        let p1 = t.predict(&info(0x20, 200));
+        let p2 = t.predict(&info(0x20, 200));
         assert_eq!(p1, p2);
         assert_eq!(t, before);
     }
@@ -631,7 +625,6 @@ mod tests {
         // the predicate stream is pseudo-random: the outcome history is
         // then uninformative noise (plain TAGE hovers near 50%), while
         // ptage sees the deciding bit in its predicate-history feature.
-        let scoreboard = sb();
         let run = |predicate: bool| -> u32 {
             let mut t = Tage::new(4, 10, 64);
             if predicate {
@@ -646,11 +639,11 @@ mod tests {
                 let value = x >> 63 == 1;
                 t.on_pred_write(&write(i * 20, value));
                 let b = info(0x40, i * 20 + PRED_DELAY + 2);
-                let predicted = t.predict(&b, &scoreboard);
+                let predicted = t.predict(&b);
                 if i >= 4000 && predicted != value {
                     wrong_tail += 1;
                 }
-                t.update(&b, value, &scoreboard);
+                t.update(&b, value);
             }
             wrong_tail
         };
@@ -677,7 +670,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "commit without a matching speculate")]
     fn unbalanced_commit_rejected() {
-        let scoreboard = sb();
-        Tage::new(2, 6, 16).commit(&info(0, 0), true, &scoreboard);
+        Tage::new(2, 6, 16).commit(&info(0, 0), true);
     }
 }

@@ -88,11 +88,11 @@ fn drive_inline<P: BranchPredictor>(mut predictor: P, events: &[Ev]) -> (P, u64)
         let index = index as u64;
         match *ev {
             Ev::Branch { pc, taken } => {
-                let info = BranchInfo::from_event(&branch_event(pc, taken, index));
-                if predictor.predict(&info, &scoreboard) != taken {
+                let info = BranchInfo::from_event(&branch_event(pc, taken, index), &scoreboard);
+                if predictor.predict(&info) != taken {
                     mispredictions += 1;
                 }
-                predictor.update(&info, taken, &scoreboard);
+                predictor.update(&info, taken);
             }
             Ev::Write { pc, preg, value } => {
                 let event = write_event(pc, preg, value, index);
