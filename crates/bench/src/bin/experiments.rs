@@ -21,18 +21,6 @@
 //! experiments --checkpoint run.ckpt all
 //!                            # journal completed cells; an interrupted
 //!                            # sweep resumes from where it died
-//! experiments --shard 0/2 --checkpoint s0.ckpt --manifest s0.json all
-//!                            # run only the gang units this shard owns
-//!                            # (deterministic partition by stream
-//!                            # digest); artifacts are suppressed — the
-//!                            # shard journal/manifest are the product
-//! experiments merge --out merged.ckpt --manifest merged.json \
-//!     s0.ckpt s1.ckpt s0.json s1.json
-//!                            # stitch shard journals (.ckpt) and
-//!                            # manifests (.json) into canonical merged
-//!                            # forms, exactly-once by cell key; a
-//!                            # finalize pass over merged.ckpt then
-//!                            # reprints the sweep byte-identically
 //! experiments --list-stacks  # list every statically-dispatched
 //!                            # predictor stack (generated from the
 //!                            # stack macro, never hand-maintained)
@@ -42,53 +30,9 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use predbranch_bench::experiments::find_experiment;
-use predbranch_bench::runner::{RunContext, Shard};
+use predbranch_bench::runner::RunContext;
 use predbranch_bench::{all_experiments, Scale};
-use predbranch_sweep::{merge_journals, merge_manifests, Json, ManifestBuilder};
-
-/// The `merge` subcommand: stitch shard-scoped journals (`.ckpt`
-/// positionals, merged to `--out`) and manifests (`.json` positionals,
-/// merged to `--manifest`) into their canonical forms. Exactly-once by
-/// content-addressed cell key; conflicting duplicates are refused.
-fn run_merge(
-    out: Option<&str>,
-    manifest_out: Option<&str>,
-    inputs: &[String],
-) -> Result<(), String> {
-    let mut journals: Vec<(String, String)> = Vec::new();
-    let mut manifests: Vec<(String, Json)> = Vec::new();
-    for path in inputs {
-        let read =
-            |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-        if path.ends_with(".ckpt") {
-            journals.push((path.clone(), read(path)?));
-        } else if path.ends_with(".json") {
-            let parsed =
-                Json::parse(&read(path)?).map_err(|e| format!("cannot parse {path}: {e}"))?;
-            manifests.push((path.clone(), parsed));
-        } else {
-            return Err(format!(
-                "merge input {path} is neither a journal (.ckpt) nor a manifest (.json)"
-            ));
-        }
-    }
-    if journals.is_empty() && manifests.is_empty() {
-        return Err("merge needs at least one .ckpt or .json input".into());
-    }
-    if !journals.is_empty() {
-        let out = out.ok_or("merging journals needs --out <merged.ckpt>")?;
-        let (text, report) = merge_journals(&journals)?;
-        std::fs::write(out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("merged {} journals -> {out}: {report}", journals.len());
-    }
-    if !manifests.is_empty() {
-        let out = manifest_out.ok_or("merging manifests needs --manifest <merged.json>")?;
-        let (merged, report) = merge_manifests(&manifests)?;
-        std::fs::write(out, merged.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("merged {} manifests -> {out}: {report}", manifests.len());
-    }
-    Ok(())
-}
+use predbranch_sweep::ManifestBuilder;
 
 /// Runs the command line, writing every artifact and listing to
 /// `stdout`. A write error ends the run early and is returned.
@@ -129,28 +73,18 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             None => Ok(None),
         }
     };
-    let (trace_cache, jobs, manifest_path, checkpoint_path, retire, out, shard) = match (
+    let (trace_cache, jobs, manifest_path, checkpoint_path, retire) = match (
         valued("--trace-cache"),
         valued("--jobs"),
         valued("--manifest"),
         valued("--checkpoint"),
         valued("--retire-latency"),
-        valued("--out"),
-        valued("--shard"),
     ) {
-        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r), Ok(o), Ok(s)) => (tc, j, m, c, r, o, s),
-        (tc, j, m, c, r, o, s) => {
-            for err in [
-                tc.err(),
-                j.err(),
-                m.err(),
-                c.err(),
-                r.err(),
-                o.err(),
-                s.err(),
-            ]
-            .into_iter()
-            .flatten()
+        (Ok(tc), Ok(j), Ok(m), Ok(c), Ok(r)) => (tc, j, m, c, r),
+        (tc, j, m, c, r) => {
+            for err in [tc.err(), j.err(), m.err(), c.err(), r.err()]
+                .into_iter()
+                .flatten()
             {
                 eprintln!("{err}");
             }
@@ -171,21 +105,6 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    let shard: Option<Shard> = match shard.as_deref().map(str::parse).transpose() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("--shard: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-
-    if args.first().map(String::as_str) == Some("merge") {
-        if let Err(e) = run_merge(out.as_deref(), manifest_path.as_deref(), &args[1..]) {
-            eprintln!("{e}");
-            return Ok(ExitCode::FAILURE);
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
 
     if let Some(option) = args.iter().find(|a| a.starts_with('-')) {
         eprintln!("unknown option `{option}` (run with no arguments for usage)");
@@ -193,15 +112,6 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
     }
 
     let mut ctx = RunContext::new().with_jobs(jobs);
-    if let Some(s) = shard {
-        ctx = ctx.with_shard(s);
-        if checkpoint_path.is_none() {
-            eprintln!(
-                "warning: --shard {s} without --checkpoint discards this shard's results \
-                 (the journal is the product of a sharded run)"
-            );
-        }
-    }
     if let Some(dir) = &trace_cache {
         ctx = match ctx.with_trace_cache(dir) {
             Ok(ctx) => ctx,
@@ -226,23 +136,8 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             }
         };
     }
-    if let (Some(s), Some(_)) = (shard, &checkpoint_path) {
-        // shard provenance in the journal itself: a keyless note line
-        // the loader skips and the merge step drops
-        let note = Json::obj()
-            .field("note", "shard")
-            .field("index", u64::from(s.index))
-            .field("of", u64::from(s.count))
-            .field("command", command.as_str());
-        if let Err(e) = ctx.checkpoint_note(&note) {
-            eprintln!("warning: cannot stamp shard provenance: {e}");
-        }
-    }
     if manifest_path.is_some() {
-        let mut manifest = ManifestBuilder::new(&command, jobs);
-        if let Some(s) = shard {
-            manifest = manifest.with_shard(s.index, s.count);
-        }
+        let manifest = ManifestBuilder::new(&command, jobs);
         manifest.fingerprint(
             "compile-options",
             format!(
@@ -262,10 +157,8 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
         writeln!(
             stdout,
             "usage: experiments [--quick] [--jobs N] [--retire-latency R] \
-             [--trace-cache <dir>] [--shard i/N] \
-             [--manifest <file>] [--checkpoint <file>] <id>... | all \
-             | merge --out <merged.ckpt> --manifest <merged.json> <shard files>... \
-             | --list-stacks\n"
+             [--trace-cache <dir>] [--manifest <file>] [--checkpoint <file>] \
+             <id>... | all | --list-stacks\n"
         )?;
         for exp in all_experiments() {
             writeln!(stdout, "  {:<4} {}", exp.id, exp.title)?;
@@ -273,36 +166,29 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
         return Ok(ExitCode::SUCCESS);
     }
 
+    // every word must name an experiment, even next to `all`
+    let mut chosen = Vec::new();
+    for id in args.iter().filter(|a| *a != "all") {
+        match find_experiment(id) {
+            Some(exp) => chosen.push(exp),
+            None => {
+                eprintln!("unknown experiment `{id}` (run with no arguments to list)");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+    }
     let selected = if args.iter().any(|a| a == "all") {
         all_experiments()
     } else {
-        let mut chosen = Vec::new();
-        for id in &args {
-            match find_experiment(id) {
-                Some(exp) => chosen.push(exp),
-                None => {
-                    eprintln!("unknown experiment `{id}` (run with no arguments to list)");
-                    return Ok(ExitCode::FAILURE);
-                }
-            }
-        }
         chosen
     };
 
     for exp in selected {
         eprintln!("running {} — {} ...", exp.id, exp.title);
-        if markdown && shard.is_none() {
+        if markdown {
             writeln!(stdout, "## {} — {}\n", exp.id, exp.title)?;
         }
         for artifact in (exp.run)(&ctx, &scale) {
-            // a shard computes only the cells it owns, so its aggregate
-            // artifacts would mix real numbers with placeholders —
-            // suppress them; the journal/manifest are the product, and
-            // a finalize pass over the merged journal reprints the
-            // sweep byte-identically
-            if shard.is_some() {
-                continue;
-            }
             if markdown {
                 writeln!(stdout, "```text\n{artifact}```\n")?;
             } else {
@@ -316,12 +202,6 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
         }
     }
     let stats = ctx.stats();
-    if let Some(s) = shard {
-        eprintln!(
-            "shard {s}: {} cells outside this shard skipped",
-            stats.shard_skips
-        );
-    }
     if trace_cache.is_some() {
         eprintln!(
             "trace cache: {} replays, {} recordings",

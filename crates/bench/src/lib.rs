@@ -19,6 +19,6 @@ pub mod runner;
 
 pub use experiments::{all_experiments, Artifact, Experiment, Scale};
 pub use runner::{
-    compiled_suite, CellSpec, RunContext, RunOutcome, RunStats, Shard, Stream, StreamSource,
-    SuiteEntry, DEFAULT_LATENCY, PGU_DELAY,
+    compiled_suite, CellSpec, RunContext, RunOutcome, RunStats, Stream, StreamSource, SuiteEntry,
+    DEFAULT_LATENCY, PGU_DELAY,
 };

@@ -9,9 +9,9 @@
 //! (stream, predictor spec, machine options) point each, where a
 //! [`Stream`] is a binary and its input, digested once and shared by
 //! every cell over it — and call [`RunContext::run_cells`], which
-//! groups cells that share an event stream into gang units, runs each
-//! unit's one pass on a lane of [`par_map`], and returns outcomes
-//! **in submission order**.
+//! groups cells that share an event stream and a resolve latency into
+//! gang units, runs each unit's one pass on a lane of [`par_map`], and
+//! returns every cell's outcome **in submission order**.
 //! Because every cell is a pure function of its spec, aggregation over
 //! that vector is byte-identical to the sequential loop it replaced, at
 //! any `--jobs N`.
@@ -45,53 +45,6 @@ pub const PGU_DELAY: u64 = 8;
 
 /// Instruction budget for every experiment cell.
 const CELL_BUDGET: u64 = 2 * DEFAULT_MAX_INSTRUCTIONS;
-
-/// One shard of a deterministically partitioned sweep: this process
-/// owns every gang unit whose stream digest satisfies
-/// `digest % count == index`.
-///
-/// Partitioning is by *stream identity* — the same (cache label,
-/// program, input, timing) tuple that gang replay groups by — so a
-/// shard always owns whole gang units and each unit's single
-/// decode/execution pass happens in exactly one process. Cells outside
-/// the shard yield placeholder outcomes and are neither journaled nor
-/// manifested; the per-shard journals and manifests are later stitched
-/// together by `experiments merge`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This process's shard index, `0 ≤ index < count`.
-    pub index: u32,
-    /// Total number of shards the sweep is split across.
-    pub count: u32,
-}
-
-impl Shard {
-    /// Whether this shard owns the gang unit with `stream_digest`.
-    pub fn owns(&self, stream_digest: u64) -> bool {
-        stream_digest % u64::from(self.count) == u64::from(self.index)
-    }
-}
-
-impl std::str::FromStr for Shard {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || format!("bad shard `{s}` (expected i/N with 0 <= i < N)");
-        let (index, count) = s.split_once('/').ok_or_else(err)?;
-        let index: u32 = index.parse().map_err(|_| err())?;
-        let count: u32 = count.parse().map_err(|_| err())?;
-        if count == 0 || index >= count {
-            return Err(err());
-        }
-        Ok(Shard { index, count })
-    }
-}
-
-impl std::fmt::Display for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
 
 /// What a stream executes: a binary and the input image it starts
 /// from. A [`CellSpec`] dereferences to its stream's source, so code
@@ -399,8 +352,6 @@ struct RunCounters {
     checkpoint_hits: AtomicU64,
     /// Live execution passes (no cache attached).
     live_runs: AtomicU64,
-    /// Cells outside this process's shard, skipped with placeholders.
-    shard_skips: AtomicU64,
 }
 
 /// A snapshot of [`RunContext`] counters.
@@ -414,8 +365,6 @@ pub struct RunStats {
     pub checkpoint_hits: u64,
     /// Live execution passes (no cache attached).
     pub live_runs: u64,
-    /// Cells outside this process's shard (placeholder outcomes).
-    pub shard_skips: u64,
 }
 
 /// Compiled-suite memo: one shared suite per `limit` value.
@@ -441,7 +390,6 @@ pub struct RunContext {
     manifest: Option<ManifestBuilder>,
     counters: RunCounters,
     suites: Mutex<SuiteMemo>,
-    shard: Option<Shard>,
 }
 
 impl RunContext {
@@ -470,21 +418,6 @@ impl RunContext {
         Ok(self)
     }
 
-    /// Restricts execution to one shard of a deterministically
-    /// partitioned sweep: gang units whose stream digest falls outside
-    /// `shard` are skipped with placeholder outcomes (never journaled,
-    /// never manifested). Aggregate artifacts computed from a sharded
-    /// context are therefore meaningless — the journal is the product.
-    pub fn with_shard(mut self, shard: Shard) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// The configured shard, when this context is one of a fleet.
-    pub fn shard(&self) -> Option<Shard> {
-        self.shard
-    }
-
     /// Journals every completed cell to `path` and, on reopen, restores
     /// completed cells instead of re-running them — interrupted sweeps
     /// resume from where they died.
@@ -505,11 +438,6 @@ impl RunContext {
         self.jobs.max(1)
     }
 
-    /// Whether a trace cache is attached.
-    pub fn has_trace_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// The manifest recorder, when one is attached.
     pub fn manifest(&self) -> Option<&ManifestBuilder> {
         self.manifest.as_ref()
@@ -521,15 +449,6 @@ impl RunContext {
         self.checkpoint.as_ref().map(|c| c.loaded())
     }
 
-    /// Appends a keyless provenance note to the attached checkpoint
-    /// journal (shard identity, command line). A no-op without one.
-    pub fn checkpoint_note(&self, payload: &Json) -> std::io::Result<()> {
-        match &self.checkpoint {
-            Some(checkpoint) => checkpoint.note(payload),
-            None => Ok(()),
-        }
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> RunStats {
         RunStats {
@@ -537,14 +456,7 @@ impl RunContext {
             recordings: self.counters.recordings.load(Ordering::Relaxed),
             checkpoint_hits: self.counters.checkpoint_hits.load(Ordering::Relaxed),
             live_runs: self.counters.live_runs.load(Ordering::Relaxed),
-            shard_skips: self.counters.shard_skips.load(Ordering::Relaxed),
         }
-    }
-
-    /// (replays, recordings) against the trace cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let stats = self.stats();
-        (stats.replays, stats.recordings)
     }
 
     /// The compiled suite, memoized per `limit` so a multi-experiment
@@ -563,59 +475,18 @@ impl RunContext {
         entries
     }
 
-    /// The digest sharding partitions on: the same stream identity gang
-    /// replay groups by — (cache label, program content, input content,
-    /// timing) — so every shard owns whole gang units.
-    fn stream_digest(
-        cache_label: &str,
-        program_digest: u64,
-        memory_digest: u64,
-        timing: Timing,
-    ) -> u64 {
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                digest ^= u64::from(b);
-                digest = digest.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(cache_label.as_bytes());
-        mix(&program_digest.to_le_bytes());
-        mix(&memory_digest.to_le_bytes());
-        mix(&timing.resolve_latency.to_le_bytes());
-        mix(&timing.retire_latency.to_le_bytes());
-        digest
-    }
-
-    /// The outcome a sharded context returns for cells it does not own:
-    /// empty metrics, an empty-but-halted summary. Recognizably inert,
-    /// and excluded from journals and manifests so the merge step sees
-    /// each cell exactly once.
-    fn shard_placeholder(&self) -> RunOutcome {
-        self.counters.shard_skips.fetch_add(1, Ordering::Relaxed);
-        RunOutcome {
-            metrics: PredictionMetrics::default(),
-            summary: RunSummary {
-                halted: true,
-                ..RunSummary::default()
-            },
-        }
-    }
-
     /// Runs a grid of cells on [`RunContext::jobs`] lanes and returns
     /// outcomes **in submission order** at any lane count.
     ///
     /// Each cell is first looked up in the checkpoint journal. The rest
-    /// are grouped by (stream, timing) into gang units — a lone cell is
-    /// a unit of one — and each unit replays its stream **once**,
-    /// feeding every member cell as an independent [`GangHarness`]
-    /// lane; the scheduling unit is the gang unit, not the cell.
-    /// Per-cell outcomes, cache keys, checkpoint records,
-    /// and manifest records do not depend on the grouping; the
-    /// replay/record/live counters count passes, one per unit. In a
-    /// sharded context, units outside the shard yield placeholders
-    /// (after the checkpoint lookup, so a finalize pass over a merged
-    /// journal restores every cell regardless of sharding).
+    /// are grouped by (stream, resolve latency) into gang units — a
+    /// lone cell is a unit of one — and each unit replays its stream
+    /// **once**, feeding every member cell as an independent
+    /// [`GangHarness`] lane with its own retire latency; the scheduling
+    /// unit is the gang unit, not the cell. Per-cell outcomes, cache
+    /// keys, checkpoint records, and manifest records do not depend on
+    /// the grouping; the replay/record/live counters count passes, one
+    /// per unit.
     ///
     /// # Panics
     ///
@@ -645,27 +516,22 @@ impl RunContext {
             pending.push(PendingCell { index, cell, key });
         }
 
-        // Group by (stream identity, timing) in first-appearance order.
-        // The content digests — not just the cache label — define the
-        // stream, so two cells gang only if they replay byte-identical
-        // events; timing joins the key because a unit's lanes share one
-        // predicate scoreboard, which needs a common resolve latency.
+        // Group by (stream identity, resolve latency) in
+        // first-appearance order. The content digests — not just the
+        // cache label — define the stream, so two cells gang only if
+        // they replay byte-identical events; the resolve latency joins
+        // the key because a unit's lanes share one predicate
+        // scoreboard. Each lane keeps its own retire latency.
         let mut units: Vec<Vec<PendingCell>> = Vec::new();
-        let mut by_stream: HashMap<(String, u64, u64, Timing), usize> = HashMap::new();
+        let mut by_stream: HashMap<(String, u64, u64, u64), usize> = HashMap::new();
         for pending in pending {
             let cell = &pending.cell;
             let stream = (
                 cell.cache_label.clone(),
                 cell.stream.program_hash(),
                 cell.stream.memory_fingerprint(),
-                cell.timing,
+                cell.timing.resolve_latency,
             );
-            if let Some(shard) = self.shard {
-                if !shard.owns(Self::stream_digest(&stream.0, stream.1, stream.2, stream.3)) {
-                    slots[pending.index] = Some(self.shard_placeholder());
-                    continue;
-                }
-            }
             match by_stream.entry(stream) {
                 Entry::Occupied(slot) => units[*slot.get()].push(pending),
                 Entry::Vacant(slot) => {
@@ -685,8 +551,8 @@ impl RunContext {
             .collect()
     }
 
-    /// Runs one gang unit — cells sharing a (stream, timing) — with a
-    /// single replay/execution pass that drives one
+    /// Runs one gang unit — cells sharing a (stream, resolve latency) —
+    /// with a single replay/execution pass that drives one
     /// [`build_modern_stack`] lane per member cell, then journals and
     /// records each member under its own per-cell key. Outcomes are
     /// returned in unit order, tagged with their submission index.

@@ -120,19 +120,27 @@ fn checkpointed_rerun_restores_instead_of_rerunning() {
 
 #[test]
 fn removed_run_path_levers_fail_loudly() {
-    // these options once chose between run paths; there is one path
-    // now, and a stale flag must not be ignored — not even next to `all`
-    for lever in ["gang", "dispatch"] {
-        let flag = format!("--{lever}");
+    // these words once chose between run paths or split a sweep across
+    // processes; there is one path now, and a stale word must not be
+    // ignored — not even next to `all`
+    let removed: [(&[&str], &str); 5] = [
+        (&["--gang", "off"], "--gang"),
+        (&["--dispatch", "off"], "--dispatch"),
+        (&["--shard", "0/2"], "--shard"),
+        (&["--out", "x.ckpt"], "--out"),
+        (&["merge"], "merge"),
+    ];
+    for (words, rejected) in removed {
         for target in ["f1", "all"] {
             let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-                .args([flag.as_str(), "off", target])
+                .args(words)
+                .arg(target)
                 .output()
                 .expect("spawn experiments");
-            assert!(!out.status.success(), "{flag} off {target} must fail");
+            assert_eq!(out.status.code(), Some(1), "{words:?} {target} must fail");
             assert!(out.stdout.is_empty(), "nothing may run");
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains(&flag), "{stderr}");
+            assert!(stderr.contains(&format!("`{rejected}`")), "{stderr}");
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Ganged replay must be invisible: for ANY mix of classic and modern
-//! predictor specs over any mix of benchmarks, at retire latency 0 and
-//! 8, `run_cells` produces `RunOutcome`s identical — metrics,
-//! misprediction tallies, run summaries — to a one-lane reference that
-//! runs each cell on its own through a boxed predictor.
+//! predictor specs over any mix of benchmarks, each cell at retire
+//! latency 0 or 64, `run_cells` produces `RunOutcome`s identical —
+//! metrics, misprediction tallies, run summaries — to a one-lane
+//! reference that runs each cell on its own through a boxed predictor.
+//! Cells over one stream share a gang whatever their retire latencies.
 //!
 //! Each case shares one on-disk trace cache between both contexts, so
 //! the property also exercises the paths the full sweeps use: the
@@ -14,7 +15,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use predbranch_bench::{CellSpec, RunContext, RunOutcome};
+use predbranch_bench::{CellSpec, RunContext, RunOutcome, DEFAULT_LATENCY};
 use predbranch_core::{InsertFilter, Timing};
 
 /// Spec strings spanning every predictor family the sweep engine can
@@ -40,16 +41,26 @@ fn scratch_dir(case: u64) -> std::path::PathBuf {
     dir
 }
 
-/// One sampled grid: each element is (spec index, benchmark index).
-fn arb_grid() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    prop::collection::vec((0usize..SPEC_POOL.len(), 0usize..2), 1..7)
+/// One sampled grid: each element is (spec index, benchmark index,
+/// retire latency). Retire latency 64 is long enough to change what a
+/// windowed lane predicts here; at 8, a runner that dropped each lane's
+/// retire latency still passed this property.
+fn arb_grid() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
+    prop::collection::vec(
+        (
+            0usize..SPEC_POOL.len(),
+            0usize..2,
+            prop_oneof![Just(0u64), Just(64u64)],
+        ),
+        1..7,
+    )
 }
 
-fn cells_for(ctx: &RunContext, grid: &[(usize, usize)], retire: u64) -> Vec<CellSpec> {
+fn cells_for(ctx: &RunContext, grid: &[(usize, usize, u64)]) -> Vec<CellSpec> {
     let entries = ctx.suite(Some(2));
     grid.iter()
         .enumerate()
-        .map(|(i, &(spec_idx, bench_idx))| {
+        .map(|(i, &(spec_idx, bench_idx, retire))| {
             let entry = &entries[bench_idx % entries.len()];
             CellSpec::predicated(
                 entry,
@@ -57,7 +68,7 @@ fn cells_for(ctx: &RunContext, grid: &[(usize, usize)], retire: u64) -> Vec<Cell
                 SPEC_POOL[spec_idx]
                     .parse::<predbranch_modern::ModernSpec>()
                     .expect("pool specs parse"),
-                Timing::immediate(retire),
+                Timing::new(DEFAULT_LATENCY, retire),
                 InsertFilter::All,
             )
         })
@@ -73,7 +84,6 @@ proptest! {
     #[test]
     fn gang_outcomes_match_per_cell_outcomes(
         grid in arb_grid(),
-        retire in prop_oneof![Just(0u64), Just(8u64)],
         seed in 0u64..1_000,
     ) {
         let dir = scratch_dir(seed);
@@ -84,7 +94,7 @@ proptest! {
             .with_trace_cache(&dir)
             .expect("trace cache opens");
 
-        let cells = cells_for(&ganged, &grid, retire);
+        let cells = cells_for(&ganged, &grid);
         let outs_ganged = ganged.run_cells(cells.clone());
         let outs_reference: Vec<RunOutcome> = cells
             .iter()
@@ -93,14 +103,14 @@ proptest! {
         prop_assert_eq!(
             outs_ganged,
             outs_reference,
-            "ganged and per-cell outcomes diverge for grid {:?} at retire {}",
-            grid,
-            retire
+            "ganged and per-cell outcomes diverge for grid {:?}",
+            grid
         );
 
-        // one pass per (stream, timing) unit; every cell here shares the
-        // timing, so one recording per distinct benchmark stream
-        let streams = grid.iter().map(|&(_, bench)| bench).collect::<BTreeSet<_>>().len() as u64;
+        // one pass per (stream, resolve latency) unit; every cell here
+        // shares the resolve latency, so one recording per distinct
+        // benchmark stream, whatever the cells' retire latencies
+        let streams = grid.iter().map(|&(_, bench, _)| bench).collect::<BTreeSet<_>>().len() as u64;
         let g = ganged.stats();
         prop_assert_eq!((g.replays, g.recordings, g.live_runs), (0, streams, 0));
         // and the now-warm cache serves every reference pass

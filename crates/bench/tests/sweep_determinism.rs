@@ -140,29 +140,51 @@ fn live_gang_outcomes_match_the_one_lane_reference() {
 }
 
 #[test]
-fn gang_units_group_by_stream_and_timing() {
-    let ctx = RunContext::new();
-    let entries = ctx.suite(Some(1));
+fn gang_units_group_by_stream_and_resolve_latency() {
+    let entries = RunContext::new().suite(Some(1));
+    let entry = entries.first().unwrap();
     let base = predbranch_core::PredictorSpec::Gshare {
         index_bits: 13,
         history_bits: 13,
     };
+    let cell = |resolve: u64, retire: u64, spec: &predbranch_core::PredictorSpec| {
+        CellSpec::predicated(
+            entry,
+            format!("timing/{resolve}/{retire}"),
+            spec,
+            Timing::new(resolve, retire),
+            InsertFilter::All,
+        )
+    };
+    // one benchmark, two retire latencies, two specs each: the lanes
+    // differ only in retire latency, so they share one pass
     let mut cells = Vec::new();
-    // one benchmark, two timings, two specs each: timing splits the
-    // stream into two units even though the events are identical
-    for retire in [0, 8] {
+    for retire in [0, 64] {
         for spec in [base.clone(), base.clone().with_sfpf()] {
-            cells.push(CellSpec::predicated(
-                entries.first().unwrap(),
-                format!("timing/{retire}"),
-                &spec,
-                Timing::new(DEFAULT_LATENCY, retire),
-                InsertFilter::All,
-            ));
+            cells.push(cell(DEFAULT_LATENCY, retire, &spec));
         }
     }
-    ctx.run_cells(cells);
-    assert_eq!(ctx.stats().live_runs, 2, "one pass per (stream, timing)");
+    let ctx = RunContext::new();
+    let outs = ctx.run_cells(cells.clone());
+    assert_eq!(
+        ctx.stats().live_runs,
+        1,
+        "one pass per (stream, resolve latency)"
+    );
+
+    // a different resolve latency needs its own scoreboard: a second pass
+    cells.push(cell(DEFAULT_LATENCY + 1, 64, &base.clone().with_pgu(8)));
+    let ctx = RunContext::new();
+    let outs_split = ctx.run_cells(cells.clone());
+    assert_eq!(ctx.stats().live_runs, 2);
+    assert_eq!(&outs_split[..outs.len()], &outs[..]);
+
+    let reference = RunContext::new();
+    let outs_reference: Vec<RunOutcome> = cells
+        .iter()
+        .map(|cell| common::one_lane_reference(&reference, cell))
+        .collect();
+    assert_eq!(outs_split, outs_reference);
 }
 
 #[test]

@@ -450,9 +450,9 @@ impl<P: BranchPredictor> PredictionHarness<P> {
 /// per-cell pass would build the identical scoreboard. The price is that
 /// all lanes of one gang must use the same resolve latency
 /// ([`GangHarness::push_lane`] asserts this); retire latency and insert
-/// filter remain free per lane. The sweep runner already groups cells
-/// into gang units by (stream, timing), so the constraint is invisible
-/// there.
+/// filter remain free per lane. The sweep runner groups cells into gang
+/// units by (stream, resolve latency), so the constraint is invisible
+/// there, and cells that differ only in retire latency share one pass.
 ///
 /// # Lane-major delivery
 ///

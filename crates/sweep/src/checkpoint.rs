@@ -4,7 +4,8 @@
 //! cell, `{"k": <key>, "ms": <wall_ms>, "v": <payload>}`. Appends are
 //! flushed per line, so a sweep killed at any instant loses at most the
 //! line being written; on reopen, a torn trailing line is detected and
-//! ignored (the cell simply re-runs). Keys are expected to be
+//! ignored (the cell simply re-runs). Lines without a `"k"` field are
+//! skipped: they never load as completed cells. Keys are expected to be
 //! content-addressed by the caller — a resumed sweep trusts an entry
 //! *only* because its key encodes everything that determines the
 //! result.
@@ -12,7 +13,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use crate::json::Json;
@@ -21,7 +22,6 @@ use crate::json::Json;
 /// memory, plus an append handle for newly completed ones.
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
     completed: HashMap<String, Json>,
     writer: Mutex<File>,
 }
@@ -74,15 +74,9 @@ impl Checkpoint {
         let writer = OpenOptions::new().create(true).append(true).open(&path)?;
         writer.set_len(valid_end)?;
         Ok(Checkpoint {
-            path,
             completed,
             writer: Mutex::new(writer),
         })
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The payload previously recorded for `key`, if the cell already
@@ -94,19 +88,6 @@ impl Checkpoint {
     /// Entries loaded at open time.
     pub fn loaded(&self) -> usize {
         self.completed.len()
-    }
-
-    /// Appends a keyless provenance note (e.g. which shard of a
-    /// partitioned sweep owns this journal). The loader skips lines
-    /// without a `"k"` field, so notes never masquerade as completed
-    /// cells, and journal merging drops them from the canonical output.
-    pub fn note(&self, payload: &Json) -> io::Result<()> {
-        let mut writer = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(writer, "{}", payload.render())?;
-        writer.flush()
     }
 
     /// Appends a completed cell and flushes it to disk before
@@ -162,19 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn notes_survive_but_never_load_as_cells() {
-        let path = tmp("notes");
-        let _ = std::fs::remove_file(&path);
+    fn keyless_lines_never_load_as_cells() {
+        let path = tmp("keyless");
+        let keyless = Json::obj().field("v", 7u64).render();
+        std::fs::write(&path, format!("{keyless}\n")).unwrap();
         let ckpt = Checkpoint::open(&path).unwrap();
-        ckpt.note(&Json::obj().field("note", "shard").field("index", 1u64))
-            .unwrap();
+        assert_eq!(ckpt.loaded(), 0, "a line without \"k\" is not a cell");
         ckpt.record("cell", 3, &Json::from(7u64)).unwrap();
         drop(ckpt);
         let reopened = Checkpoint::open(&path).unwrap();
         assert_eq!(reopened.loaded(), 1);
-        assert!(reopened.lookup("cell").is_some());
+        assert_eq!(reopened.lookup("cell").and_then(Json::as_u64), Some(7));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"note\":\"shard\""), "{text}");
+        assert!(text.starts_with(&keyless), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 

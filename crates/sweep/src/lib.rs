@@ -12,7 +12,7 @@
 //!   story: callers aggregate over the returned vector exactly as a
 //!   sequential loop would. The item is whatever the caller makes it —
 //!   the bench runner maps *gang units* (all cells sharing one event
-//!   stream and timing, replayed in a single pass) rather than
+//!   stream and resolve latency, replayed in a single pass) rather than
 //!   individual cells, and flattens each unit's per-lane results back
 //!   into cell submission order.
 //! * [`Checkpoint`] — an append-only, per-line-flushed JSONL journal of
@@ -21,13 +21,7 @@
 //!   the affected cell re-runs).
 //! * [`ManifestBuilder`] / [`CellRecord`] — a JSON run record: every
 //!   cell's label, key, result source (live / trace-cache replay /
-//!   recording / checkpoint), and wall-clock, in canonical order, plus
-//!   optional shard provenance for partitioned sweeps.
-//! * [`merge_journals`] / [`merge_manifests`] — stitch the shard-scoped
-//!   journals and manifests of an `experiments --shard i/N` fleet into
-//!   one canonical run record with exactly-once semantics keyed on the
-//!   content-addressed cell keys; the canonical forms are byte-identical
-//!   to a merged single-process run over the same cells.
+//!   recording / checkpoint), and wall-clock, in canonical order.
 //! * [`Json`] — the minimal ordered JSON value the two above share
 //!   (the build environment is offline; serde is not available).
 //!
@@ -42,11 +36,9 @@
 pub mod checkpoint;
 pub mod json;
 pub mod manifest;
-pub mod merge;
 pub mod pool;
 
 pub use checkpoint::Checkpoint;
 pub use json::Json;
 pub use manifest::{CellRecord, CellSource, ManifestBuilder};
-pub use merge::{merge_journals, merge_manifests, MergeReport};
 pub use pool::par_map;

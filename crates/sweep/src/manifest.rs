@@ -59,7 +59,6 @@ pub struct ManifestBuilder {
     started: Instant,
     command: String,
     jobs: usize,
-    shard: Option<(u32, u32)>,
     cells: Mutex<Vec<CellRecord>>,
     fingerprints: Mutex<Vec<(String, String)>>,
 }
@@ -71,18 +70,9 @@ impl ManifestBuilder {
             started: Instant::now(),
             command: command.into(),
             jobs,
-            shard: None,
             cells: Mutex::new(Vec::new()),
             fingerprints: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Stamps shard provenance (`index` of `of`) into the manifest —
-    /// the shard-scoped record a later `merge` step stitches from. The
-    /// merged canonical manifest projects this away.
-    pub fn with_shard(mut self, index: u32, of: u32) -> Self {
-        self.shard = Some((index, of));
-        self
     }
 
     /// Records one completed cell (thread-safe; called from workers).
@@ -146,16 +136,7 @@ impl ManifestBuilder {
         let mut manifest = Json::obj()
             .field("manifest_version", 1u64)
             .field("command", self.command.as_str())
-            .field("jobs", self.jobs);
-        if let Some((index, of)) = self.shard {
-            manifest = manifest.field(
-                "shard",
-                Json::obj()
-                    .field("index", u64::from(index))
-                    .field("of", u64::from(of)),
-            );
-        }
-        let mut manifest = manifest
+            .field("jobs", self.jobs)
             .field("fingerprints", fingerprints)
             .field("totals", totals);
         if let Some((replays, recordings)) = cache {

@@ -16,7 +16,8 @@
 //!    mmap-backed [`crate::TraceMap`] and replayed as borrowed batches
 //!    straight off the page cache. No per-replay decode, no per-replay
 //!    checksum walk, and memory residency is owned by the OS — any
-//!    number of streams, shared across sharded sweep processes.
+//!    number of streams, shared by concurrent processes sharing one
+//!    cache directory.
 //! 2. **Full decode**: an entry without a usable sidecar (never built,
 //!    stale, or corrupt) is decoded and verified from the v1 varint
 //!    stream, and the decoded stream republishes the sidecar, so the

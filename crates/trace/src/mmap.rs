@@ -1,10 +1,10 @@
 //! Read-only file mappings without a vendored `libc` crate.
 //!
 //! Segment-served replay ([`crate::TraceMap`]) wants the event section
-//! resident in the OS page cache, shared between every process of a
-//! sharded sweep, and paged in/out under kernel memory pressure rather
-//! than held in each process's heap. `std` exposes no mapping
-//! API, and this workspace vendors no `libc`, so the Unix path binds
+//! resident in the OS page cache, shared between concurrent processes
+//! sharing one cache directory, and paged in/out under kernel memory
+//! pressure rather than held in each process's heap. `std` exposes no
+//! mapping API, and this workspace vendors no `libc`, so the Unix path binds
 //! `mmap`/`munmap` directly against the C library Rust already links —
 //! two foreign functions, both POSIX-stable for decades.
 //!

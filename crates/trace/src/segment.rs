@@ -5,7 +5,8 @@
 //! serving speed: events are stored **fixed-stride**, so a replay is a
 //! pointer cast over an `mmap`ed file — no decode, no per-replay
 //! allocation proportional to the stream, and residency managed by the
-//! OS page cache, shared between every process of a sharded sweep.
+//! OS page cache, shared between concurrent processes sharing one
+//! cache directory.
 //!
 //! # Layout (segment version 1)
 //!

@@ -1,7 +1,8 @@
 //! Regression tests for concurrent trace-cache publishers: parallel
-//! sweep lanes, and the processes of a sharded sweep, publish into one
-//! cache directory, so two (or eight) threads recording the same
-//! `CacheKey` at once is the *normal* cold-cache case, not an edge case. All publishers must succeed, every
+//! sweep lanes, and concurrent processes sharing one cache directory,
+//! publish into it, so two (or eight) threads recording the same
+//! `CacheKey` at once is the *normal* cold-cache case, not an edge
+//! case. All publishers must succeed, every
 //! observed event stream must be identical, and the surviving sealed
 //! entry must verify.
 
@@ -46,7 +47,8 @@ fn racing_publishers_all_succeed_and_entry_verifies() {
             let key = key.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                // each thread opens its own handle, as sharded processes do
+                // each thread opens its own handle, as concurrent
+                // processes sharing one cache directory do
                 // (TraceCache::open itself must tolerate the race on
                 // create_dir_all)
                 let cache = TraceCache::open(&dir).expect("concurrent open");
