@@ -111,6 +111,41 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
         return Ok(ExitCode::FAILURE);
     }
 
+    if args.is_empty() {
+        writeln!(
+            stdout,
+            "experiments — regenerate the study's tables and figures\n"
+        )?;
+        writeln!(
+            stdout,
+            "usage: experiments [--quick] [--jobs N] [--retire-latency R] \
+             [--trace-cache <dir>] [--manifest <file>] [--checkpoint <file>] \
+             <id>... | all | --list-stacks\n"
+        )?;
+        for exp in all_experiments() {
+            writeln!(stdout, "  {:<4} {}", exp.id, exp.title)?;
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+
+    // every word must name an experiment, even next to `all`; checked
+    // before anything is opened, so a refused run leaves no file behind
+    let mut chosen = Vec::new();
+    for id in args.iter().filter(|a| *a != "all") {
+        match find_experiment(id) {
+            Some(exp) => chosen.push(exp),
+            None => {
+                eprintln!("unknown experiment `{id}` (run with no arguments to list)");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+    }
+    let selected = if args.iter().any(|a| a == "all") {
+        all_experiments()
+    } else {
+        chosen
+    };
+
     let mut ctx = RunContext::new().with_jobs(jobs);
     if let Some(dir) = &trace_cache {
         ctx = match ctx.with_trace_cache(dir) {
@@ -136,7 +171,13 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             }
         };
     }
-    if manifest_path.is_some() {
+    if let Some(path) = &manifest_path {
+        // created now, so a path that cannot be written fails before
+        // anything runs; the record itself is written at the end
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("cannot write manifest {path}: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
         let manifest = ManifestBuilder::new(&command, jobs);
         manifest.fingerprint(
             "compile-options",
@@ -148,40 +189,6 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
         ctx = ctx.with_manifest(manifest);
     }
     let scale = if quick { Scale::quick() } else { Scale::full() }.with_retire(retire);
-
-    if args.is_empty() {
-        writeln!(
-            stdout,
-            "experiments — regenerate the study's tables and figures\n"
-        )?;
-        writeln!(
-            stdout,
-            "usage: experiments [--quick] [--jobs N] [--retire-latency R] \
-             [--trace-cache <dir>] [--manifest <file>] [--checkpoint <file>] \
-             <id>... | all | --list-stacks\n"
-        )?;
-        for exp in all_experiments() {
-            writeln!(stdout, "  {:<4} {}", exp.id, exp.title)?;
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    // every word must name an experiment, even next to `all`
-    let mut chosen = Vec::new();
-    for id in args.iter().filter(|a| *a != "all") {
-        match find_experiment(id) {
-            Some(exp) => chosen.push(exp),
-            None => {
-                eprintln!("unknown experiment `{id}` (run with no arguments to list)");
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    }
-    let selected = if args.iter().any(|a| a == "all") {
-        all_experiments()
-    } else {
-        chosen
-    };
 
     for exp in selected {
         eprintln!("running {} — {} ...", exp.id, exp.title);
@@ -206,6 +213,12 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
         eprintln!(
             "trace cache: {} replays, {} recordings",
             stats.replays, stats.recordings
+        );
+    }
+    if stats.repeats > 0 {
+        eprintln!(
+            "repeats: {} cells restored from an earlier cell with the same key",
+            stats.repeats
         );
     }
     if checkpoint_path.is_some() && stats.checkpoint_hits > 0 {

@@ -9,15 +9,16 @@
 //! (stream, predictor spec, machine options) point each, where a
 //! [`Stream`] is a binary and its input, digested once and shared by
 //! every cell over it — and call [`RunContext::run_cells`], which
-//! groups cells that share an event stream and a resolve latency into
-//! gang units, runs each unit's one pass on a lane of [`par_map`], and
-//! returns every cell's outcome **in submission order**.
+//! restores every cell whose key the context has already produced,
+//! groups the rest that share an event stream and a resolve latency
+//! into gang units, runs each unit's one pass on a lane of [`par_map`],
+//! and returns every cell's outcome **in submission order**.
 //! Because every cell is a pure function of its spec, aggregation over
 //! that vector is byte-identical to the sequential loop it replaced, at
 //! any `--jobs N`.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -350,6 +351,8 @@ struct RunCounters {
     recordings: AtomicU64,
     /// Cells restored from the checkpoint journal without running.
     checkpoint_hits: AtomicU64,
+    /// Cells restored from an earlier cell with the same key.
+    repeats: AtomicU64,
     /// Live execution passes (no cache attached).
     live_runs: AtomicU64,
 }
@@ -363,6 +366,9 @@ pub struct RunStats {
     pub recordings: u64,
     /// Cells restored from the checkpoint journal.
     pub checkpoint_hits: u64,
+    /// Cells restored from an earlier cell with the same key, run by
+    /// this context in an earlier call or earlier in the same one.
+    pub repeats: u64,
     /// Live execution passes (no cache attached).
     pub live_runs: u64,
 }
@@ -370,18 +376,18 @@ pub struct RunStats {
 /// Compiled-suite memo: one shared suite per `limit` value.
 type SuiteMemo = Vec<(Option<usize>, Arc<Vec<SuiteEntry>>)>;
 
-/// A cell waiting for its gang unit: its submission index and, when a
-/// journal or manifest is attached, its key.
+/// A cell waiting for its gang unit: its submission index and its key.
 struct PendingCell {
     index: usize,
     cell: CellSpec,
-    key: Option<String>,
+    key: String,
 }
 
 /// The sweep's execution context: lane count, trace cache, checkpoint
-/// journal, and manifest recorder, threaded explicitly through every
-/// experiment. Lanes borrow the one context, so they share its
-/// counters, suite memo, journal and manifest.
+/// journal, manifest recorder, and the outcomes its cells ran to,
+/// threaded explicitly through every experiment. Lanes borrow the one
+/// context, so they share its counters, suite memo, journal and
+/// manifest.
 #[derive(Debug, Default)]
 pub struct RunContext {
     jobs: usize,
@@ -390,6 +396,11 @@ pub struct RunContext {
     manifest: Option<ManifestBuilder>,
     counters: RunCounters,
     suites: Mutex<SuiteMemo>,
+    /// Every outcome a cell of this context ran to, by
+    /// [`CellSpec::key`]. Only the thread calling
+    /// [`RunContext::run_cells`] touches it, before and after the
+    /// lanes run.
+    outcomes: Mutex<HashMap<String, RunOutcome>>,
 }
 
 impl RunContext {
@@ -455,6 +466,7 @@ impl RunContext {
             replays: self.counters.replays.load(Ordering::Relaxed),
             recordings: self.counters.recordings.load(Ordering::Relaxed),
             checkpoint_hits: self.counters.checkpoint_hits.load(Ordering::Relaxed),
+            repeats: self.counters.repeats.load(Ordering::Relaxed),
             live_runs: self.counters.live_runs.load(Ordering::Relaxed),
         }
     }
@@ -478,15 +490,23 @@ impl RunContext {
     /// Runs a grid of cells on [`RunContext::jobs`] lanes and returns
     /// outcomes **in submission order** at any lane count.
     ///
-    /// Each cell is first looked up in the checkpoint journal. The rest
-    /// are grouped by (stream, resolve latency) into gang units — a
-    /// lone cell is a unit of one — and each unit replays its stream
-    /// **once**, feeding every member cell as an independent
+    /// Each distinct cell runs at most once per context: equal
+    /// [`CellSpec::key`]s give equal outcomes. A cell is restored
+    /// instead of run from the first of these that has its key:
+    ///
+    /// 1. the outcomes this context's earlier cells ran to;
+    /// 2. the checkpoint journal;
+    /// 3. an earlier cell of this call, whose outcome it copies once
+    ///    that cell has run.
+    ///
+    /// The rest are grouped by (stream, resolve latency) into gang
+    /// units — a lone cell is a unit of one — and each unit replays its
+    /// stream **once**, feeding every member cell as an independent
     /// [`GangHarness`] lane with its own retire latency; the scheduling
     /// unit is the gang unit, not the cell. Per-cell outcomes, cache
     /// keys, checkpoint records, and manifest records do not depend on
     /// the grouping; the replay/record/live counters count passes, one
-    /// per unit.
+    /// per unit, so a stream whose every cell is restored costs none.
     ///
     /// # Panics
     ///
@@ -494,26 +514,46 @@ impl RunContext {
     /// budget (suite programs always halt; a hang is a harness bug).
     pub fn run_cells(&self, cells: Vec<CellSpec>) -> Vec<RunOutcome> {
         let mut slots: Vec<Option<RunOutcome>> = vec![None; cells.len()];
+        let restored = |counter: &AtomicU64, cell: &CellSpec, key: &str, source| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            self.record_manifest(cell, key, 0, source);
+        };
 
-        // Checkpoint restores stay per-cell: a resumed sweep skips
-        // exactly the cells it completed, and a unit re-runs only its
-        // missing lanes. A cell's key is computed once, and only when a
-        // journal or manifest will read it.
-        let keyed = self.checkpoint.is_some() || self.manifest.is_some();
+        // Restores are per cell, so a unit runs only the lanes of cells
+        // that no earlier cell produced.
         let mut pending: Vec<PendingCell> = Vec::new();
-        for (index, cell) in cells.into_iter().enumerate() {
-            let key = keyed.then(|| cell.key());
-            if let (Some(checkpoint), Some(key)) = (&self.checkpoint, &key) {
-                if let Some(outcome) = checkpoint.lookup(key).and_then(outcome_from_json) {
-                    self.counters
-                        .checkpoint_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.record_manifest(&cell, key, 0, CellSource::Checkpoint);
+        let mut repeats: Vec<PendingCell> = Vec::new();
+        let mut to_run: HashSet<String> = HashSet::new();
+        {
+            let ran = self
+                .outcomes
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            for (index, cell) in cells.into_iter().enumerate() {
+                let key = cell.key();
+                if let Some(&outcome) = ran.get(&key) {
+                    restored(&self.counters.repeats, &cell, &key, CellSource::Repeat);
                     slots[index] = Some(outcome);
-                    continue;
+                } else if let Some(outcome) = self
+                    .checkpoint
+                    .as_ref()
+                    .and_then(|checkpoint| checkpoint.lookup(&key))
+                    .and_then(outcome_from_json)
+                {
+                    restored(
+                        &self.counters.checkpoint_hits,
+                        &cell,
+                        &key,
+                        CellSource::Checkpoint,
+                    );
+                    slots[index] = Some(outcome);
+                } else if to_run.contains(&key) {
+                    repeats.push(PendingCell { index, cell, key });
+                } else {
+                    to_run.insert(key.clone());
+                    pending.push(PendingCell { index, cell, key });
                 }
             }
-            pending.push(PendingCell { index, cell, key });
         }
 
         // Group by (stream identity, resolve latency) in
@@ -541,9 +581,18 @@ impl RunContext {
             }
         }
 
-        let unit_outcomes = par_map(self.jobs(), units, |unit| self.run_gang_unit(&unit));
-        for (index, outcome) in unit_outcomes.into_iter().flatten() {
+        let unit_outcomes = par_map(self.jobs(), units, |unit| self.run_gang_unit(unit));
+        let mut ran = self
+            .outcomes
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for (index, key, outcome) in unit_outcomes.into_iter().flatten() {
             slots[index] = Some(outcome);
+            ran.insert(key, outcome);
+        }
+        for PendingCell { index, cell, key } in repeats {
+            restored(&self.counters.repeats, &cell, &key, CellSource::Repeat);
+            slots[index] = Some(ran[&key]);
         }
         slots
             .into_iter()
@@ -555,32 +604,31 @@ impl RunContext {
     /// with a single replay/execution pass that drives one
     /// [`build_modern_stack`] lane per member cell, then journals and
     /// records each member under its own per-cell key. Outcomes are
-    /// returned in unit order, tagged with their submission index.
-    fn run_gang_unit(&self, unit: &[PendingCell]) -> Vec<(usize, RunOutcome)> {
+    /// returned in unit order, tagged with their submission index and
+    /// key.
+    fn run_gang_unit(&self, unit: Vec<PendingCell>) -> Vec<(usize, String, RunOutcome)> {
         let started = Instant::now();
         let mut gang = GangHarness::new();
-        for PendingCell { cell, .. } in unit {
+        for PendingCell { cell, .. } in &unit {
             gang.push_lane(build_modern_stack(&cell.spec), cell.harness_config());
         }
         let lead = &unit[0].cell;
         let (summary, source) = self.deliver(&lead.cache_label, &lead.stream, &mut gang);
         let wall_ms = started.elapsed().as_millis() as u64;
-        unit.iter()
+        unit.into_iter()
             .zip(gang.into_metrics())
             .map(|(PendingCell { index, cell, key }, metrics)| {
                 let outcome = RunOutcome { metrics, summary };
-                if let (Some(checkpoint), Some(key)) = (&self.checkpoint, key) {
-                    if let Err(e) = checkpoint.record(key, wall_ms, &outcome_to_json(&outcome)) {
+                if let Some(checkpoint) = &self.checkpoint {
+                    if let Err(e) = checkpoint.record(&key, wall_ms, &outcome_to_json(&outcome)) {
                         eprintln!(
                             "warning: checkpoint append failed for {} ({e}); cell will re-run on resume",
                             cell.label
                         );
                     }
                 }
-                if let Some(key) = key {
-                    self.record_manifest(cell, key, wall_ms, source);
-                }
-                (*index, outcome)
+                self.record_manifest(&cell, &key, wall_ms, source);
+                (index, key, outcome)
             })
             .collect()
     }
@@ -942,6 +990,83 @@ mod tests {
             streams[0].memory_fingerprint(),
             streams[2].memory_fingerprint()
         );
+    }
+
+    /// A gshare cell over `entry`'s predicated binary.
+    fn gshare_cell(entry: &SuiteEntry, label: &str, history_bits: u32) -> CellSpec {
+        CellSpec::predicated(
+            entry,
+            label,
+            &PredictorSpec::Gshare {
+                index_bits: 12,
+                history_bits,
+            },
+            Timing::immediate(DEFAULT_LATENCY),
+            InsertFilter::All,
+        )
+    }
+
+    #[test]
+    fn a_cell_listed_twice_runs_on_one_lane() {
+        let ctx = RunContext::new().with_manifest(ManifestBuilder::new("test", 1));
+        let entries = ctx.suite(Some(2));
+        let mut cells: Vec<CellSpec> = entries
+            .iter()
+            .flat_map(|entry| {
+                [4, 8].map(|bits| {
+                    gshare_cell(entry, &format!("{}/{bits}", entry.compiled.name), bits)
+                })
+            })
+            .collect();
+        cells.push(CellSpec {
+            label: "again".into(),
+            ..cells[1].clone()
+        });
+        let outs = ctx.run_cells(cells.clone());
+        assert_eq!(outs[4], outs[1]);
+        assert_ne!(outs[0], outs[1], "the specs differ, so must the outcomes");
+        let stats = ctx.stats();
+        assert_eq!((stats.live_runs, stats.repeats), (2, 1), "{stats:?}");
+
+        // the repeated key ran once, as a lane of its stream's pass
+        let manifest = ctx.manifest().unwrap().finish(None);
+        let key = cells[1].key();
+        let mut sources: Vec<&str> = manifest
+            .get("cells")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|cell| cell.get("key").and_then(Json::as_str) == Some(key.as_str()))
+            .filter_map(|cell| cell.get("source").and_then(Json::as_str))
+            .collect();
+        sources.sort_unstable();
+        assert_eq!(sources, ["live", "repeat"]);
+    }
+
+    #[test]
+    fn a_recompiled_entry_restores_as_a_repeat() {
+        let ctx = RunContext::new();
+        let entries = ctx.suite(Some(1));
+        let entry = &entries[0];
+        let recompiled = SuiteEntry::new(
+            entry.bench.clone(),
+            compile_benchmark(&entry.bench, &CompileOptions::default()),
+        );
+        let first = gshare_cell(entry, "first", 8);
+        let again = gshare_cell(&recompiled, "again", 8);
+        assert!(!Arc::ptr_eq(&first.stream, &again.stream));
+        assert_eq!(first.key(), again.key());
+
+        let outs = ctx.run_cells(vec![first]);
+        assert_eq!(ctx.run_cells(vec![again]), outs);
+        let stats = ctx.stats();
+        assert_eq!((stats.live_runs, stats.repeats), (1, 1), "{stats:?}");
+
+        // the same stream under another spec is a new cell
+        let other = ctx.run_cells(vec![gshare_cell(&recompiled, "other", 4)]);
+        assert_ne!(other, outs);
+        let stats = ctx.stats();
+        assert_eq!((stats.live_runs, stats.repeats), (2, 1), "{stats:?}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end sweep tests through the `experiments` binary: stdout must
 //! be byte-identical across `--jobs` levels, `--manifest` must write a
-//! well-formed run record, unknown options must be refused, and a
-//! closed stdout must end the run quietly.
+//! well-formed run record, unknown options and experiment ids must be
+//! refused before any file is made, and a closed stdout must end the
+//! run quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -99,6 +100,43 @@ fn manifest_is_written_and_well_formed() {
 }
 
 #[test]
+fn manifest_counts_cells_restored_from_an_earlier_experiment() {
+    let dir = tmp_dir("repeats");
+    let manifest_path = dir.join("run.json");
+    let out = experiments(&[
+        "--quick",
+        "--jobs",
+        "2",
+        "--manifest",
+        manifest_path.to_str().unwrap(),
+        "f3",
+        "f4",
+    ]);
+    // f4 asks for f3's 3 × 4 cells again, under its own labels
+    let manifest = Json::parse(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
+    let totals = manifest.get("totals").unwrap();
+    assert_eq!(totals.get("cells").and_then(Json::as_u64), Some(24));
+    assert_eq!(totals.get("live").and_then(Json::as_u64), Some(12));
+    assert_eq!(totals.get("repeat").and_then(Json::as_u64), Some(12));
+    for cell in manifest.get("cells").and_then(Json::as_arr).unwrap() {
+        let label = cell.get("label").and_then(Json::as_str).unwrap();
+        let expected = if label.starts_with("f4/") {
+            "repeat"
+        } else {
+            "live"
+        };
+        assert_eq!(
+            cell.get("source").and_then(Json::as_str),
+            Some(expected),
+            "{label}"
+        );
+    }
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("repeats: 12 cells"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn checkpointed_rerun_restores_instead_of_rerunning() {
     let dir = tmp_dir("resume");
     let journal = dir.join("sweep.ckpt");
@@ -143,6 +181,50 @@ fn removed_run_path_levers_fail_loudly() {
             assert!(stderr.contains(&format!("`{rejected}`")), "{stderr}");
         }
     }
+}
+
+#[test]
+fn unknown_experiment_is_refused_before_anything_is_opened() {
+    let dir = tmp_dir("bogus");
+    let cache = dir.join("newdir");
+    let journal = dir.join("j.ckpt");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("--trace-cache")
+        .arg(&cache)
+        .arg("--checkpoint")
+        .arg(&journal)
+        .args(["bogus", "all"])
+        .output()
+        .expect("spawn experiments");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`bogus`"), "{stderr}");
+    assert!(!stderr.contains("checkpoint"), "{stderr}");
+    assert!(!cache.exists(), "the trace cache must not be created");
+    assert!(!journal.exists(), "the journal must not be created");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_manifest_is_refused_before_anything_runs() {
+    let dir = tmp_dir("no-manifest");
+    let manifest = dir.join("missing").join("run.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--quick", "--manifest"])
+        .arg(&manifest)
+        .arg("f1")
+        .output()
+        .expect("spawn experiments");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(manifest.to_str().unwrap()),
+        "stderr must name the path:\n{stderr}"
+    );
+    assert!(!stderr.contains("running"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! The sweep engine's core contract: `--jobs N` is an implementation
 //! detail. Cell outcomes, artifact text, and checkpoint-resumed results
 //! must be identical at every parallelism level, with and without the
-//! trace cache, and equal to a one-lane reference run of each cell.
+//! trace cache, and equal to a one-lane reference run of each cell. A
+//! context runs each distinct cell once and restores its repeats.
 
 mod common;
 
@@ -42,6 +43,25 @@ fn grid(ctx: &RunContext) -> Vec<CellSpec> {
         }
     }
     cells
+}
+
+/// The grid with its second cell listed again, under another label.
+fn grid_with_repeat(ctx: &RunContext) -> Vec<CellSpec> {
+    let mut cells = grid(ctx);
+    cells.push(CellSpec {
+        label: "grid/again".into(),
+        ..cells[1].clone()
+    });
+    cells
+}
+
+/// Each cell of `cells` run through the one-lane reference on a
+/// context of its own, which no earlier cell can feed.
+fn references(cells: &[CellSpec]) -> Vec<RunOutcome> {
+    cells
+        .iter()
+        .map(|cell| common::one_lane_reference(&RunContext::new(), cell))
+        .collect()
 }
 
 #[test]
@@ -281,4 +301,77 @@ fn manifest_records_every_cell_in_canonical_order() {
     let totals = manifest.get("totals").unwrap();
     assert_eq!(totals.get("cells").unwrap().as_u64(), Some(8));
     assert_eq!(totals.get("live").unwrap().as_u64(), Some(8));
+}
+
+#[test]
+fn a_second_run_of_a_grid_restores_every_cell() {
+    let ctx = RunContext::new();
+    let first = ctx.run_cells(grid(&ctx));
+    assert_eq!(first, references(&grid(&ctx)));
+    let stats = ctx.stats();
+    assert_eq!((stats.live_runs, stats.repeats), (2, 0), "{stats:?}");
+
+    let second = ctx.run_cells(grid(&ctx));
+    assert_eq!(second, first);
+    let stats = ctx.stats();
+    assert_eq!(stats.live_runs, 2, "the second call runs nothing");
+    assert_eq!(stats.repeats, 8, "every cell of the second call repeats");
+}
+
+#[test]
+fn repeats_are_jobs_and_cache_invariant() {
+    let dir = tmp_dir("repeats");
+    let recording = RunContext::new().with_trace_cache(&dir).unwrap();
+    recording.run_cells(grid_with_repeat(&recording));
+    assert_eq!(recording.stats().recordings, 2);
+
+    let mut runs = Vec::new();
+    for jobs in [1, 4] {
+        for cached in [false, true] {
+            let mut ctx = RunContext::new().with_jobs(jobs);
+            if cached {
+                ctx = ctx.with_trace_cache(&dir).unwrap();
+            }
+            let first = ctx.run_cells(grid_with_repeat(&ctx));
+            let second = ctx.run_cells(grid(&ctx));
+            let stats = ctx.stats();
+            assert_eq!(
+                stats.live_runs + stats.replays,
+                2,
+                "one pass per stream (jobs {jobs}, cached {cached}): {stats:?}"
+            );
+            assert_eq!(stats.recordings, 0);
+            runs.push((first, second, stats.repeats));
+        }
+    }
+    let (first, _, repeats) = &runs[0];
+    assert_eq!(*first, references(&grid_with_repeat(&RunContext::new())));
+    assert_eq!(
+        *repeats,
+        1 + 8,
+        "the listed-again cell, then the whole grid"
+    );
+    for run in &runs[1..] {
+        assert_eq!(run, &runs[0]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifest_totals_count_repeats() {
+    use predbranch_sweep::{Json, ManifestBuilder};
+    let ctx = RunContext::new().with_manifest(ManifestBuilder::new("test-sweep", 1));
+    ctx.run_cells(grid_with_repeat(&ctx));
+    ctx.run_cells(grid(&ctx));
+    let manifest = ctx.manifest().unwrap().finish(None);
+    let totals = manifest.get("totals").unwrap();
+    let total = |source: &str| totals.get(source).and_then(Json::as_u64);
+    assert_eq!(total("cells"), Some(17));
+    assert_eq!(total("live"), Some(8));
+    assert_eq!(total("repeat"), Some(9));
+    for cell in manifest.get("cells").and_then(Json::as_arr).unwrap() {
+        if cell.get("source").and_then(Json::as_str) == Some("repeat") {
+            assert_eq!(cell.get("wall_ms").and_then(Json::as_u64), Some(0));
+        }
+    }
 }

@@ -79,8 +79,10 @@ impl Checkpoint {
         })
     }
 
-    /// The payload previously recorded for `key`, if the cell already
-    /// completed in an earlier (or the current) run.
+    /// The payload recorded for `key` by an earlier run, if the journal
+    /// held it when it was opened. Entries [`Checkpoint::record`]
+    /// appends later are on disk only: a lookup does not see them until
+    /// the journal is opened again.
     pub fn lookup(&self, key: &str) -> Option<&Json> {
         self.completed.get(key)
     }

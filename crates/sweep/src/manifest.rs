@@ -2,7 +2,8 @@
 //!
 //! A manifest answers, after the fact: which cells ran, where each
 //! result came from (live execution, a trace-cache replay, a fresh
-//! recording, or a checkpoint from an interrupted run), how long each
+//! recording, a checkpoint from an interrupted run, or an earlier cell
+//! of the same run with the same key), how long each
 //! cell took, and against which workload fingerprints. Cells are listed
 //! in canonical (label, key) order so two manifests of the same sweep
 //! differ only in timings.
@@ -25,6 +26,9 @@ pub enum CellSource {
     Recorded,
     /// Skipped entirely: restored from a checkpoint journal.
     Checkpoint,
+    /// Skipped entirely: copied from an earlier cell of the same run
+    /// with the same key.
+    Repeat,
 }
 
 impl CellSource {
@@ -35,6 +39,7 @@ impl CellSource {
             CellSource::Replayed => "replayed",
             CellSource::Recorded => "recorded",
             CellSource::Checkpoint => "checkpoint",
+            CellSource::Repeat => "repeat",
         }
     }
 }
@@ -112,7 +117,7 @@ impl ManifestBuilder {
         // manifest must not
         cells.sort_by(|a, b| (&a.label, &a.key).cmp(&(&b.label, &b.key)));
 
-        let mut by_source = [0u64; 4];
+        let mut by_source = [0u64; 5];
         for cell in &cells {
             by_source[cell.source as usize] += 1;
         }
@@ -122,6 +127,7 @@ impl ManifestBuilder {
             .field("replayed", by_source[CellSource::Replayed as usize])
             .field("recorded", by_source[CellSource::Recorded as usize])
             .field("checkpoint", by_source[CellSource::Checkpoint as usize])
+            .field("repeat", by_source[CellSource::Repeat as usize])
             .field("wall_ms", self.started.elapsed().as_millis() as u64);
 
         let fingerprints = self
@@ -189,10 +195,16 @@ mod tests {
             wall_ms: 4,
             source: CellSource::Replayed,
         });
+        builder.record_cell(CellRecord {
+            key: "k1".into(),
+            label: "f4/gzip/gshare".into(),
+            wall_ms: 0,
+            source: CellSource::Repeat,
+        });
         builder.fingerprint("compile_options", "00000000deadbeef");
         let manifest = builder.finish(Some((1, 1)));
         let cells = manifest.get("cells").unwrap().as_arr().unwrap();
-        assert_eq!(cells.len(), 2);
+        assert_eq!(cells.len(), 3);
         assert_eq!(
             cells[0].get("label").unwrap().as_str(),
             Some("f3/gzip/gshare")
@@ -204,8 +216,18 @@ mod tests {
                 .get("cells")
                 .unwrap()
                 .as_u64(),
-            Some(2)
+            Some(3)
         );
+        assert_eq!(
+            manifest
+                .get("totals")
+                .unwrap()
+                .get("repeat")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
+        assert_eq!(cells[2].get("source").unwrap().as_str(), Some("repeat"));
         assert_eq!(
             manifest
                 .get("totals")
