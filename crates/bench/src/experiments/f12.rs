@@ -5,15 +5,16 @@
 //! still train the underlying predictor (keeping its history aligned)
 //! or be hidden from it (keeping its tables clean)?
 
-use predbranch_core::{InsertFilter, PredictorSpec};
+use predbranch_core::InsertFilter;
+use predbranch_modern::ModernSpec;
 use predbranch_stats::{mean, Cell, Table};
 
 use super::{base_spec, Artifact, Scale};
 use crate::runner::{CellSpec, RunContext};
 
-fn policies() -> Vec<(&'static str, PredictorSpec)> {
+fn policies() -> Vec<(&'static str, ModernSpec)> {
     let base = base_spec();
-    let sfpf = |known_true: bool, update_filtered: bool| PredictorSpec::Sfpf {
+    let sfpf = |known_true: bool, update_filtered: bool| ModernSpec::Sfpf {
         base: Box::new(base.clone()),
         known_true,
         update_filtered,
@@ -27,7 +28,7 @@ fn policies() -> Vec<(&'static str, PredictorSpec)> {
         ("both extensions", sfpf(true, false)),
         (
             "learned guard table (1K)",
-            PredictorSpec::Sfpf {
+            ModernSpec::Sfpf {
                 base: Box::new(base.clone()),
                 known_true: false,
                 update_filtered: true,

@@ -60,8 +60,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let results: Vec<EntryResult> = ctx.map_batch(entries.iter(), |entry| {
         let stream = entry.stream(Binary::Predicated, EVAL_SEED);
         let cache_label = format!("{}-pred", entry.compiled.name);
-        let hot =
-            |i: usize| HotBranches::new(build_modern_stack(&(&specs[i].1).into()), DEFAULT_LATENCY);
+        let hot = |i: usize| HotBranches::new(build_modern_stack(&specs[i].1), DEFAULT_LATENCY);
         let mut characterizer = Characterizer::new();
         let (mut h0, mut h1, mut h2, mut h3) = (hot(0), hot(1), hot(2), hot(3));
         {

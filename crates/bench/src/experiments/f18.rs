@@ -20,7 +20,7 @@ use crate::runner::{CellSpec, RunContext};
 /// The three base predictors, in table order.
 pub(super) fn families() -> Vec<(&'static str, ModernSpec)> {
     vec![
-        ("gshare", base_spec().into()),
+        ("gshare", base_spec()),
         ("tage", tage_spec()),
         ("mpp", mpp_spec()),
     ]

@@ -192,3 +192,52 @@ fn bucket_row(label: &str, a: &BucketAgg) -> Vec<Cell> {
         Cell::float(a.delta_pp(3, 5), 2),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use predbranch_core::{InsertFilter, Timing};
+
+    use super::*;
+    use crate::experiments::headline_specs;
+    use crate::runner::CellSpec;
+
+    /// F17 and F19 attribute mispredictions through `HotBranches`, which
+    /// drives its predictor's lifecycle itself (it speculates on the
+    /// outcome, not on the prediction); the cells run the same specs as
+    /// gang lanes. At retire latency 0 both must count the same
+    /// mispredictions for every benchmark and every spec of the two
+    /// figures.
+    #[test]
+    fn attribution_agrees_with_the_cells() {
+        let ctx = RunContext::new();
+        let specs: Vec<ModernSpec> = headline_specs()
+            .into_iter()
+            .map(|(_, spec)| spec)
+            .chain(configs())
+            .collect();
+        assert_eq!(specs.len(), 10);
+        let timing = Timing::immediate(DEFAULT_LATENCY);
+        for entry in ctx.suite(Scale::quick().limit).iter() {
+            let name = &entry.compiled.name;
+            let cells = specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| {
+                    let label = format!("hot/{name}/{i}");
+                    CellSpec::predicated(entry, label, spec, timing, InsertFilter::All)
+                })
+                .collect();
+            let outcomes = ctx.run_cells(cells);
+            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
+            for (spec, outcome) in specs.iter().zip(&outcomes) {
+                let mut hot = HotBranches::new(build_modern_stack(spec), DEFAULT_LATENCY);
+                ctx.stream_events(&format!("{name}-pred"), &stream, &mut hot);
+                assert_eq!(
+                    hot.total_mispredictions(),
+                    outcome.metrics.all.mispredictions.get(),
+                    "{name}: {spec:?}"
+                );
+            }
+        }
+    }
+}

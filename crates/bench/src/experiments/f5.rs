@@ -8,7 +8,8 @@
 //! the curves flatten with size while the technique gap persists,
 //! because the correlation PGU adds is not capacity-limited.
 
-use predbranch_core::{InsertFilter, PredictorSpec};
+use predbranch_core::InsertFilter;
+use predbranch_modern::ModernSpec;
 use predbranch_stats::{mean, Series};
 
 use super::{Artifact, Scale};
@@ -33,7 +34,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
     let mut cells_in = Vec::new();
     for bits in INDEX_BITS {
-        let base = PredictorSpec::Gshare {
+        let base = ModernSpec::Gshare {
             index_bits: bits,
             history_bits: bits.min(16),
         };

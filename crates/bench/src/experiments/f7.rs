@@ -2,10 +2,11 @@
 //! predictors (bimodal, gshare, local, tournament).
 //!
 //! SFPF composes with anything; PGU needs a global history register, so
-//! it applies to gshare and tournament only (for bimodal and local the
-//! +PGU column equals the base by construction).
+//! it applies to gshare, tournament, perceptron and agree only (for
+//! bimodal and local the +PGU column equals the base by construction).
 
-use predbranch_core::{InsertFilter, PredictorSpec};
+use predbranch_core::InsertFilter;
+use predbranch_modern::ModernSpec;
 use predbranch_stats::{mean, Cell, Table};
 
 use super::{Artifact, Scale};
@@ -13,19 +14,19 @@ use crate::runner::{CellSpec, RunContext, PGU_DELAY};
 
 const VARIANTS: [&str; 4] = ["base", "+SFPF", "+PGU", "+both"];
 
-fn baselines() -> Vec<(&'static str, PredictorSpec)> {
+fn baselines() -> Vec<(&'static str, ModernSpec)> {
     vec![
-        ("bimodal", PredictorSpec::Bimodal { index_bits: 14 }),
+        ("bimodal", ModernSpec::Bimodal { index_bits: 14 }),
         (
             "gshare",
-            PredictorSpec::Gshare {
+            ModernSpec::Gshare {
                 index_bits: 13,
                 history_bits: 13,
             },
         ),
         (
             "local",
-            PredictorSpec::Local {
+            ModernSpec::Local {
                 bht_bits: 10,
                 history_bits: 10,
                 pattern_bits: 12,
@@ -33,7 +34,7 @@ fn baselines() -> Vec<(&'static str, PredictorSpec)> {
         ),
         (
             "tournament",
-            PredictorSpec::Tournament {
+            ModernSpec::Tournament {
                 gshare_bits: 12,
                 history_bits: 12,
                 bimodal_bits: 12,
@@ -42,14 +43,14 @@ fn baselines() -> Vec<(&'static str, PredictorSpec)> {
         ),
         (
             "perceptron",
-            PredictorSpec::Perceptron {
+            ModernSpec::Perceptron {
                 index_bits: 7,
                 history_bits: 14,
             },
         ),
         (
             "agree",
-            PredictorSpec::Agree {
+            ModernSpec::Agree {
                 index_bits: 12,
                 history_bits: 12,
             },

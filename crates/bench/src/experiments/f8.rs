@@ -10,7 +10,8 @@
 //! the event stream cycle by cycle), so this experiment bypasses the
 //! trace cache and fans out raw jobs instead of predictor cells.
 
-use predbranch_core::{build_predictor, HarnessConfig, InsertFilter, PredictionHarness};
+use predbranch_core::{HarnessConfig, InsertFilter, PredictionHarness};
+use predbranch_modern::build_modern;
 use predbranch_sim::{Executor, PipelineConfig, PipelineModel};
 use predbranch_stats::{geometric_mean, Cell, Table};
 use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
@@ -40,7 +41,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let points = ctx.map_batch(jobs, |(entry, i, spec)| {
         let stream = entry.stream(Binary::Predicated, EVAL_SEED);
         let mut harness = PredictionHarness::new(
-            build_predictor(spec),
+            build_modern(spec),
             HarnessConfig {
                 timing,
                 insert: InsertFilter::All,

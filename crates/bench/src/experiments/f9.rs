@@ -7,7 +7,8 @@
 //! recovers, realistically timed and with ideal (zero-latency) predicate
 //! delivery.
 
-use predbranch_core::{InsertFilter, PredictorSpec, Timing};
+use predbranch_core::{InsertFilter, Timing};
+use predbranch_modern::ModernSpec;
 use predbranch_stats::{mean, Cell, Table};
 
 use super::{base_spec, Artifact, Scale};
@@ -17,7 +18,7 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let base = base_spec();
     let both_real = base.clone().with_sfpf().with_pgu(PGU_DELAY);
     let both_ideal = base.clone().with_sfpf().with_pgu(0);
-    let oracle = PredictorSpec::OracleGuard;
+    let oracle = ModernSpec::OracleGuard;
     // (column tag, spec, resolve latency); ideal timing = zero resolve
     // latency and zero insertion delay
     let configs = [

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use predbranch_core::{PredictorSpec, Timing};
+use predbranch_core::Timing;
 use predbranch_modern::ModernSpec;
 use predbranch_stats::{Series, Table};
 
@@ -238,22 +238,19 @@ pub fn find_experiment(id: &str) -> Option<Experiment> {
 
 /// The study's default base predictor: a 16 K-entry (4 KB) gshare with a
 /// matched 13-bit history.
-pub(crate) fn base_spec() -> PredictorSpec {
-    PredictorSpec::Gshare {
+pub(crate) fn base_spec() -> ModernSpec {
+    ModernSpec::Gshare {
         index_bits: 13,
         history_bits: 13,
     }
 }
 
-/// The four headline configurations of the study.
-pub(crate) fn headline_specs() -> Vec<(&'static str, PredictorSpec)> {
-    let base = base_spec();
-    vec![
-        ("gshare", base.clone()),
-        ("+SFPF", base.clone().with_sfpf()),
-        ("+PGU", base.clone().with_pgu(PGU_DELAY)),
-        ("+both", base.with_sfpf().with_pgu(PGU_DELAY)),
-    ]
+/// The four headline configurations of the study: [`modifier_grid`]
+/// over [`base_spec`], with the base labelled `gshare`.
+pub(crate) fn headline_specs() -> Vec<(&'static str, ModernSpec)> {
+    let mut specs = modifier_grid(base_spec());
+    specs[0].0 = "gshare";
+    specs
 }
 
 /// The modern-tier TAGE configuration F18/F19 evaluate: four tables of

@@ -1,6 +1,6 @@
 //! T2 — machine and predictor configurations used throughout the study.
 
-use predbranch_core::build_predictor;
+use predbranch_modern::build_modern;
 use predbranch_sim::PipelineConfig;
 use predbranch_stats::{Cell, Table};
 
@@ -34,7 +34,7 @@ pub(crate) fn run(_ctx: &RunContext, _scale: &Scale) -> Vec<Artifact> {
         &["config", "name", "storage bits"],
     );
     for (label, spec) in headline_specs() {
-        let built = build_predictor(&spec);
+        let built = build_modern(&spec);
         preds.row(vec![
             Cell::new(label),
             Cell::new(built.name()),

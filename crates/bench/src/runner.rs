@@ -42,7 +42,7 @@ pub const DEFAULT_LATENCY: u64 = predbranch_sim::DEFAULT_RESOLVE_LATENCY;
 
 /// The realistic PGU insertion delay: predicate bits become visible to
 /// the history register one resolve latency after the defining compare.
-pub const PGU_DELAY: u64 = 8;
+pub const PGU_DELAY: u64 = DEFAULT_LATENCY;
 
 /// Instruction budget for every experiment cell.
 const CELL_BUDGET: u64 = 2 * DEFAULT_MAX_INSTRUCTIONS;
@@ -207,12 +207,10 @@ impl RunOutcome {
 /// a [`RunOutcome`]. Every cell over one (binary, input) shares its
 /// entry's [`Stream`] instead of owning a copy.
 ///
-/// The spec is a [`ModernSpec`]: classic paper-era configurations and
-/// the modern tier (TAGE, multiperspective perceptron) share one cell
-/// type. Constructors accept anything convertible — in particular a
-/// `&PredictorSpec`, so classic experiments read unchanged — and
-/// `ModernSpec`'s `Debug` is transparent for classic specs, keeping
-/// every pre-existing checkpoint/cache key stable.
+/// The spec is a [`ModernSpec`], the one spec type for paper-era and
+/// modern predictors alike. Constructors take a spec or a reference to
+/// one (`impl Into<ModernSpec>`), so experiments pass `&spec` from their
+/// grids. The spec's `Debug` rendering enters [`CellSpec::key`].
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Manifest/checkpoint display label, e.g. `f3/gzip/+PGU`.
@@ -811,7 +809,6 @@ pub fn outcome_from_json(json: &Json) -> Option<RunOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predbranch_core::PredictorSpec;
 
     #[test]
     fn compiled_suite_limit() {
@@ -827,7 +824,7 @@ mod tests {
         let cell = CellSpec::predicated(
             &entries[0],
             "test/static",
-            &PredictorSpec::StaticNotTaken,
+            &ModernSpec::StaticNotTaken,
             Timing::immediate(DEFAULT_LATENCY),
             InsertFilter::All,
         );
@@ -858,7 +855,7 @@ mod tests {
         let base = CellSpec::predicated(
             &entries[0],
             "a",
-            &PredictorSpec::StaticNotTaken,
+            &ModernSpec::StaticNotTaken,
             Timing::immediate(DEFAULT_LATENCY),
             InsertFilter::All,
         );
@@ -870,7 +867,7 @@ mod tests {
         assert_eq!(base.key(), relabeled.key());
         // but every content knob separates
         let other_spec = CellSpec {
-            spec: PredictorSpec::StaticBtfn.into(),
+            spec: ModernSpec::StaticBtfn,
             ..base.clone()
         };
         assert_ne!(base.key(), other_spec.key());
@@ -897,7 +894,7 @@ mod tests {
         let plain = CellSpec::plain(
             &entries[0],
             "a",
-            &PredictorSpec::StaticNotTaken,
+            &ModernSpec::StaticNotTaken,
             Timing::immediate(DEFAULT_LATENCY),
             InsertFilter::All,
         );
@@ -910,7 +907,7 @@ mod tests {
         let gzip = &entries[0];
         assert_eq!(gzip.compiled.name, "gzip");
         let timing = Timing::immediate(DEFAULT_LATENCY);
-        let static_nt = &PredictorSpec::StaticNotTaken;
+        let static_nt = &ModernSpec::StaticNotTaken;
         let eval = CellSpec::predicated(gzip, "a", static_nt, timing, InsertFilter::All);
         assert_eq!(eval.key(), "v2-5ae9805b18a555bc");
         let seeded = CellSpec::seeded(gzip, "a", 11, static_nt, timing, InsertFilter::All);
@@ -953,7 +950,7 @@ mod tests {
         let cell = CellSpec::predicated(
             entry,
             "a",
-            &PredictorSpec::StaticNotTaken,
+            &ModernSpec::StaticNotTaken,
             Timing::immediate(DEFAULT_LATENCY),
             InsertFilter::All,
         );
@@ -997,7 +994,7 @@ mod tests {
         CellSpec::predicated(
             entry,
             label,
-            &PredictorSpec::Gshare {
+            &ModernSpec::Gshare {
                 index_bits: 12,
                 history_bits,
             },
@@ -1076,7 +1073,7 @@ mod tests {
         let cell = CellSpec::predicated(
             &entries[0],
             "test/roundtrip",
-            &PredictorSpec::StaticNotTaken,
+            &ModernSpec::StaticNotTaken,
             Timing::immediate(DEFAULT_LATENCY),
             InsertFilter::All,
         );

@@ -7,10 +7,12 @@
 //! window). Any drift in any of the original seventeen experiments —
 //! a changed misprediction count, a reordered row, even a formatting
 //! change — fails this test. `golden/quick_all_r32.txt` pins the whole
-//! quick study again at retire latency 32, where the window matters.
+//! quick study again at retire latency 32, where the window matters, and
+//! `golden/quick_keys_r32.txt` pins the key of every cell it runs.
 
 use predbranch_bench::experiments::find_experiment;
 use predbranch_bench::{all_experiments, RunContext, Scale};
+use predbranch_sweep::{Json, ManifestBuilder};
 
 /// The experiment ids the golden file covers, in `all` order. F16 was
 /// added together with the retire-latency knob, so it has no
@@ -45,13 +47,24 @@ fn quick_all_output_is_byte_identical_to_pre_refactor_golden() {
 /// the goldens above never see a branch commit late enough to matter;
 /// this one pins the in-flight window's drain, flush and squash paths
 /// in every experiment.
+///
+/// `golden/quick_keys_r32.txt` holds the `label key` line of each of the
+/// run's 516 cells, in manifest order, as `experiments --quick
+/// --retire-latency 32 --manifest <path> all` records them. A key
+/// digests the cell's spec rendering, so a drift in any spec's `Debug`
+/// output, or in the key derivation, silently invalidates every
+/// checkpoint journal; this catches it.
 #[test]
 fn quick_all_at_retire_32_is_byte_identical_to_golden() {
     let golden = include_str!("golden/quick_all_r32.txt");
+    let keys = include_str!("golden/quick_keys_r32.txt");
     let scale = Scale::quick().with_retire(32);
     let ids: Vec<&str> = all_experiments().iter().map(|exp| exp.id).collect();
     for (tag, ctx) in contexts() {
+        let jobs = ctx.jobs();
+        let ctx = ctx.with_manifest(ManifestBuilder::new("golden", jobs));
         assert_golden(tag, &ctx, &scale, &ids, golden);
+        assert_keys(tag, &ctx, keys);
     }
 }
 
@@ -104,7 +117,29 @@ fn assert_golden(tag: &str, ctx: &RunContext, scale: &Scale, ids: &[&str], golde
             rendered.push_str(&format!("{artifact}\n"));
         }
     }
+    assert_same_text(tag, "output", &rendered, golden);
+}
 
+/// Compares the `label key` line of every cell recorded in the
+/// context's manifest, in the manifest's canonical order, with `golden`.
+fn assert_keys(tag: &str, ctx: &RunContext, golden: &str) {
+    let manifest = ctx.manifest().expect("manifest attached").finish(None);
+    let cells = manifest
+        .get("cells")
+        .and_then(Json::as_arr)
+        .expect("manifest lists its cells");
+    let rendered: String = cells
+        .iter()
+        .map(|cell| {
+            let field = |name| cell.get(name).and_then(Json::as_str).expect(name);
+            format!("{} {}\n", field("label"), field("key"))
+        })
+        .collect();
+    assert_same_text(tag, "cell keys", &rendered, golden);
+}
+
+/// Fails with the first line where `rendered` and `golden` differ.
+fn assert_same_text(tag: &str, what: &str, rendered: &str, golden: &str) {
     if rendered != golden {
         let diverge = rendered
             .lines()
@@ -113,11 +148,11 @@ fn assert_golden(tag: &str, ctx: &RunContext, scale: &Scale, ids: &[&str], golde
             .find(|(_, (new, old))| new != old);
         match diverge {
             Some((line, (new, old))) => panic!(
-                "{tag}: output diverges from the golden at line {}:\n  golden: {old}\n  now:    {new}",
+                "{tag}: {what} differ from the golden at line {}:\n  golden: {old}\n  now:    {new}",
                 line + 1
             ),
             None => panic!(
-                "{tag}: output length differs from the golden: {} vs {} bytes",
+                "{tag}: {what} differ in length from the golden: {} vs {} bytes",
                 rendered.len(),
                 golden.len()
             ),

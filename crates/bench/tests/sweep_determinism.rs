@@ -9,6 +9,7 @@ mod common;
 use predbranch_bench::experiments::find_experiment;
 use predbranch_bench::{CellSpec, RunContext, RunOutcome, Scale, DEFAULT_LATENCY};
 use predbranch_core::{InsertFilter, Timing};
+use predbranch_modern::ModernSpec;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("pb-sweep-{tag}-{}", std::process::id()));
@@ -20,7 +21,7 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 /// A modest mixed grid: two benchmarks × the four headline configs.
 fn grid(ctx: &RunContext) -> Vec<CellSpec> {
     let entries = ctx.suite(Some(2));
-    let base = predbranch_core::PredictorSpec::Gshare {
+    let base = ModernSpec::Gshare {
         index_bits: 13,
         history_bits: 13,
     };
@@ -163,11 +164,11 @@ fn live_gang_outcomes_match_the_one_lane_reference() {
 fn gang_units_group_by_stream_and_resolve_latency() {
     let entries = RunContext::new().suite(Some(1));
     let entry = entries.first().unwrap();
-    let base = predbranch_core::PredictorSpec::Gshare {
+    let base = ModernSpec::Gshare {
         index_bits: 13,
         history_bits: 13,
     };
-    let cell = |resolve: u64, retire: u64, spec: &predbranch_core::PredictorSpec| {
+    let cell = |resolve: u64, retire: u64, spec: &ModernSpec| {
         CellSpec::predicated(
             entry,
             format!("timing/{resolve}/{retire}"),

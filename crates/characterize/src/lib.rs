@@ -110,5 +110,5 @@ pub const PRED_HISTORY_BITS: usize = 4;
 
 /// Fetch slots between a predicate definition and its visibility to the
 /// predicate-history register — the same commit-time delay the
-/// realistic PGU configuration models (`PGU_DELAY` in the harness).
-pub const PRED_VISIBILITY_DELAY: u64 = 8;
+/// realistic PGU configuration models: one default resolve latency.
+pub const PRED_VISIBILITY_DELAY: u64 = predbranch_sim::DEFAULT_RESOLVE_LATENCY;

@@ -5,8 +5,13 @@
 
 use std::fmt;
 
+/// The longest history a one-word shift register holds, in bits: the
+/// bound of [`GlobalHistory::new`] and of a [`crate::Local`] predictor's
+/// per-branch histories.
+pub const MAX_HISTORY_BITS: u32 = u64::BITS;
+
 /// A shift register of recent branch (and, under PGU, predicate)
-/// outcomes, up to 64 bits.
+/// outcomes, up to [`MAX_HISTORY_BITS`].
 ///
 /// Bit 0 is the most recent outcome.
 ///
@@ -32,9 +37,12 @@ impl GlobalHistory {
     ///
     /// # Panics
     ///
-    /// Panics if `len` is 0 or greater than 64.
+    /// Panics if `len` is 0 or greater than [`MAX_HISTORY_BITS`].
     pub fn new(len: u32) -> Self {
-        assert!((1..=64).contains(&len), "history length must be 1..=64");
+        assert!(
+            (1..=MAX_HISTORY_BITS).contains(&len),
+            "history length must be 1..={MAX_HISTORY_BITS}"
+        );
         GlobalHistory { bits: 0, len }
     }
 

@@ -64,7 +64,6 @@
 
 mod agree;
 mod bimodal;
-mod config;
 mod filter;
 mod gshare;
 mod harness;
@@ -82,15 +81,14 @@ mod tournament;
 
 pub use agree::Agree;
 pub use bimodal::Bimodal;
-pub use config::{build_predictor, PredictorSpec};
 pub use filter::{guard_def_pcs, InsertFilter};
 pub use gshare::Gshare;
 pub use harness::{GangHarness, HarnessConfig, PredictionHarness, Timing};
-pub use history::{FoldedHistory, GlobalHistory, LongHistory, MAX_LONG_HISTORY};
+pub use history::{FoldedHistory, GlobalHistory, LongHistory, MAX_HISTORY_BITS, MAX_LONG_HISTORY};
 pub use hot::HotBranches;
 pub use local::Local;
 pub use oracle::PerfectGuard;
-pub use perceptron::Perceptron;
+pub use perceptron::{Perceptron, MAX_PERCEPTRON_INDEX_BITS};
 pub use pgu::Pgu;
 pub use predictor::StaticPredictor;
 pub use predictor::{
@@ -99,5 +97,5 @@ pub use predictor::{
 };
 pub use ring::{checkpoint_capacity, Checkpoints, Ring, CHECKPOINT_CAPACITY, WINDOW_CAPACITY};
 pub use sfpf::SquashFilter;
-pub use tables::{CounterTable, TwoBitCounter};
+pub use tables::{CounterTable, TwoBitCounter, MAX_TABLE_INDEX_BITS};
 pub use tournament::Tournament;

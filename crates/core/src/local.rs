@@ -1,8 +1,9 @@
 //! The two-level local-history predictor (PAg-style).
 
+use crate::history::MAX_HISTORY_BITS;
 use crate::predictor::{BranchInfo, BranchPredictor};
 use crate::ring::Checkpoints;
-use crate::tables::CounterTable;
+use crate::tables::{CounterTable, MAX_TABLE_INDEX_BITS};
 
 /// A two-level local predictor: a per-branch history table feeding a
 /// shared pattern table of 2-bit counters (Yeh & Patt's PAg).
@@ -37,13 +38,17 @@ impl Local {
     ///
     /// # Panics
     ///
-    /// Panics if `bht_bits`/`pattern_bits` are outside `1..=28` or
-    /// `history_bits` outside `1..=64`.
+    /// Panics if `bht_bits`/`pattern_bits` are outside
+    /// `1..=`[`MAX_TABLE_INDEX_BITS`] or `history_bits` outside
+    /// `1..=`[`MAX_HISTORY_BITS`].
     pub fn new(bht_bits: u32, history_bits: u32, pattern_bits: u32) -> Self {
-        assert!((1..=28).contains(&bht_bits), "bht bits must be 1..=28");
         assert!(
-            (1..=64).contains(&history_bits),
-            "history bits must be 1..=64"
+            (1..=MAX_TABLE_INDEX_BITS).contains(&bht_bits),
+            "bht bits must be 1..={MAX_TABLE_INDEX_BITS}"
+        );
+        assert!(
+            (1..=MAX_HISTORY_BITS).contains(&history_bits),
+            "history bits must be 1..={MAX_HISTORY_BITS}"
         );
         Local {
             histories: vec![0; 1 << bht_bits],

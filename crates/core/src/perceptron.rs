@@ -10,6 +10,10 @@ use crate::ring::Checkpoints;
 const WEIGHT_MAX: i32 = 127;
 const WEIGHT_MIN: i32 = -128;
 
+/// The largest `index_bits` a [`Perceptron`] accepts: `2^20` weight
+/// vectors.
+pub const MAX_PERCEPTRON_INDEX_BITS: u32 = 20;
+
 /// A perceptron predictor over global history.
 ///
 /// Each (hashed) branch PC owns a weight vector `w0..wh`; the prediction
@@ -45,12 +49,13 @@ impl Perceptron {
     ///
     /// # Panics
     ///
-    /// Panics if `index_bits` is outside `1..=20` or `history_bits`
-    /// outside `1..=64`.
+    /// Panics if `index_bits` is outside
+    /// `1..=`[`MAX_PERCEPTRON_INDEX_BITS`] or `history_bits` outside
+    /// `1..=`[`crate::MAX_HISTORY_BITS`].
     pub fn new(index_bits: u32, history_bits: u32) -> Self {
         assert!(
-            (1..=20).contains(&index_bits),
-            "perceptron index bits must be 1..=20"
+            (1..=MAX_PERCEPTRON_INDEX_BITS).contains(&index_bits),
+            "perceptron index bits must be 1..={MAX_PERCEPTRON_INDEX_BITS}"
         );
         Perceptron {
             weights: vec![vec![0; history_bits as usize + 1]; 1 << index_bits],

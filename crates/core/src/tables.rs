@@ -68,6 +68,10 @@ impl TwoBitCounter {
     }
 }
 
+/// The largest `index_bits` a [`CounterTable`] (or any other
+/// direct-mapped predictor table) accepts: `2^28` entries.
+pub const MAX_TABLE_INDEX_BITS: u32 = 28;
+
 /// A power-of-two table of 2-bit counters, indexed modulo its size.
 ///
 /// # Examples
@@ -93,7 +97,8 @@ impl CounterTable {
     ///
     /// # Panics
     ///
-    /// Panics if `index_bits` is 0 or greater than 28.
+    /// Panics if `index_bits` is 0 or greater than
+    /// [`MAX_TABLE_INDEX_BITS`].
     pub fn new(index_bits: u32) -> Self {
         Self::with_initial(index_bits, TwoBitCounter::default())
     }
@@ -103,11 +108,12 @@ impl CounterTable {
     ///
     /// # Panics
     ///
-    /// Panics if `index_bits` is 0 or greater than 28.
+    /// Panics if `index_bits` is 0 or greater than
+    /// [`MAX_TABLE_INDEX_BITS`].
     pub fn with_initial(index_bits: u32, initial: TwoBitCounter) -> Self {
         assert!(
-            (1..=28).contains(&index_bits),
-            "table index bits must be 1..=28"
+            (1..=MAX_TABLE_INDEX_BITS).contains(&index_bits),
+            "table index bits must be 1..={MAX_TABLE_INDEX_BITS}"
         );
         CounterTable {
             counters: vec![initial; 1 << index_bits],

@@ -19,7 +19,9 @@ use std::process::ExitCode;
 use predbranch_core::{BranchPredictor, HarnessConfig, InsertFilter, PredictionHarness, Timing};
 use predbranch_isa::assemble;
 use predbranch_modern::{build_modern_stack, ModernSpec, ModernStack};
-use predbranch_sim::{Executor, Memory, PipelineConfig, DEFAULT_RETIRE_LATENCY};
+use predbranch_sim::{
+    Executor, Memory, PipelineConfig, DEFAULT_RESOLVE_LATENCY, DEFAULT_RETIRE_LATENCY,
+};
 
 struct Options {
     path: String,
@@ -35,7 +37,7 @@ fn parse_args() -> Option<Options> {
     let mut opts = Options {
         path: String::new(),
         spec: "gshare:13/13".to_string(),
-        latency: 8,
+        latency: DEFAULT_RESOLVE_LATENCY,
         retire_latency: DEFAULT_RETIRE_LATENCY,
         max: 10_000_000,
         list_stacks: false,

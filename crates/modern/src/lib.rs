@@ -1,5 +1,6 @@
 //! Modern predictor tier for the predicate-branch study: TAGE and a
-//! multiperspective perceptron, with predicate-aware variants.
+//! multiperspective perceptron, with predicate-aware variants, plus the
+//! one predictor spec that names every configuration the study runs.
 //!
 //! The paper's two techniques — the squash false-path filter (SFPF) and
 //! predicate global update (PGU) — were evaluated against circa-2003
@@ -26,13 +27,13 @@
 //! [`predbranch_core::HistoryInsert`]) and
 //! [`predbranch_core::SquashFilter`].
 //!
-//! [`ModernSpec`] is a strict superset of
-//! [`predbranch_core::PredictorSpec`]: every classic spec string parses
-//! to a transparent [`ModernSpec::Classic`], and `tage:T/I/H`,
-//! `ptage:T/I/H`, `mpp:I`, `pmpp:I` join the base vocabulary with the
-//! same `+sfpf` / `+pguN` modifier syntax. [`ModernStack`] is the one
-//! statically-dispatched stack for classic and modern specs alike, built
-//! by [`build_modern_stack`].
+//! [`ModernSpec`] is the workspace's one predictor spec: one enum over
+//! the nine paper-era bases (`gshare:I/H`, `perceptron:I/H`, ...), the
+//! modern ones (`tage:T/I/H`, `ptage:T/I/H`, `mpp:I`, `pmpp:I`) and the
+//! `+sfpf` / `+pguN` wrappers, with one text grammar. [`build_modern`]
+//! builds any spec as a boxed predictor, the reference;
+//! [`build_modern_stack`] builds it as a [`ModernStack`], the one
+//! statically-dispatched stack the sweeps run.
 //!
 //! # Examples
 //!
@@ -48,6 +49,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
+mod config;
 mod mpp;
 mod predhist;
 mod spec;

@@ -1,12 +1,16 @@
 //! A multiperspective perceptron predictor.
 
 use predbranch_core::{BranchInfo, BranchPredictor, Checkpoints, GlobalHistory, HistoryInsert};
-use predbranch_sim::PredWriteEvent;
+use predbranch_sim::{PredWriteEvent, DEFAULT_RESOLVE_LATENCY};
 
 use crate::predhist::PredicateHistory;
 
 /// Maximum number of feature views (7 baseline + the predicate view).
 const MAX_VIEWS: usize = 8;
+
+/// The largest `index_bits` an [`Mpp`] accepts: weight-table indices
+/// are stored as `u16` in checkpoints.
+pub(crate) const MAX_MPP_INDEX_BITS: u32 = u16::BITS;
 
 /// Index bits of the per-PC local-history table.
 const LOCAL_TABLE_BITS: u32 = 10;
@@ -23,10 +27,6 @@ const PRED_VIEW_OUTCOMES: u32 = 8;
 /// Adaptive-threshold training-counter saturation (Seznec's O-GEHL
 /// style dynamic threshold fitting).
 const THRESHOLD_COUNTER_MAX: i32 = 64;
-
-/// Delay (in fetch slots) before a predicate definition becomes
-/// visible, matching the commit-time PGU timing of the experiments.
-const PRED_DELAY: u64 = 8;
 
 /// One way of looking at a branch's context — each view contributes an
 /// independently indexed weight to the prediction sum.
@@ -114,8 +114,8 @@ impl Mpp {
     /// as `u16` in checkpoints).
     pub fn new(index_bits: u32) -> Self {
         assert!(
-            (1..=16).contains(&index_bits),
-            "mpp index bits must be 1..=16"
+            (1..=MAX_MPP_INDEX_BITS).contains(&index_bits),
+            "mpp index bits must be 1..={MAX_MPP_INDEX_BITS}"
         );
         let views = vec![
             View::Bias,
@@ -137,7 +137,9 @@ impl Mpp {
             theta: 24,
             threshold_counter: 0,
             predicate: false,
-            pred_hist: PredicateHistory::new(PRED_DELAY),
+            // predicates become visible at PGU's commit-time delay: one
+            // resolve latency after the defining compare
+            pred_hist: PredicateHistory::new(DEFAULT_RESOLVE_LATENCY),
             checkpoints: Checkpoints::new(),
         }
     }
@@ -442,7 +444,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let value = x >> 63 == 1;
                 m.on_pred_write(&write(i * 20, value));
-                let b = info(0x40, i * 20 + PRED_DELAY + 2);
+                let b = info(0x40, i * 20 + DEFAULT_RESOLVE_LATENCY + 2);
                 let predicted = m.predict(&b);
                 if i >= 6000 && predicted != value {
                     wrong_tail += 1;

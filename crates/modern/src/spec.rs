@@ -1,36 +1,97 @@
-//! Declarative specs for the modern predictor tier — a strict superset
-//! of [`PredictorSpec`].
+//! Declarative predictor specs: one enum naming every predictor shape
+//! the study sweeps, its compact text grammar, and the boxed reference
+//! builder.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
-use predbranch_core::{build_predictor, BranchPredictor, Pgu, PredictorSpec, SquashFilter};
+use predbranch_core::{
+    Agree, Bimodal, BranchPredictor, Gshare, Local, Perceptron, PerfectGuard, Pgu, SquashFilter,
+    StaticPredictor, Tournament, MAX_HISTORY_BITS, MAX_PERCEPTRON_INDEX_BITS, MAX_TABLE_INDEX_BITS,
+};
+use predbranch_sim::DEFAULT_RESOLVE_LATENCY;
 
-use crate::mpp::Mpp;
-use crate::tage::Tage;
+use crate::mpp::{Mpp, MAX_MPP_INDEX_BITS};
+use crate::tage::{Tage, MAX_TAGE_INDEX_BITS, MAX_TAGE_TABLES};
 
-/// A predictor configuration that may be a classic spec or one of the
-/// modern-tier predictors, with the same SFPF/PGU composition rules.
+/// A declarative predictor configuration: a base predictor, paper-era
+/// or modern, optionally wrapped in the squash false-path filter and
+/// predicate global update. Experiments sweep baselines × techniques ×
+/// sizes from tables of specs instead of code.
 ///
-/// Every classic spec is representable as a transparent
-/// [`ModernSpec::Classic`] — `Debug` and `Display` delegate to the
-/// inner spec, so code keyed on a spec's `Debug` rendering (the bench
-/// runner's result-cache keys) sees byte-identical output for classic
-/// configurations.
+/// The derived `Debug` rendering is an input of every cell key, so
+/// renaming a variant or a field invalidates every checkpoint journal.
 ///
 /// # Examples
 ///
 /// ```
-/// use predbranch_modern::ModernSpec;
+/// use predbranch_core::BranchPredictor;
+/// use predbranch_modern::{build_modern, ModernSpec};
 ///
-/// let classic: ModernSpec = "gshare:13/13+sfpf".parse().unwrap();
+/// let spec = ModernSpec::Gshare { index_bits: 14, history_bits: 12 }
+///     .with_sfpf()
+///     .with_pgu(0);
+/// assert_eq!(build_modern(&spec).name(), "sfpf+pgu+gshare-14/12");
+///
 /// let modern: ModernSpec = "tage:4/10/64+pgu8".parse().unwrap();
-/// assert!(matches!(classic, ModernSpec::Classic(_)));
 /// assert!(matches!(modern, ModernSpec::Pgu { .. }));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModernSpec {
-    /// A classic spec, built by the core builders unchanged.
-    Classic(PredictorSpec),
+    /// Always not-taken (`nt`).
+    StaticNotTaken,
+    /// Backward-taken / forward-not-taken (`btfn`).
+    StaticBtfn,
+    /// Per-PC 2-bit counters (`bimodal:I`).
+    Bimodal {
+        /// log2 table entries.
+        index_bits: u32,
+    },
+    /// Global-history gshare (`gshare:I/H`).
+    Gshare {
+        /// log2 table entries.
+        index_bits: u32,
+        /// History register length.
+        history_bits: u32,
+    },
+    /// Two-level local predictor (`local:B/H/P`).
+    Local {
+        /// log2 branch-history-table entries.
+        bht_bits: u32,
+        /// Per-branch history length.
+        history_bits: u32,
+        /// log2 pattern-table entries.
+        pattern_bits: u32,
+    },
+    /// McFarling tournament (`tournament:G/H/B/C`).
+    Tournament {
+        /// log2 gshare table entries.
+        gshare_bits: u32,
+        /// Global history length.
+        history_bits: u32,
+        /// log2 bimodal table entries.
+        bimodal_bits: u32,
+        /// log2 chooser table entries.
+        chooser_bits: u32,
+    },
+    /// Agree predictor: bias bits + gshare-indexed agree counters
+    /// (`agree:I/H`, extension baseline).
+    Agree {
+        /// log2 table entries (bias and agree tables).
+        index_bits: u32,
+        /// Global history length.
+        history_bits: u32,
+    },
+    /// Perceptron predictor over global history (`perceptron:I/H`,
+    /// extension baseline).
+    Perceptron {
+        /// log2 weight-vector count.
+        index_bits: u32,
+        /// Global history length.
+        history_bits: u32,
+    },
+    /// Perfect-guard oracle (`oracle`, 100% accurate upper bound).
+    OracleGuard,
     /// TAGE (`tage:T/I/H`), optionally predicate-aware (`ptage:T/I/H`).
     Tage {
         /// Number of tagged tables.
@@ -50,7 +111,7 @@ pub enum ModernSpec {
         /// Add the predicate-history feature view.
         predicate: bool,
     },
-    /// Squash false-path filter around a modern base.
+    /// The squash false-path filter around the base predictor.
     Sfpf {
         /// The wrapped configuration.
         base: Box<ModernSpec>,
@@ -58,56 +119,39 @@ pub enum ModernSpec {
         known_true: bool,
         /// Whether filtered branches still train the base predictor.
         update_filtered: bool,
-        /// Learned pc → guard table bits (`None` = idealized).
+        /// Model guard identification with a learned pc → guard table of
+        /// `2^n` entries (`None` = idealized decode-at-fetch).
         learned_guards: Option<u32>,
     },
-    /// Predicate global update around a modern base.
+    /// Predicate global update around a base with global history
+    /// (gshare, tournament, agree, perceptron, TAGE or MPP, or an `Sfpf`
+    /// around one of those); over any other base it falls back to the
+    /// plain base.
     Pgu {
         /// The wrapped configuration.
         base: Box<ModernSpec>,
-        /// Insertion delay in fetch slots.
+        /// Insertion delay in fetch slots (0 = execute-time).
         delay: u64,
     },
 }
 
 impl ModernSpec {
-    /// Wraps this spec in the squash false-path filter (default
-    /// policy). Classic specs stay classic (the wrapper is pushed into
-    /// the inner [`PredictorSpec`]), keeping them transparent.
+    /// Wraps this spec in the squash false-path filter (default policy).
     pub fn with_sfpf(self) -> ModernSpec {
-        match self {
-            ModernSpec::Classic(c) => ModernSpec::Classic(c.with_sfpf()),
-            other => ModernSpec::Sfpf {
-                base: Box::new(other),
-                known_true: false,
-                update_filtered: true,
-                learned_guards: None,
-            },
+        ModernSpec::Sfpf {
+            base: Box::new(self),
+            known_true: false,
+            update_filtered: true,
+            learned_guards: None,
         }
     }
 
-    /// Wraps this spec in predicate global update with the given delay;
-    /// classic specs stay classic.
+    /// Wraps this spec in predicate global update with the given delay.
     pub fn with_pgu(self, delay: u64) -> ModernSpec {
-        match self {
-            ModernSpec::Classic(c) => ModernSpec::Classic(c.with_pgu(delay)),
-            other => ModernSpec::Pgu {
-                base: Box::new(other),
-                delay,
-            },
+        ModernSpec::Pgu {
+            base: Box::new(self),
+            delay,
         }
-    }
-}
-
-impl From<PredictorSpec> for ModernSpec {
-    fn from(spec: PredictorSpec) -> Self {
-        ModernSpec::Classic(spec)
-    }
-}
-
-impl From<&PredictorSpec> for ModernSpec {
-    fn from(spec: &PredictorSpec) -> Self {
-        ModernSpec::Classic(spec.clone())
     }
 }
 
@@ -117,89 +161,40 @@ impl From<&ModernSpec> for ModernSpec {
     }
 }
 
-/// `Debug` is transparent for [`ModernSpec::Classic`] so a classic spec
-/// renders exactly as the wrapped [`PredictorSpec`] would — cache keys
-/// derived from the rendering are stable across the classic → modern
-/// migration.
-impl fmt::Debug for ModernSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModernSpec::Classic(inner) => inner.fmt(f),
-            ModernSpec::Tage {
-                tables,
-                index_bits,
-                max_history,
-                predicate,
-            } => f
-                .debug_struct("Tage")
-                .field("tables", tables)
-                .field("index_bits", index_bits)
-                .field("max_history", max_history)
-                .field("predicate", predicate)
-                .finish(),
-            ModernSpec::Mpp {
-                index_bits,
-                predicate,
-            } => f
-                .debug_struct("Mpp")
-                .field("index_bits", index_bits)
-                .field("predicate", predicate)
-                .finish(),
-            ModernSpec::Sfpf {
-                base,
-                known_true,
-                update_filtered,
-                learned_guards,
-            } => f
-                .debug_struct("Sfpf")
-                .field("base", base)
-                .field("known_true", known_true)
-                .field("update_filtered", update_filtered)
-                .field("learned_guards", learned_guards)
-                .finish(),
-            ModernSpec::Pgu { base, delay } => f
-                .debug_struct("Pgu")
-                .field("base", base)
-                .field("delay", delay)
-                .finish(),
-        }
-    }
-}
-
-/// `Display` delegates to the built predictor's name, like the classic
-/// spec.
+/// `Display` delegates to the built predictor's name so table rows and
+/// specs never diverge.
 impl fmt::Display for ModernSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&build_modern(self).name())
     }
 }
 
-/// Error from parsing a [`ModernSpec`] string. The rendered message
-/// always carries the `bad predictor spec` prefix, whether the failure
-/// came from the classic or the modern grammar.
+/// Error from parsing a [`ModernSpec`] string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseModernSpecError(String);
 
 impl fmt::Display for ParseModernSpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        write!(f, "bad predictor spec: {}", self.0)
     }
 }
 
 impl std::error::Error for ParseModernSpecError {}
 
-/// Parses the compact spec syntax, extending the classic grammar with
-/// the modern bases:
+/// Parses the compact spec syntax used by the CLIs:
 ///
 /// ```text
-/// base      := <any classic base> | tage:T/I/H | ptage:T/I/H
-///            | mpp:I | pmpp:I
-/// modifier  := +sfpf | +sfpf! | +pgu | +pguN
+/// base      := nt | btfn | oracle
+///            | bimodal:I | gshare:I/H | local:B/H/P
+///            | tournament:G/H/B/C | perceptron:I/H | agree:I/H
+///            | tage:T/I/H | ptage:T/I/H | mpp:I | pmpp:I
+/// modifier  := +sfpf | +sfpf! (also use known-true) | +pgu | +pguN (delay N)
 /// spec      := base modifier*
 /// ```
 ///
-/// A spec with a classic base parses to a transparent
-/// [`ModernSpec::Classic`] via the core parser, modifiers included.
+/// Every parameter must lie in the range its predictor's constructor
+/// asserts, so a spec that parses always builds. A bare `+pgu` uses
+/// PGU's commit-time delay: one default resolve latency.
 ///
 /// # Examples
 ///
@@ -207,36 +202,21 @@ impl std::error::Error for ParseModernSpecError {}
 /// use predbranch_core::BranchPredictor;
 /// use predbranch_modern::{build_modern, ModernSpec};
 ///
+/// let spec: ModernSpec = "gshare:13/13+sfpf+pgu8".parse().unwrap();
+/// assert_eq!(build_modern(&spec).name(), "sfpf+pgu[d8]+gshare-13/13");
 /// let spec: ModernSpec = "pmpp:12+sfpf".parse().unwrap();
 /// assert_eq!(build_modern(&spec).name(), "sfpf+pmpp-12");
+/// assert!("gshare:0/13".parse::<ModernSpec>().is_err());
 /// ```
 impl std::str::FromStr for ModernSpec {
     type Err = ParseModernSpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let base_kind = s
-            .split('+')
-            .next()
-            .unwrap_or("")
-            .trim()
-            .split(':')
-            .next()
-            .unwrap_or("")
-            .trim();
-        if !matches!(base_kind, "tage" | "ptage" | "mpp" | "pmpp") {
-            return s
-                .parse::<PredictorSpec>()
-                .map(ModernSpec::Classic)
-                .map_err(|e| ParseModernSpecError(e.to_string()));
-        }
-
-        let err = |msg: &str| ParseModernSpecError(format!("bad predictor spec: {msg} in `{s}`"));
+        let err = |msg: &str| ParseModernSpecError(format!("{msg} in `{s}`"));
         let mut parts = s.split('+');
-        let base_text = parts.next().ok_or_else(|| err("empty spec"))?.trim();
-        let params = match base_text.split_once(':') {
-            Some((_, p)) => p,
-            None => "",
-        };
+        let base_text = parts.next().unwrap_or_default().trim();
+        let (kind, params) = base_text.split_once(':').unwrap_or((base_text, ""));
+        let kind = kind.trim();
         let nums: Vec<u32> = if params.is_empty() {
             Vec::new()
         } else {
@@ -253,25 +233,99 @@ impl std::str::FromStr for ModernSpec {
                 Err(err("wrong parameter count"))
             }
         };
-        let mut spec = match base_kind {
-            "tage" | "ptage" => {
-                want(3)?;
-                ModernSpec::Tage {
-                    tables: nums[0],
-                    index_bits: nums[1],
-                    max_history: nums[2],
-                    predicate: base_kind == "ptage",
-                }
-            }
-            // "mpp" | "pmpp" — the only kinds that reach here
-            _ => {
-                want(1)?;
-                ModernSpec::Mpp {
-                    index_bits: nums[0],
-                    predicate: base_kind == "pmpp",
-                }
+        // the `i`th parameter, refused outside the range its constructor
+        // asserts
+        let param = |i: usize, what: &str, range: RangeInclusive<u32>| {
+            if range.contains(&nums[i]) {
+                Ok(nums[i])
+            } else {
+                Err(err(&format!(
+                    "{what} must be {}..={}",
+                    range.start(),
+                    range.end()
+                )))
             }
         };
+        let table = |i: usize| param(i, "table index bits", 1..=MAX_TABLE_INDEX_BITS);
+        let history = |i: usize| param(i, "history bits", 1..=MAX_HISTORY_BITS);
+        let mut spec = match kind {
+            "nt" => {
+                want(0)?;
+                ModernSpec::StaticNotTaken
+            }
+            "btfn" => {
+                want(0)?;
+                ModernSpec::StaticBtfn
+            }
+            "oracle" => {
+                want(0)?;
+                ModernSpec::OracleGuard
+            }
+            "bimodal" => {
+                want(1)?;
+                ModernSpec::Bimodal {
+                    index_bits: table(0)?,
+                }
+            }
+            "gshare" => {
+                want(2)?;
+                ModernSpec::Gshare {
+                    index_bits: table(0)?,
+                    history_bits: history(1)?,
+                }
+            }
+            "local" => {
+                want(3)?;
+                ModernSpec::Local {
+                    bht_bits: table(0)?,
+                    history_bits: history(1)?,
+                    pattern_bits: table(2)?,
+                }
+            }
+            "tournament" => {
+                want(4)?;
+                ModernSpec::Tournament {
+                    gshare_bits: table(0)?,
+                    history_bits: history(1)?,
+                    bimodal_bits: table(2)?,
+                    chooser_bits: table(3)?,
+                }
+            }
+            "perceptron" => {
+                want(2)?;
+                ModernSpec::Perceptron {
+                    index_bits: param(0, "perceptron index bits", 1..=MAX_PERCEPTRON_INDEX_BITS)?,
+                    history_bits: history(1)?,
+                }
+            }
+            "agree" => {
+                want(2)?;
+                ModernSpec::Agree {
+                    index_bits: table(0)?,
+                    history_bits: history(1)?,
+                }
+            }
+            "tage" | "ptage" => {
+                want(3)?;
+                let tables = param(0, "tage table count", 1..=MAX_TAGE_TABLES as u32)?;
+                ModernSpec::Tage {
+                    tables,
+                    index_bits: param(1, "tage index bits", 1..=MAX_TAGE_INDEX_BITS)?,
+                    max_history: param(2, "tage max history", Tage::max_history_range(tables))?,
+                    predicate: kind == "ptage",
+                }
+            }
+            "mpp" | "pmpp" => {
+                want(1)?;
+                ModernSpec::Mpp {
+                    index_bits: param(0, "mpp index bits", 1..=MAX_MPP_INDEX_BITS)?,
+                    predicate: kind == "pmpp",
+                }
+            }
+            _ => return Err(err("unknown base predictor")),
+        };
+        // Modifiers apply inside-out in the order written: "+pgu+sfpf"
+        // yields sfpf(pgu(base)) like the builder methods would.
         for modifier in parts {
             let modifier = modifier.trim();
             if modifier == "sfpf" {
@@ -285,7 +339,7 @@ impl std::str::FromStr for ModernSpec {
                 };
             } else if let Some(rest) = modifier.strip_prefix("pgu") {
                 let delay: u64 = if rest.is_empty() {
-                    8
+                    DEFAULT_RESOLVE_LATENCY
                 } else {
                     rest.parse().map_err(|_| err("bad pgu delay"))?
                 };
@@ -318,14 +372,47 @@ pub(crate) fn mpp_from(index_bits: u32, predicate: bool) -> Mpp {
     }
 }
 
-/// Builds a boxed predictor from a modern spec — the superset
-/// counterpart of [`predbranch_core::build_predictor`], with the same
-/// composition rules: PGU requires a history-insertion point and
-/// degrades to the plain base without one, and `sfpf(pgu(base))` keeps
-/// the filter in front of PGU.
+/// Builds a boxed predictor from a spec: the dynamically dispatched
+/// reference that [`crate::build_modern_stack`] is tested against.
+///
+/// PGU requires a history-insertion point and degrades to the plain base
+/// without one, which keeps sweep tables total without special-casing;
+/// `sfpf(pgu(base))` keeps the filter in front of PGU, and of nested PGU
+/// nodes the innermost wins.
 pub fn build_modern(spec: &ModernSpec) -> Box<dyn BranchPredictor> {
     match spec {
-        ModernSpec::Classic(inner) => build_predictor(inner),
+        ModernSpec::StaticNotTaken => Box::new(StaticPredictor::NotTaken),
+        ModernSpec::StaticBtfn => Box::new(StaticPredictor::Btfn),
+        ModernSpec::Bimodal { index_bits } => Box::new(Bimodal::new(*index_bits)),
+        ModernSpec::Gshare {
+            index_bits,
+            history_bits,
+        } => Box::new(Gshare::new(*index_bits, *history_bits)),
+        ModernSpec::Local {
+            bht_bits,
+            history_bits,
+            pattern_bits,
+        } => Box::new(Local::new(*bht_bits, *history_bits, *pattern_bits)),
+        ModernSpec::Tournament {
+            gshare_bits,
+            history_bits,
+            bimodal_bits,
+            chooser_bits,
+        } => Box::new(Tournament::new(
+            *gshare_bits,
+            *history_bits,
+            *bimodal_bits,
+            *chooser_bits,
+        )),
+        ModernSpec::Agree {
+            index_bits,
+            history_bits,
+        } => Box::new(Agree::new(*index_bits, *history_bits)),
+        ModernSpec::Perceptron {
+            index_bits,
+            history_bits,
+        } => Box::new(Perceptron::new(*index_bits, *history_bits)),
+        ModernSpec::OracleGuard => Box::new(PerfectGuard::new()),
         ModernSpec::Tage {
             tables,
             index_bits,
@@ -351,7 +438,32 @@ pub fn build_modern(spec: &ModernSpec) -> Box<dyn BranchPredictor> {
             Box::new(filter)
         }
         ModernSpec::Pgu { base, delay } => match &**base {
-            ModernSpec::Classic(inner) => build_predictor(&inner.clone().with_pgu(*delay)),
+            ModernSpec::Gshare {
+                index_bits,
+                history_bits,
+            } => Box::new(Pgu::new(Gshare::new(*index_bits, *history_bits)).with_delay(*delay)),
+            ModernSpec::Tournament {
+                gshare_bits,
+                history_bits,
+                bimodal_bits,
+                chooser_bits,
+            } => Box::new(
+                Pgu::new(Tournament::new(
+                    *gshare_bits,
+                    *history_bits,
+                    *bimodal_bits,
+                    *chooser_bits,
+                ))
+                .with_delay(*delay),
+            ),
+            ModernSpec::Agree {
+                index_bits,
+                history_bits,
+            } => Box::new(Pgu::new(Agree::new(*index_bits, *history_bits)).with_delay(*delay)),
+            ModernSpec::Perceptron {
+                index_bits,
+                history_bits,
+            } => Box::new(Pgu::new(Perceptron::new(*index_bits, *history_bits)).with_delay(*delay)),
             ModernSpec::Tage {
                 tables,
                 index_bits,
@@ -371,8 +483,7 @@ pub fn build_modern(spec: &ModernSpec) -> Box<dyn BranchPredictor> {
                 update_filtered,
                 learned_guards,
             } => {
-                // sfpf(pgu(base)): the filter sits in front of PGU,
-                // mirroring the classic builder's rewrite
+                // sfpf(pgu(base)): the filter sits in front of PGU
                 let pgu = ModernSpec::Pgu {
                     base: inner.clone(),
                     delay: *delay,
@@ -394,16 +505,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classic_specs_parse_transparently() {
-        let spec: ModernSpec = "gshare:13/13+sfpf+pgu8".parse().unwrap();
-        let classic: PredictorSpec = "gshare:13/13+sfpf+pgu8".parse().unwrap();
-        assert_eq!(spec, ModernSpec::Classic(classic.clone()));
-        // the Debug rendering (cache-key input) is byte-identical
-        assert_eq!(format!("{spec:?}"), format!("{classic:?}"));
-        assert_eq!(build_modern(&spec).name(), build_predictor(&classic).name());
-    }
-
-    #[test]
     fn debug_renderings_are_pinned() {
         // the rendering is a cell-key input: changing it invalidates every
         // checkpoint journal, so the literal text is pinned here
@@ -423,21 +524,14 @@ mod tests {
                 "pmpp:12+pgu0",
                 "Pgu { base: Mpp { index_bits: 12, predicate: true }, delay: 0 }",
             ),
+            (
+                "gshare:10/10+pgu4",
+                "Pgu { base: Gshare { index_bits: 10, history_bits: 10 }, delay: 4 }",
+            ),
         ] {
             let spec: ModernSpec = text.parse().unwrap();
             assert_eq!(format!("{spec:?}"), debug, "{text}");
         }
-        let hand_built = ModernSpec::Pgu {
-            base: Box::new(ModernSpec::Classic(PredictorSpec::Gshare {
-                index_bits: 10,
-                history_bits: 10,
-            })),
-            delay: 4,
-        };
-        assert_eq!(
-            format!("{hand_built:?}"),
-            "Pgu { base: Gshare { index_bits: 10, history_bits: 10 }, delay: 4 }"
-        );
     }
 
     #[test]
@@ -499,15 +593,78 @@ mod tests {
 
     #[test]
     fn pgu_over_classic_base_rebuilds_classic_composition() {
-        // a hand-built Pgu{Classic} (not producible by the parser, which
-        // canonicalizes) still builds the classic composition
+        // a hand-built Pgu node over a paper-era base is the spec the
+        // parser gives `gshare:10/10+pgu4` and builds core's PGU
+        // composition around gshare
         let spec = ModernSpec::Pgu {
-            base: Box::new(ModernSpec::Classic(PredictorSpec::Gshare {
+            base: Box::new(ModernSpec::Gshare {
                 index_bits: 10,
                 history_bits: 10,
-            })),
+            }),
             delay: 4,
         };
+        assert_eq!(spec, "gshare:10/10+pgu4".parse::<ModernSpec>().unwrap());
         assert_eq!(build_modern(&spec).name(), "pgu[d4]+gshare-10/10");
+    }
+
+    #[test]
+    fn rejects_every_parameter_outside_its_constructor_range() {
+        // each parameter of each base (at `#`) with the range its
+        // constructor asserts: one past either end is refused, both ends
+        // parse (nothing is built: the largest tables would allocate
+        // hundreds of megabytes)
+        for (template, what, lo, hi) in [
+            ("bimodal:#", "table index bits", 1, 28),
+            ("gshare:#/13", "table index bits", 1, 28),
+            ("gshare:13/#", "history bits", 1, 64),
+            ("local:#/6/8", "table index bits", 1, 28),
+            ("local:6/#/8", "history bits", 1, 64),
+            ("local:6/6/#", "table index bits", 1, 28),
+            ("tournament:#/8/8/8", "table index bits", 1, 28),
+            ("tournament:8/#/8/8", "history bits", 1, 64),
+            ("tournament:8/8/#/8", "table index bits", 1, 28),
+            ("tournament:8/8/8/#", "table index bits", 1, 28),
+            ("agree:#/8", "table index bits", 1, 28),
+            ("agree:8/#", "history bits", 1, 64),
+            ("perceptron:#/8", "perceptron index bits", 1, 20),
+            ("perceptron:7/#", "history bits", 1, 64),
+            ("tage:#/10/64", "tage table count", 1, 8),
+            ("ptage:4/#/64", "tage index bits", 1, 20),
+            ("tage:4/10/#", "tage max history", 8, 256),
+            ("tage:1/10/#", "tage max history", 5, 256),
+            ("mpp:#", "mpp index bits", 1, 16),
+            ("pmpp:#", "mpp index bits", 1, 16),
+        ] {
+            let spec = |n: u32| template.replace('#', &n.to_string());
+            for bad in [spec(lo - 1), spec(hi + 1)] {
+                let e = bad.parse::<ModernSpec>().expect_err(&bad);
+                let message = format!("bad predictor spec: {what} must be {lo}..={hi} in `{bad}`");
+                assert_eq!(e.to_string(), message);
+            }
+            for good in [spec(lo), spec(hi)] {
+                assert!(good.parse::<ModernSpec>().is_ok(), "rejected `{good}`");
+            }
+        }
+    }
+
+    #[test]
+    fn specs_at_small_bounds_build() {
+        // the lower bounds and the cheap upper ones build without a panic
+        for text in [
+            "bimodal:1",
+            "gshare:1/64+pgu",
+            "local:1/64/1",
+            "tournament:1/1/1/1+pgu0",
+            "agree:1/64",
+            "perceptron:1/64+sfpf+pgu",
+            "tage:1/1/5",
+            "ptage:8/4/12+pgu",
+            "tage:8/4/256",
+            "mpp:1",
+            "pmpp:16+sfpf",
+        ] {
+            let spec: ModernSpec = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert!(!build_modern(&spec).name().is_empty(), "{text}");
+        }
     }
 }

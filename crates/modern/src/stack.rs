@@ -10,14 +10,14 @@
 //! the whole wrapper composition into the harness loop. A gang lane
 //! pays even that match once per batch: it hands its loop to
 //! [`BranchPredictor::accept`], which runs it against the payload.
-//! [`build_modern_stack`] follows the boxed builders' composition rules,
+//! [`build_modern_stack`] follows the boxed builder's composition rules,
 //! so the two differ only in dispatch.
 
 use std::fmt;
 
 use predbranch_core::{
     Agree, Bimodal, BranchInfo, BranchPredictor, Gshare, Local, Perceptron, PerfectGuard, Pgu,
-    PredictorSpec, PredictorVisitor, SquashFilter, StaticPredictor, Tournament,
+    PredictorVisitor, SquashFilter, StaticPredictor, Tournament,
 };
 use predbranch_sim::PredWriteEvent;
 
@@ -257,9 +257,40 @@ struct Wrappers {
 }
 
 impl Wrappers {
-    fn modern(&mut self, spec: &ModernSpec) -> ModernStack {
+    fn walk(&mut self, spec: &ModernSpec) -> ModernStack {
         match spec {
-            ModernSpec::Classic(classic) => self.classic(classic),
+            ModernSpec::StaticNotTaken => ModernStack::Static(StaticPredictor::NotTaken),
+            ModernSpec::StaticBtfn => ModernStack::Static(StaticPredictor::Btfn),
+            ModernSpec::Bimodal { index_bits } => ModernStack::Bimodal(Bimodal::new(*index_bits)),
+            ModernSpec::Gshare {
+                index_bits,
+                history_bits,
+            } => ModernStack::Gshare(Gshare::new(*index_bits, *history_bits)),
+            ModernSpec::Local {
+                bht_bits,
+                history_bits,
+                pattern_bits,
+            } => ModernStack::Local(Local::new(*bht_bits, *history_bits, *pattern_bits)),
+            ModernSpec::Tournament {
+                gshare_bits,
+                history_bits,
+                bimodal_bits,
+                chooser_bits,
+            } => ModernStack::Tournament(Tournament::new(
+                *gshare_bits,
+                *history_bits,
+                *bimodal_bits,
+                *chooser_bits,
+            )),
+            ModernSpec::Agree {
+                index_bits,
+                history_bits,
+            } => ModernStack::Agree(Agree::new(*index_bits, *history_bits)),
+            ModernSpec::Perceptron {
+                index_bits,
+                history_bits,
+            } => ModernStack::Perceptron(Perceptron::new(*index_bits, *history_bits)),
+            ModernSpec::OracleGuard => ModernStack::Oracle(PerfectGuard::new()),
             ModernSpec::Tage {
                 tables,
                 index_bits,
@@ -281,84 +312,27 @@ impl Wrappers {
                     update_filtered: *update_filtered,
                     learned_guards: *learned_guards,
                 });
-                self.modern(base)
+                self.walk(base)
             }
             ModernSpec::Pgu { base, delay } => {
                 self.delay = Some(*delay);
-                self.modern(base)
-            }
-        }
-    }
-
-    fn classic(&mut self, spec: &PredictorSpec) -> ModernStack {
-        match spec {
-            PredictorSpec::StaticNotTaken => ModernStack::Static(StaticPredictor::NotTaken),
-            PredictorSpec::StaticBtfn => ModernStack::Static(StaticPredictor::Btfn),
-            PredictorSpec::Bimodal { index_bits } => {
-                ModernStack::Bimodal(Bimodal::new(*index_bits))
-            }
-            PredictorSpec::Gshare {
-                index_bits,
-                history_bits,
-            } => ModernStack::Gshare(Gshare::new(*index_bits, *history_bits)),
-            PredictorSpec::Local {
-                bht_bits,
-                history_bits,
-                pattern_bits,
-            } => ModernStack::Local(Local::new(*bht_bits, *history_bits, *pattern_bits)),
-            PredictorSpec::Tournament {
-                gshare_bits,
-                history_bits,
-                bimodal_bits,
-                chooser_bits,
-            } => ModernStack::Tournament(Tournament::new(
-                *gshare_bits,
-                *history_bits,
-                *bimodal_bits,
-                *chooser_bits,
-            )),
-            PredictorSpec::Agree {
-                index_bits,
-                history_bits,
-            } => ModernStack::Agree(Agree::new(*index_bits, *history_bits)),
-            PredictorSpec::Perceptron {
-                index_bits,
-                history_bits,
-            } => ModernStack::Perceptron(Perceptron::new(*index_bits, *history_bits)),
-            PredictorSpec::OracleGuard => ModernStack::Oracle(PerfectGuard::new()),
-            PredictorSpec::Sfpf {
-                base,
-                known_true,
-                update_filtered,
-                learned_guards,
-            } => {
-                self.filters.push(Filter {
-                    known_true: *known_true,
-                    update_filtered: *update_filtered,
-                    learned_guards: *learned_guards,
-                });
-                self.classic(base)
-            }
-            PredictorSpec::Pgu { base, delay } => {
-                self.delay = Some(*delay);
-                self.classic(base)
+                self.walk(base)
             }
         }
     }
 }
 
 /// Builds a statically-dispatched predictor from a spec — the hot-path
-/// counterpart of [`crate::build_modern`] and
-/// [`predbranch_core::build_predictor`].
+/// counterpart of [`crate::build_modern`].
 ///
-/// One walk collects the spec's wrappers, classic and modern alike, and
-/// builds its base; the wrappers then compose by the boxed builders'
-/// rules: the filter sits in front of PGU, PGU over a base without global
-/// history degrades to that base, the innermost PGU delay wins, and
-/// nested filters fall back to [`ModernStack::Dyn`].
+/// One walk collects the spec's wrappers and builds its base; the
+/// wrappers then compose by the boxed builder's rules: the filter sits
+/// in front of PGU, PGU over a base without global history degrades to
+/// that base, the innermost PGU delay wins, and nested filters fall
+/// back to [`ModernStack::Dyn`].
 pub fn build_modern_stack(spec: &ModernSpec) -> ModernStack {
     let mut wrappers = Wrappers::default();
-    let base = wrappers.modern(spec);
+    let base = wrappers.walk(spec);
     let stack = match wrappers.delay {
         Some(delay) => base.with_pgu(delay),
         None => base,
@@ -408,67 +382,41 @@ mod tests {
         .unwrap()
     }
 
-    /// Every base a spec can name: the nine classic ones and the four
+    /// Every base a spec can name: the nine paper-era ones and the four
     /// modern ones, at small sizes.
     fn bases() -> Vec<ModernSpec> {
-        let classic = [
-            PredictorSpec::StaticNotTaken,
-            PredictorSpec::StaticBtfn,
-            PredictorSpec::Bimodal { index_bits: 8 },
-            PredictorSpec::Gshare {
-                index_bits: 8,
-                history_bits: 8,
-            },
-            PredictorSpec::Local {
-                bht_bits: 6,
-                history_bits: 6,
-                pattern_bits: 8,
-            },
-            PredictorSpec::Tournament {
-                gshare_bits: 8,
-                history_bits: 8,
-                bimodal_bits: 8,
-                chooser_bits: 8,
-            },
-            PredictorSpec::Agree {
-                index_bits: 8,
-                history_bits: 8,
-            },
-            PredictorSpec::Perceptron {
-                index_bits: 6,
-                history_bits: 12,
-            },
-            PredictorSpec::OracleGuard,
-        ];
-        let modern = ["tage:4/8/48", "ptage:4/8/48", "mpp:8", "pmpp:8"];
-        classic
-            .into_iter()
-            .map(ModernSpec::Classic)
-            .chain(modern.iter().map(|text| text.parse().unwrap()))
-            .collect()
+        [
+            "nt",
+            "btfn",
+            "bimodal:8",
+            "gshare:8/8",
+            "local:6/6/8",
+            "tournament:8/8/8/8",
+            "agree:8/8",
+            "perceptron:6/12",
+            "oracle",
+            "tage:4/8/48",
+            "ptage:4/8/48",
+            "mpp:8",
+            "pmpp:8",
+        ]
+        .iter()
+        .map(|text| text.parse().unwrap())
+        .collect()
     }
 
-    /// An SFPF node with the given policy, pushed into a classic spec the
-    /// way [`ModernSpec::with_sfpf`] pushes the default one.
+    /// An SFPF node with the given policy.
     fn filter(
         spec: ModernSpec,
         known_true: bool,
         update_filtered: bool,
         learned_guards: Option<u32>,
     ) -> ModernSpec {
-        match spec {
-            ModernSpec::Classic(base) => ModernSpec::Classic(PredictorSpec::Sfpf {
-                base: Box::new(base),
-                known_true,
-                update_filtered,
-                learned_guards,
-            }),
-            base => ModernSpec::Sfpf {
-                base: Box::new(base),
-                known_true,
-                update_filtered,
-                learned_guards,
-            },
+        ModernSpec::Sfpf {
+            base: Box::new(spec),
+            known_true,
+            update_filtered,
+            learned_guards,
         }
     }
 
@@ -482,16 +430,8 @@ mod tests {
         (|spec| filter(spec, false, false, None), 1),
         (|spec| filter(spec, false, true, Some(6)), 1),
         (|spec| spec.with_pgu(0), 0),
+        (|spec| spec.with_pgu(4), 0),
         (|spec| spec.with_pgu(8), 0),
-        // a hand-built node the constructors never put around a classic
-        // spec; the wrappers above then add modern nodes around it too
-        (
-            |spec| ModernSpec::Pgu {
-                base: Box::new(spec),
-                delay: 4,
-            },
-            0,
-        ),
     ];
 
     #[test]
@@ -590,8 +530,8 @@ mod tests {
         }
     }
 
-    /// Parser-reachable spec shapes with at most one filter, classic and
-    /// modern, including two PGU modifiers around a filter.
+    /// Parser-reachable spec shapes with at most one filter, paper-era
+    /// and modern, including two PGU modifiers around a filter.
     fn shapes() -> Vec<&'static str> {
         vec![
             "nt",
@@ -647,15 +587,13 @@ mod tests {
         let stack = build_modern_stack(&spec);
         assert_eq!(stack.name(), "bimodal-8");
         assert!(matches!(stack, ModernStack::Bimodal(_)));
-        // ... including under a filter, and under a hand-built modern node
+        // ... including under a filter, and over another base without
+        // global history
         let spec: ModernSpec = "bimodal:8+pgu4+sfpf".parse().unwrap();
         let stack = build_modern_stack(&spec);
         assert_eq!(stack.name(), build_modern(&spec).name());
         assert!(matches!(stack, ModernStack::SfpfBimodal(_)));
-        let spec = ModernSpec::Pgu {
-            base: Box::new("local:6/6/8".parse().unwrap()),
-            delay: 4,
-        };
+        let spec: ModernSpec = "local:6/6/8+pgu4".parse().unwrap();
         let stack = build_modern_stack(&spec);
         assert_eq!(stack.name(), build_modern(&spec).name());
         assert!(matches!(stack, ModernStack::Local(_)));
@@ -675,8 +613,7 @@ mod tests {
 
     #[test]
     fn nested_filters_use_the_escape_hatch() {
-        // a modern filter over a modern filter, and a modern filter over
-        // a classic one
+        // a filter over a filter, over a modern base and a paper-era one
         for spec in [
             ModernSpec::Sfpf {
                 base: Box::new("tage:4/8/48+sfpf".parse().unwrap()),
@@ -728,11 +665,10 @@ mod tests {
 
     #[test]
     fn variants_table_tracks_both_enums() {
-        // the classic and modern tiers share the one table: no `Classic`
-        // passthrough, every global-history base of either tier under all
-        // four wrappings, and the other bases without PGU
+        // the paper-era and modern tiers share the one table: every
+        // global-history base of either tier under all four wrappings,
+        // and the other bases without PGU
         let names: Vec<&str> = ModernStack::VARIANTS.iter().map(|v| v.name).collect();
-        assert!(!names.contains(&"Classic"));
         for base in ["Gshare", "Tournament", "Agree", "Perceptron", "Tage", "Mpp"] {
             for prefix in ["", "Sfpf", "Pgu", "SfpfPgu"] {
                 let name = format!("{prefix}{base}");

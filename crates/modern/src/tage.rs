@@ -1,15 +1,21 @@
 //! A TAGE (TAgged GEometric history length) predictor.
 
+use std::ops::RangeInclusive;
+
 use predbranch_core::{
     checkpoint_capacity, BranchInfo, BranchPredictor, CounterTable, FoldedHistory, HistoryInsert,
-    LongHistory, Ring, WINDOW_CAPACITY,
+    LongHistory, Ring, MAX_LONG_HISTORY, WINDOW_CAPACITY,
 };
-use predbranch_sim::PredWriteEvent;
+use predbranch_sim::{PredWriteEvent, DEFAULT_RESOLVE_LATENCY};
 
 use crate::predhist::PredicateHistory;
 
 /// Maximum number of tagged tables a [`Tage`] instance may have.
 pub const MAX_TAGE_TABLES: usize = 8;
+
+/// The largest `index_bits` a [`Tage`] accepts: `2^20` entries per
+/// tagged table.
+pub(crate) const MAX_TAGE_INDEX_BITS: u32 = 20;
 
 /// History length of the shortest tagged table.
 const MIN_HISTORY: u32 = 5;
@@ -27,11 +33,6 @@ const PRED_INDEX_OUTCOMES: u32 = 4;
 
 /// Sentinel for "no tagged table" in provider/alternate fields.
 const NO_TABLE: u8 = u8::MAX;
-
-/// Delay (in fetch slots) before a predicate definition becomes visible
-/// to the predicate-aware variant, matching the commit-time PGU timing
-/// the bench experiments use.
-const PRED_DELAY: u64 = 8;
 
 /// Capacity of the TAGE snapshot ring, derived from the harness's
 /// in-flight window bound. TAGE checkpoints are an order of magnitude
@@ -182,14 +183,15 @@ impl Tage {
             "tage table count must be 1..={MAX_TAGE_TABLES}"
         );
         assert!(
-            (1..=20).contains(&index_bits),
-            "tage index bits must be 1..=20"
+            (1..=MAX_TAGE_INDEX_BITS).contains(&index_bits),
+            "tage index bits must be 1..={MAX_TAGE_INDEX_BITS}"
         );
+        let histories = Tage::max_history_range(tables);
         assert!(
-            (MIN_HISTORY + tables - 1..=predbranch_core::MAX_LONG_HISTORY).contains(&max_history),
+            histories.contains(&max_history),
             "tage max history must be {}..={} for {tables} tables",
-            MIN_HISTORY + tables - 1,
-            predbranch_core::MAX_LONG_HISTORY,
+            histories.start(),
+            histories.end(),
         );
 
         let num_tables = tables as usize;
@@ -226,9 +228,19 @@ impl Tage {
             use_alt_on_na: 0,
             lfsr: 0xACE1,
             predicate: false,
-            pred_hist: PredicateHistory::new(PRED_DELAY),
+            // predicates become visible at PGU's commit-time delay: one
+            // resolve latency after the defining compare
+            pred_hist: PredicateHistory::new(DEFAULT_RESOLVE_LATENCY),
             checkpoints: Ring::new(),
         }
+    }
+
+    /// The `max_history` values [`Tage::new`] accepts for `tables`
+    /// tagged tables: a geometric series from `MIN_HISTORY` needs one
+    /// more bit per table to stay strictly increasing, and the register
+    /// holds at most [`MAX_LONG_HISTORY`] bits.
+    pub(crate) fn max_history_range(tables: u32) -> RangeInclusive<u32> {
+        MIN_HISTORY + tables.saturating_sub(1)..=MAX_LONG_HISTORY
     }
 
     /// Enables the predicate-history feature: the newest
@@ -638,7 +650,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let value = x >> 63 == 1;
                 t.on_pred_write(&write(i * 20, value));
-                let b = info(0x40, i * 20 + PRED_DELAY + 2);
+                let b = info(0x40, i * 20 + DEFAULT_RESOLVE_LATENCY + 2);
                 let predicted = t.predict(&b);
                 if i >= 4000 && predicted != value {
                     wrong_tail += 1;

@@ -110,6 +110,26 @@ fn bad_spec_is_rejected() {
 }
 
 #[test]
+fn out_of_range_parameter_is_rejected_before_building() {
+    // `gshare:0/13` used to parse and then panic in the table
+    // constructor; the parser now refuses it with one line
+    let src = scratch("range.s");
+    fs::write(&src, PROGRAM).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
+        .args([src.to_str().unwrap(), "--predictor", "gshare:0/13"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(
+        err,
+        "pbpredict: bad predictor spec: table index bits must be 1..=28 in `gshare:0/13`\n"
+    );
+    fs::remove_file(src).ok();
+}
+
+#[test]
 fn stack_listing_matches_the_generated_table() {
     // the printed listing must be exactly the variants the stack macro
     // emitted — one line per variant, names and payload types matching

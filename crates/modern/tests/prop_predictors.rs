@@ -3,10 +3,9 @@
 
 use proptest::prelude::*;
 
-use predbranch_core::{
-    build_predictor, BranchInfo, BranchPredictor, Gshare, Pgu, PredictorSpec, SquashFilter,
-};
+use predbranch_core::{BranchInfo, BranchPredictor, Gshare, Pgu, SquashFilter};
 use predbranch_isa::PredReg;
+use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_sim::{PredWriteEvent, PredicateScoreboard};
 
 /// One synthetic dynamic event.
@@ -43,35 +42,35 @@ fn arb_event() -> impl Strategy<Value = Ev> {
     ]
 }
 
-fn arb_spec() -> impl Strategy<Value = PredictorSpec> {
+fn arb_spec() -> impl Strategy<Value = ModernSpec> {
     let bases = prop_oneof![
-        Just(PredictorSpec::StaticNotTaken),
-        Just(PredictorSpec::StaticBtfn),
-        Just(PredictorSpec::Bimodal { index_bits: 6 }),
-        Just(PredictorSpec::Gshare {
+        Just(ModernSpec::StaticNotTaken),
+        Just(ModernSpec::StaticBtfn),
+        Just(ModernSpec::Bimodal { index_bits: 6 }),
+        Just(ModernSpec::Gshare {
             index_bits: 8,
             history_bits: 8
         }),
-        Just(PredictorSpec::Local {
+        Just(ModernSpec::Local {
             bht_bits: 5,
             history_bits: 6,
             pattern_bits: 8
         }),
-        Just(PredictorSpec::Tournament {
+        Just(ModernSpec::Tournament {
             gshare_bits: 6,
             history_bits: 6,
             bimodal_bits: 6,
             chooser_bits: 6
         }),
-        Just(PredictorSpec::Perceptron {
+        Just(ModernSpec::Perceptron {
             index_bits: 5,
             history_bits: 8
         }),
-        Just(PredictorSpec::Agree {
+        Just(ModernSpec::Agree {
             index_bits: 6,
             history_bits: 6
         }),
-        Just(PredictorSpec::OracleGuard),
+        Just(ModernSpec::OracleGuard),
     ];
     (bases, any::<bool>(), prop::option::of(0u64..16)).prop_map(|(base, sfpf, pgu)| {
         let mut spec = base;
@@ -87,8 +86,8 @@ fn arb_spec() -> impl Strategy<Value = PredictorSpec> {
 
 /// Replays a stream against a predictor, returning the misprediction
 /// count.
-fn replay(spec: &PredictorSpec, events: &[Ev], latency: u64) -> u64 {
-    let mut predictor = build_predictor(spec);
+fn replay(spec: &ModernSpec, events: &[Ev], latency: u64) -> u64 {
+    let mut predictor = build_modern(spec);
     let mut scoreboard = PredicateScoreboard::new(latency);
     let mut wrong = 0;
     for (index, ev) in events.iter().enumerate() {
@@ -159,7 +158,7 @@ proptest! {
             .map(|preg| Ev::Write { pc: 0, preg, value: true })
             .collect();
         prefix.extend(events);
-        let base = PredictorSpec::Gshare { index_bits: 8, history_bits: 8 };
+        let base = ModernSpec::Gshare { index_bits: 8, history_bits: 8 };
         let wrapped = base.clone().with_sfpf();
         prop_assert_eq!(
             replay(&base, &prefix, 1 << 60),
@@ -238,7 +237,7 @@ proptest! {
                 },
             })
             .collect();
-        let oracle = PredictorSpec::OracleGuard;
+        let oracle = ModernSpec::OracleGuard;
         let filtered = oracle.clone().with_sfpf();
         prop_assert_eq!(replay(&oracle, &events, latency), 0);
         prop_assert_eq!(replay(&filtered, &events, latency), 0);
@@ -250,7 +249,7 @@ proptest! {
         spec in arb_spec(),
         events in prop::collection::vec(arb_event(), 0..50),
     ) {
-        let mut predictor = build_predictor(&spec);
+        let mut predictor = build_modern(&spec);
         let before = predictor.storage_bits();
         let scoreboard = PredicateScoreboard::new(4);
         for (index, ev) in events.iter().enumerate() {

@@ -12,7 +12,9 @@
 //!   pipeline timing model;
 //! * [`core`] — the paper's predictors: the squash false-path filter and
 //!   the predicate global-update predictor, over conventional baselines;
-//! * [`modern`] — the post-2003 tier: TAGE and a multiperspective
+//! * [`modern`] — the one predictor spec (`ModernSpec`: a grammar for
+//!   every base and wrapper, with boxed and statically-dispatched
+//!   builders) and the post-2003 tier: TAGE and a multiperspective
 //!   perceptron, each with a predicate-aware variant, asking the
 //!   paper's question against modern baselines;
 //! * [`workloads`] — eleven SPECint-2000-analog benchmarks;
@@ -65,7 +67,8 @@ pub use predbranch_sweep as sweep;
 pub use predbranch_trace as trace;
 pub use predbranch_workloads as workloads;
 
-/// Everything a typical experiment needs, in one import.
+/// Everything a typical experiment needs, in one import: compile a
+/// benchmark, parse a predictor spec and build it, run, tabulate.
 ///
 /// # Examples
 ///
@@ -74,9 +77,9 @@ pub use predbranch_workloads as workloads;
 ///
 /// let bench = &suite()[7]; // "gap"
 /// let compiled = compile_benchmark(bench, &CompileOptions::default());
-/// let spec: PredictorSpec = "gshare:12/12+pgu8".parse().unwrap();
+/// let spec: ModernSpec = "gshare:12/12+pgu8".parse().unwrap();
 /// let mut harness = PredictionHarness::new(
-///     build_predictor(&spec),
+///     build_modern(&spec),
 ///     HarnessConfig::default(),
 /// );
 /// Executor::new(&compiled.predicated, bench.input(EVAL_SEED)).run(&mut harness, 8_000_000);
@@ -86,11 +89,9 @@ pub mod prelude {
     pub use predbranch_compiler::{
         hoist_compares, if_convert, lower, profile_cfg, CfgBuilder, Cond, IfConvertConfig,
     };
-    pub use predbranch_core::{
-        build_predictor, BranchPredictor, HarnessConfig, InsertFilter, PredictionHarness,
-        PredictorSpec,
-    };
+    pub use predbranch_core::{BranchPredictor, HarnessConfig, InsertFilter, PredictionHarness};
     pub use predbranch_isa::{assemble, Gpr, PredReg, Program};
+    pub use predbranch_modern::{build_modern, ModernSpec};
     pub use predbranch_sim::{Executor, Memory, PipelineConfig};
     pub use predbranch_stats::{Cell, Series, Table};
     pub use predbranch_sweep::{par_map, Checkpoint, ManifestBuilder};

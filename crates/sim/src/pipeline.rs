@@ -7,8 +7,9 @@ use std::fmt;
 /// observe its predicate result.
 ///
 /// This is *the* single definition of the study's default — the
-/// scoreboard, [`PipelineConfig`], the prediction harness, and the
-/// experiment grid all derive their defaults from this constant.
+/// prediction harness, the experiment grid, PGU's commit-time insertion
+/// delay and the predicate-history registers all derive their defaults
+/// from this constant.
 pub const DEFAULT_RESOLVE_LATENCY: u64 = 8;
 
 /// The default branch retire latency, in fetch slots: the distance
@@ -23,9 +24,10 @@ pub const DEFAULT_RETIRE_LATENCY: u64 = 0;
 /// Front-end and recovery parameters of the modelled machine.
 ///
 /// The defaults describe the EPIC-class machine the study assumes: a
-/// 6-wide fetch front end, a 10-cycle misprediction flush, and an 8-slot
-/// compare-to-fetch resolve latency for predicates
-/// ([`DEFAULT_RESOLVE_LATENCY`]).
+/// 6-wide fetch front end and a 10-cycle misprediction flush. The
+/// predicate resolve latency is a prediction-harness knob
+/// (`Timing::resolve_latency` in `predbranch-core`), not a timing-model
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Instructions fetched per cycle.
@@ -35,9 +37,6 @@ pub struct PipelineConfig {
     /// Cycles lost per *taken* (correctly predicted) branch — fetch
     /// redirection bubble.
     pub taken_bubble: u32,
-    /// Fetch slots between a compare executing and the first branch fetch
-    /// that can observe its predicate result (the scoreboard latency).
-    pub resolve_latency: u64,
 }
 
 impl Default for PipelineConfig {
@@ -46,7 +45,6 @@ impl Default for PipelineConfig {
             fetch_width: 6,
             mispredict_penalty: 10,
             taken_bubble: 1,
-            resolve_latency: DEFAULT_RESOLVE_LATENCY,
         }
     }
 }
@@ -262,7 +260,6 @@ mod tests {
             fetch_width: 4,
             mispredict_penalty: 10,
             taken_bubble: 1,
-            resolve_latency: 8,
         }
     }
 

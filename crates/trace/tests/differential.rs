@@ -5,7 +5,8 @@
 //! prediction depends only on the event stream, which the trace format
 //! preserves exactly.
 
-use predbranch_core::{build_predictor, HarnessConfig, PredictionHarness, PredictorSpec};
+use predbranch_core::{HarnessConfig, PredictionHarness};
+use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_sim::{Executor, RunSummary};
 use predbranch_trace::{program_hash, TraceHeader, TraceReader, TraceWriter};
 use predbranch_workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
@@ -45,14 +46,14 @@ fn replay_is_byte_identical_to_live_simulation() {
         let bytes = writer.finish(&recorded).unwrap();
 
         for spec_str in SPECS {
-            let spec: PredictorSpec = spec_str.parse().unwrap();
+            let spec: ModernSpec = spec_str.parse().unwrap();
 
-            let mut live = PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+            let mut live = PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
             let live_summary: RunSummary =
                 Executor::new(program, bench.input(EVAL_SEED)).run(&mut live, BUDGET);
 
             let mut replayed =
-                PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+                PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
             let stats = TraceReader::new(bytes.as_slice())
                 .unwrap()
                 .replay(&mut replayed)
@@ -87,16 +88,16 @@ fn replayed_events_drive_replay_events_identically() {
     let summary = Executor::new(program, bench.input(EVAL_SEED)).run(&mut writer, BUDGET);
     let bytes = writer.finish(&summary).unwrap();
 
-    let spec: PredictorSpec = "gshare:12/12+sfpf+pgu8".parse().unwrap();
+    let spec: ModernSpec = "gshare:12/12+sfpf+pgu8".parse().unwrap();
     let (events, _) = TraceReader::new(bytes.as_slice())
         .unwrap()
         .read_events()
         .unwrap();
 
-    let mut buffered = PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+    let mut buffered = PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
     buffered.replay_events(&events);
 
-    let mut streamed = PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+    let mut streamed = PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
     TraceReader::new(bytes.as_slice())
         .unwrap()
         .replay(&mut streamed)
@@ -117,11 +118,11 @@ fn plain_binary_replays_identically_too() {
     let summary = Executor::new(program, bench.input(EVAL_SEED)).run(&mut writer, BUDGET);
     let bytes = writer.finish(&summary).unwrap();
 
-    let spec: PredictorSpec = "gshare:12/12".parse().unwrap();
-    let mut live = PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+    let spec: ModernSpec = "gshare:12/12".parse().unwrap();
+    let mut live = PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
     Executor::new(program, bench.input(EVAL_SEED)).run(&mut live, BUDGET);
 
-    let mut replayed = PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+    let mut replayed = PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
     TraceReader::new(bytes.as_slice())
         .unwrap()
         .replay(&mut replayed)

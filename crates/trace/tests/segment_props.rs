@@ -13,8 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use predbranch_core::{build_predictor, HarnessConfig, PredictionHarness, PredictorSpec};
+use predbranch_core::{HarnessConfig, PredictionHarness};
 use predbranch_isa::PredReg;
+use predbranch_modern::{build_modern, ModernSpec};
 use predbranch_sim::{BranchEvent, Event, PredWriteEvent, RunSummary, TraceSink};
 use predbranch_trace::{
     migrate_trace, segment_path, MigrateOutcome, TraceHeader, TraceMap, TraceReader, TraceWriter,
@@ -165,12 +166,12 @@ proptest! {
         // downstream predictor tables: drive the full prediction stack
         // (history tables, false-path filter, predicate scoreboard) from
         // each path and require identical metrics
-        let spec: PredictorSpec = "gshare:8/8+sfpf+pgu8".parse().unwrap();
+        let spec: ModernSpec = "gshare:8/8+sfpf+pgu8".parse().unwrap();
         let mut varint_harness =
-            PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+            PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
         TraceReader::new(bytes.as_slice()).unwrap().replay(&mut varint_harness).unwrap();
         let mut segment_harness =
-            PredictionHarness::new(build_predictor(&spec), HarnessConfig::default());
+            PredictionHarness::new(build_modern(&spec), HarnessConfig::default());
         map.replay(&mut segment_harness, &mut scratch).unwrap();
 
         cleanup(&trace);

@@ -5,46 +5,45 @@
 //! cargo run --release -p predbranch --example predictor_shootout
 //! ```
 
-use predbranch::core::{
-    build_predictor, HarnessConfig, InsertFilter, PredictionHarness, PredictorSpec, Timing,
-};
+use predbranch::core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
+use predbranch::modern::{build_modern, ModernSpec};
 use predbranch::sim::Executor;
 use predbranch::stats::{mean, Cell, Table};
 use predbranch::workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
 
-fn specs() -> Vec<PredictorSpec> {
-    let gshare = PredictorSpec::Gshare {
+fn specs() -> Vec<ModernSpec> {
+    let gshare = ModernSpec::Gshare {
         index_bits: 13,
         history_bits: 13,
     };
     vec![
-        PredictorSpec::StaticNotTaken,
-        PredictorSpec::StaticBtfn,
-        PredictorSpec::Bimodal { index_bits: 14 },
-        PredictorSpec::Local {
+        ModernSpec::StaticNotTaken,
+        ModernSpec::StaticBtfn,
+        ModernSpec::Bimodal { index_bits: 14 },
+        ModernSpec::Local {
             bht_bits: 10,
             history_bits: 10,
             pattern_bits: 12,
         },
         gshare.clone(),
-        PredictorSpec::Tournament {
+        ModernSpec::Tournament {
             gshare_bits: 12,
             history_bits: 12,
             bimodal_bits: 12,
             chooser_bits: 12,
         },
-        PredictorSpec::Agree {
+        ModernSpec::Agree {
             index_bits: 12,
             history_bits: 12,
         },
-        PredictorSpec::Perceptron {
+        ModernSpec::Perceptron {
             index_bits: 7,
             history_bits: 14,
         },
         gshare.clone().with_sfpf(),
         gshare.clone().with_pgu(8),
         gshare.with_sfpf().with_pgu(8),
-        PredictorSpec::OracleGuard,
+        ModernSpec::OracleGuard,
     ]
 }
 
@@ -62,7 +61,7 @@ fn main() {
         let mut rates = Vec::new();
         for (bench, c) in &compiled {
             let mut harness = PredictionHarness::new(
-                build_predictor(&spec),
+                build_modern(&spec),
                 HarnessConfig {
                     timing: Timing::immediate(8),
                     insert: InsertFilter::All,
@@ -73,7 +72,7 @@ fn main() {
             assert!(summary.halted);
             rates.push(harness.metrics().all.misp_rate().percent());
         }
-        let built = build_predictor(&spec);
+        let built = build_modern(&spec);
         rows.push((built.name(), built.storage_bits(), mean(&rates)));
     }
     rows.sort_by(|a, b| a.2.total_cmp(&b.2));

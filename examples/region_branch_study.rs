@@ -7,16 +7,14 @@
 //! cargo run --release -p predbranch --example region_branch_study
 //! ```
 
-use predbranch::core::{
-    build_predictor, HarnessConfig, HotBranches, InsertFilter, PredictionHarness, PredictorSpec,
-    Timing,
-};
+use predbranch::core::{HarnessConfig, HotBranches, InsertFilter, PredictionHarness, Timing};
+use predbranch::modern::{build_modern, ModernSpec};
 use predbranch::sim::{Executor, GuardKnowledgeStats, RegionActivity};
 use predbranch::stats::{Cell, Table};
 use predbranch::workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
 
 fn main() {
-    let base = PredictorSpec::Gshare {
+    let base = ModernSpec::Gshare {
         index_bits: 13,
         history_bits: 13,
     };
@@ -36,9 +34,9 @@ fn main() {
     for bench in suite() {
         let c = compile_benchmark(&bench, &CompileOptions::default());
 
-        let run = |spec: &PredictorSpec| {
+        let run = |spec: &ModernSpec| {
             let mut harness = PredictionHarness::new(
-                build_predictor(spec),
+                build_modern(spec),
                 HarnessConfig {
                     timing: Timing::immediate(8),
                     insert: InsertFilter::All,
@@ -72,7 +70,7 @@ fn main() {
     let bench = suite().into_iter().find(|b| b.name() == "mcf").unwrap();
     let c = compile_benchmark(&bench, &CompileOptions::default());
     let mut activity = RegionActivity::new();
-    let mut hot = HotBranches::new(build_predictor(&base), 8);
+    let mut hot = HotBranches::new(build_modern(&base), 8);
     let mut sinks = (&mut activity, &mut hot);
     Executor::new(&c.predicated, bench.input(EVAL_SEED)).run(&mut sinks, 8_000_000);
 

@@ -6,17 +6,16 @@
 //! cargo run --release -p predbranch --example timing_model
 //! ```
 
-use predbranch::core::{
-    build_predictor, HarnessConfig, InsertFilter, PredictionHarness, PredictorSpec, Timing,
-};
+use predbranch::core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
+use predbranch::modern::{build_modern, ModernSpec};
 use predbranch::sim::{Executor, PipelineConfig, PipelineModel};
 use predbranch::stats::{Cell, Table};
 use predbranch::workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
 
 fn main() {
     let pipe = PipelineConfig::default();
-    let base: PredictorSpec = "gshare:13/13".parse().unwrap();
-    let both: PredictorSpec = "gshare:13/13+sfpf+pgu8".parse().unwrap();
+    let base: ModernSpec = "gshare:13/13".parse().unwrap();
+    let both: ModernSpec = "gshare:13/13+sfpf+pgu8".parse().unwrap();
 
     let mut table = Table::new(
         "closed-form model vs event-driven timeline (cycles, gshare baseline)",
@@ -30,9 +29,9 @@ fn main() {
     );
     for bench in suite() {
         let c = compile_benchmark(&bench, &CompileOptions::default());
-        let run = |spec: &PredictorSpec| {
+        let run = |spec: &ModernSpec| {
             let mut harness = PredictionHarness::new(
-                build_predictor(spec),
+                build_modern(spec),
                 HarnessConfig {
                     timing: Timing::immediate(8),
                     insert: InsertFilter::All,

@@ -3,10 +3,9 @@
 
 use proptest::prelude::*;
 
-use predbranch::core::{
-    build_predictor, HarnessConfig, InsertFilter, PredictionHarness, PredictorSpec, Timing,
-};
+use predbranch::core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
 use predbranch::isa::{decode, encode};
+use predbranch::modern::{build_modern, ModernSpec};
 use predbranch::sim::{Executor, TraceSink};
 use predbranch::workloads::{compile_benchmark, suite, CompileOptions};
 
@@ -16,9 +15,9 @@ use predbranch::workloads::{compile_benchmark, suite, CompileOptions};
 fn predictors_do_not_perturb_execution() {
     let bench = &suite()[1];
     let c = compile_benchmark(bench, &CompileOptions::default());
-    let outcomes = |spec: &PredictorSpec| -> (u64, u64) {
+    let outcomes = |spec: &ModernSpec| -> (u64, u64) {
         let mut harness = PredictionHarness::new(
-            build_predictor(spec),
+            build_modern(spec),
             HarnessConfig {
                 timing: Timing::immediate(8),
                 insert: InsertFilter::All,
@@ -27,8 +26,8 @@ fn predictors_do_not_perturb_execution() {
         let summary = Executor::new(&c.predicated, bench.input(7)).run(&mut harness, 8_000_000);
         (summary.instructions, summary.taken_conditional)
     };
-    let a = outcomes(&PredictorSpec::StaticNotTaken);
-    let b = outcomes(&PredictorSpec::OracleGuard);
+    let a = outcomes(&ModernSpec::StaticNotTaken);
+    let b = outcomes(&ModernSpec::OracleGuard);
     assert_eq!(a, b);
 }
 
@@ -83,10 +82,10 @@ proptest! {
     fn prediction_runs_are_reproducible(seed in 0u64..1000, which in 0usize..11) {
         let bench = &suite()[which];
         let c = compile_benchmark(bench, &CompileOptions::default());
-        let spec = PredictorSpec::Gshare { index_bits: 10, history_bits: 10 }.with_pgu(4);
+        let spec = ModernSpec::Gshare { index_bits: 10, history_bits: 10 }.with_pgu(4);
         let run = || {
             let mut harness = PredictionHarness::new(
-                build_predictor(&spec),
+                build_modern(&spec),
                 HarnessConfig { timing: Timing::immediate(8), insert: InsertFilter::All },
             );
             Executor::new(&c.predicated, bench.input(seed)).run(&mut harness, 8_000_000);

@@ -3,17 +3,16 @@
 //! user would.
 
 use predbranch::compiler::{if_convert, lower, IfConvertConfig};
-use predbranch::core::{
-    build_predictor, HarnessConfig, InsertFilter, PredictionHarness, PredictorSpec, Timing,
-};
+use predbranch::core::{HarnessConfig, InsertFilter, PredictionHarness, Timing};
+use predbranch::modern::{build_modern, ModernSpec};
 use predbranch::sim::{Executor, Memory, NullSink};
 use predbranch::workloads::{
     compile_benchmark, suite, CompileOptions, DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED,
 };
 
-fn misp_on(program: &predbranch::isa::Program, memory: Memory, spec: &PredictorSpec) -> (f64, u64) {
+fn misp_on(program: &predbranch::isa::Program, memory: Memory, spec: &ModernSpec) -> (f64, u64) {
     let mut harness = PredictionHarness::new(
-        build_predictor(spec),
+        build_modern(spec),
         HarnessConfig {
             timing: Timing::immediate(8),
             insert: InsertFilter::All,
@@ -34,7 +33,7 @@ fn oracle_is_perfect_on_every_benchmark() {
         let (misp, branches) = misp_on(
             &c.predicated,
             bench.input(EVAL_SEED),
-            &PredictorSpec::OracleGuard,
+            &ModernSpec::OracleGuard,
         );
         assert!(branches > 0);
         assert_eq!(misp, 0.0, "{}: oracle must be perfect", c.name);
@@ -45,13 +44,13 @@ fn oracle_is_perfect_on_every_benchmark() {
 fn squash_filter_never_mispredicts_known_false_guards() {
     for bench in suite() {
         let c = compile_benchmark(&bench, &CompileOptions::default());
-        let spec = PredictorSpec::Gshare {
+        let spec = ModernSpec::Gshare {
             index_bits: 13,
             history_bits: 13,
         }
         .with_sfpf();
         let mut harness = PredictionHarness::new(
-            build_predictor(&spec),
+            build_modern(&spec),
             HarnessConfig {
                 timing: Timing::immediate(8),
                 insert: InsertFilter::All,
@@ -72,7 +71,7 @@ fn squash_filter_never_mispredicts_known_false_guards() {
 
 #[test]
 fn sfpf_never_hurts_and_pgu_wins_where_designed() {
-    let base = PredictorSpec::Gshare {
+    let base = ModernSpec::Gshare {
         index_bits: 13,
         history_bits: 13,
     };
