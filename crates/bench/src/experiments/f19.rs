@@ -2,11 +2,11 @@
 //! configurations joined against the F17 predictability taxonomy.
 //!
 //! For each benchmark, one shared decoded pass feeds the streaming
-//! characterizer and six per-branch attribution harnesses — TAGE and
-//! the multiperspective perceptron, each bare, with +SFPF+PGU, and in
-//! its predicate-aware form (`ptage`/`pmpp`). Every static conditional
-//! branch's misprediction counts are then grouped by its taxonomy
-//! bucket.
+//! characterizer and a gang of six per-branch attribution lanes — TAGE
+//! and the multiperspective perceptron, each bare, with +SFPF+PGU, and
+//! in its predicate-aware form (`ptage`/`pmpp`). Every static
+//! conditional branch's misprediction counts are then grouped by its
+//! taxonomy bucket, through the join F17 uses.
 //!
 //! The claim under test — the paper's conclusion carried forward 20
 //! years — is that whatever accuracy the predicate mechanisms still buy
@@ -16,14 +16,12 @@
 //! were designed for. On the other buckets a strong history-based base
 //! has little left to gain from predicate signals.
 
-use predbranch_characterize::{Bucket, Characterization, Characterizer};
-use predbranch_core::HotBranches;
-use predbranch_modern::{build_modern_stack, ModernSpec, ModernStack};
+use predbranch_modern::ModernSpec;
 use predbranch_stats::{Align, Cell, Table};
-use predbranch_workloads::EVAL_SEED;
 
+use super::f17::{attribute, bucket_labels, BucketAgg};
 use super::{mpp_spec, tage_spec, Artifact, Scale};
-use crate::runner::{Binary, RunContext, DEFAULT_LATENCY, PGU_DELAY};
+use crate::runner::{RunContext, PGU_DELAY};
 
 /// The six configurations, in column order: each family's base, its
 /// +SFPF+PGU wrapping, and its predicate-aware variant.
@@ -62,89 +60,9 @@ fn predicate_variant(spec: ModernSpec) -> ModernSpec {
     }
 }
 
-/// One benchmark's taxonomy plus each profiled static's misprediction
-/// counts under the six configurations (in [`configs`] order).
-type EntryResult = (Characterization, std::collections::BTreeMap<u32, [u64; 6]>);
-
-/// Per-bucket aggregation across the suite.
-#[derive(Debug, Default, Clone, Copy)]
-struct BucketAgg {
-    statics: u64,
-    branches: u64,
-    misp: [u64; 6],
-}
-
-impl BucketAgg {
-    fn misp_percent(&self, config: usize) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.misp[config] as f64 / self.branches as f64 * 100.0
-        }
-    }
-
-    /// `config`'s win over its family base in percentage points
-    /// (positive = fewer mispredictions).
-    fn delta_pp(&self, base: usize, config: usize) -> f64 {
-        self.misp_percent(base) - self.misp_percent(config)
-    }
-}
-
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
-
-    let specs = configs();
-    let results: Vec<EntryResult> = ctx.map_batch(entries.iter(), |entry| {
-        let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-        let cache_label = format!("{}-pred", entry.compiled.name);
-        let hot = |i: usize| HotBranches::new(build_modern_stack(&specs[i]), DEFAULT_LATENCY);
-        let mut characterizer = Characterizer::new();
-        let (mut h0, mut h1, mut h2) = (hot(0), hot(1), hot(2));
-        let (mut h3, mut h4, mut h5) = (hot(3), hot(4), hot(5));
-        {
-            // tuple sinks: the one decoded pass fans out to the
-            // characterizer and all six attribution harnesses
-            let mut sink = (
-                &mut characterizer,
-                (&mut h0, (&mut h1, (&mut h2, (&mut h3, (&mut h4, &mut h5))))),
-            );
-            ctx.stream_events(&cache_label, &stream, &mut sink);
-        }
-        let report = characterizer.finish();
-        let hots: [HotBranches<ModernStack>; 6] = [h0, h1, h2, h3, h4, h5];
-        let misp = report
-            .branches()
-            .iter()
-            .map(|profile| {
-                let mut counts = [0u64; 6];
-                for (slot, hot) in counts.iter_mut().zip(&hots) {
-                    *slot = hot.at(profile.pc).map_or(0, |c| c.mispredictions.get());
-                }
-                (profile.pc, counts)
-            })
-            .collect();
-        (report, misp)
-    });
-
-    // join: every static's attribution counts land in its bucket
-    let mut agg = [BucketAgg::default(); 4];
-    let mut total = BucketAgg::default();
-    for (report, misp) in &results {
-        for profile in report.branches() {
-            let slot = Bucket::ALL
-                .iter()
-                .position(|&b| b == profile.bucket)
-                .expect("bucket in ALL");
-            for (config, &count) in misp[&profile.pc].iter().enumerate() {
-                agg[slot].misp[config] += count;
-                total.misp[config] += count;
-            }
-            agg[slot].statics += 1;
-            agg[slot].branches += profile.executions;
-            total.statics += 1;
-            total.branches += profile.executions;
-        }
-    }
+    let (_, aggs) = attribute(ctx, &entries, &configs());
 
     let mut table = Table::new(
         "F19: modern-tier misprediction win over each family base (pp) by taxonomy bucket",
@@ -171,10 +89,9 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         Align::Right,
         Align::Right,
     ]);
-    for (bucket, a) in Bucket::ALL.iter().zip(&agg) {
-        table.row(bucket_row(bucket.label(), a));
+    for (label, a) in bucket_labels().zip(&aggs) {
+        table.row(bucket_row(label, a));
     }
-    table.row(bucket_row("(all)", &total));
 
     vec![Artifact::Table(table)]
 }
@@ -199,14 +116,13 @@ mod tests {
 
     use super::*;
     use crate::experiments::headline_specs;
-    use crate::runner::CellSpec;
+    use crate::runner::{CellSpec, DEFAULT_LATENCY};
 
-    /// F17 and F19 attribute mispredictions through `HotBranches`, which
-    /// drives its predictor's lifecycle itself (it speculates on the
-    /// outcome, not on the prediction); the cells run the same specs as
-    /// gang lanes. At retire latency 0 both must count the same
-    /// mispredictions for every benchmark and every spec of the two
-    /// figures.
+    /// F17 and F19 attribute mispredictions on `HotBranches` gang lanes,
+    /// which run the cells' lifecycle and count a misprediction at each
+    /// `squash`, where a cell counts it at `predict`. For every
+    /// benchmark and every spec of the two figures, the join's `(all)`
+    /// aggregate must hold the cell's mispredictions.
     #[test]
     fn attribution_agrees_with_the_cells() {
         let ctx = RunContext::new();
@@ -228,12 +144,11 @@ mod tests {
                 })
                 .collect();
             let outcomes = ctx.run_cells(cells);
-            let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-            for (spec, outcome) in specs.iter().zip(&outcomes) {
-                let mut hot = HotBranches::new(build_modern_stack(spec), DEFAULT_LATENCY);
-                ctx.stream_events(&format!("{name}-pred"), &stream, &mut hot);
+            let (_, aggs) = attribute(&ctx, std::slice::from_ref(entry), &specs);
+            let all = aggs.last().expect("the (all) aggregate");
+            for ((spec, outcome), &attributed) in specs.iter().zip(&outcomes).zip(&all.misp) {
                 assert_eq!(
-                    hot.total_mispredictions(),
+                    attributed,
                     outcome.metrics.all.mispredictions.get(),
                     "{name}: {spec:?}"
                 );

@@ -6,15 +6,16 @@
 //! the same predicated binary, so speedups come purely from
 //! mispredictions avoided.
 //!
-//! Timeline runs are live by construction (the fetch timeline consumes
-//! the event stream cycle by cycle), so this experiment bypasses the
-//! trace cache and fans out raw jobs instead of predictor cells.
+//! The timeline counts fetch slots from each branch's dynamic index, so
+//! each (benchmark, configuration) pass reads its stream through
+//! [`RunContext::stream_events`] like any other sink. A pass is a raw
+//! job, not a predictor cell, because a gang carries no timeline.
 
 use predbranch_core::{HarnessConfig, InsertFilter, PredictionHarness};
 use predbranch_modern::build_modern;
-use predbranch_sim::{Executor, PipelineConfig, PipelineModel};
+use predbranch_sim::{PipelineConfig, PipelineModel};
 use predbranch_stats::{geometric_mean, Cell, Table};
-use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
+use predbranch_workloads::EVAL_SEED;
 
 use super::{headline_specs, Artifact, Scale};
 use crate::runner::{Binary, RunContext};
@@ -48,11 +49,10 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
             },
         )
         .with_timeline(pipe);
-        let summary = Executor::new(stream.program(), stream.memory().clone())
-            .run(&mut harness, 2 * DEFAULT_MAX_INSTRUCTIONS);
-        assert!(summary.halted);
+        let cache_label = format!("{}-pred", entry.compiled.name);
+        let summary = ctx.stream_events(&cache_label, &stream, &mut harness);
         harness.finish();
-        let timeline = *harness.timeline().expect("timeline attached");
+        let timeline = harness.timeline(&summary).expect("timeline attached");
         let model_ipc = (i == 0).then(|| {
             let unconditional = summary.branches - summary.conditional_branches;
             PipelineModel::estimate(

@@ -649,9 +649,9 @@ impl RunContext {
     /// cache when one is attached (recording on first touch, replaying
     /// after), live otherwise. Events arrive in
     /// [`EVENT_BATCH_CAPACITY`]-sized batches on every path (record,
-    /// replay, live) and [`EventSink::instruction`] is never called, so
-    /// custom analyses (characterization, attribution) see the
-    /// identical calls a predictor cell would, from at most one decode.
+    /// replay, live), so custom analyses (characterization, attribution,
+    /// F8's fetch timeline) see the identical calls a predictor cell
+    /// would, from at most one decode.
     ///
     /// # Panics
     ///

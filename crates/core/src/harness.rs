@@ -3,7 +3,7 @@
 
 use predbranch_sim::{
     BranchEvent, Event, EventSink, FetchTimeline, PipelineConfig, PredWriteEvent,
-    PredicateScoreboard, DEFAULT_RESOLVE_LATENCY, DEFAULT_RETIRE_LATENCY,
+    PredicateScoreboard, RunSummary, DEFAULT_RESOLVE_LATENCY, DEFAULT_RETIRE_LATENCY,
 };
 
 use crate::filter::{InsertFilter, LoweredFilter};
@@ -381,18 +381,24 @@ impl<P: BranchPredictor> PredictionHarness<P> {
         }
     }
 
-    /// Attaches a cycle-level [`FetchTimeline`]: every fetched
-    /// instruction, taken-branch fragment, and misprediction flush is
-    /// accounted, giving event-driven cycle counts (see
+    /// Attaches a cycle-level [`FetchTimeline`]: each branch accounts
+    /// the fetch slots up to and including its own from its dynamic
+    /// index, then its taken-branch fragment or misprediction flush,
+    /// giving event-driven cycle counts (see
     /// [`PredictionHarness::timeline`]).
     pub fn with_timeline(mut self, pipeline: PipelineConfig) -> Self {
         self.timeline = Some(FetchTimeline::new(pipeline));
         self
     }
 
-    /// The attached fetch timeline, if any.
-    pub fn timeline(&self) -> Option<&FetchTimeline> {
-        self.timeline.as_ref()
+    /// The attached fetch timeline, if any, closed at the end of the run
+    /// `summary` describes: the instructions after the last branch take
+    /// their fetch slots too.
+    pub fn timeline(&self, summary: &RunSummary) -> Option<FetchTimeline> {
+        self.timeline.map(|mut timeline| {
+            timeline.fetch_to(summary.instructions);
+            timeline
+        })
     }
 
     /// The accumulated metrics.
@@ -478,11 +484,9 @@ impl<P: BranchPredictor> PredictionHarness<P> {
 /// lane's metrics and final predictor state are byte-for-byte what a
 /// dedicated [`PredictionHarness`] pass over the same stream produces.
 ///
-/// Timelines are intentionally unsupported: gang replay rides the
-/// batched event path, which does not forward per-instruction callbacks
-/// (see [`predbranch_sim::Executor::run_batched`]); a cycle-accounting
-/// lane would silently undercount. Cells that need a
-/// [`FetchTimeline`] keep using a single [`PredictionHarness`].
+/// A gang carries no [`FetchTimeline`]: F8, the one experiment that
+/// times fetch, runs one [`PredictionHarness`] with a timeline per
+/// configuration.
 ///
 /// # Examples
 ///
@@ -638,14 +642,10 @@ impl<P: BranchPredictor> EventSink for GangHarness<P> {
 }
 
 impl<P: BranchPredictor> EventSink for PredictionHarness<P> {
-    #[inline]
-    fn instruction(&mut self, _pc: u32, _index: u64) {
-        if let Some(timeline) = &mut self.timeline {
-            timeline.instruction();
-        }
-    }
-
     fn branch(&mut self, event: &BranchEvent) {
+        if let Some(timeline) = &mut self.timeline {
+            timeline.fetch_to(event.index + 1);
+        }
         if !event.conditional {
             // unconditional branches are not predicted, but a taken
             // branch still fragments fetch
@@ -796,8 +796,10 @@ mod tests {
             .with_timeline(predbranch_sim::PipelineConfig::default());
             let summary = Executor::new(&program, Memory::new()).run(&mut harness, 1_000_000);
             assert!(summary.halted);
+            let timeline = harness.timeline(&summary).unwrap();
+            assert_eq!(timeline.instructions(), summary.instructions);
             (
-                harness.timeline().unwrap().cycles(),
+                timeline.cycles(),
                 harness.metrics().all.mispredictions.get(),
             )
         };

@@ -120,8 +120,7 @@ pub trait BranchPredictor {
     /// Trains on the resolved outcome with zero retire latency:
     /// `speculate` + `commit` back to back. This is the idealized
     /// immediate-update convenience for drivers that don't model an
-    /// in-flight window (unit tests, throughput benches,
-    /// [`crate::HotBranches`]).
+    /// in-flight window (unit and property tests).
     fn update(&mut self, branch: &BranchInfo, taken: bool) {
         self.speculate(branch, taken);
         self.commit(branch, taken);
@@ -281,13 +280,6 @@ impl ClassCounts {
     pub fn accuracy(&self) -> Ratio {
         self.misp_rate().complement()
     }
-
-    pub(crate) fn record(&mut self, correct: bool) {
-        self.branches.increment();
-        if !correct {
-            self.mispredictions.increment();
-        }
-    }
 }
 
 /// Per-run prediction metrics split by branch class.
@@ -406,11 +398,10 @@ mod tests {
 
     #[test]
     fn class_counts_rates() {
-        let mut c = ClassCounts::default();
-        c.record(true);
-        c.record(false);
-        c.record(false);
-        c.record(true);
+        let c = ClassCounts {
+            branches: Counter::with_value(4),
+            mispredictions: Counter::with_value(2),
+        };
         assert_eq!(c.misp_rate().percent(), 50.0);
         assert_eq!(c.accuracy().percent(), 50.0);
     }
@@ -418,8 +409,7 @@ mod tests {
     #[test]
     fn metrics_mpki() {
         let mut m = PredictionMetrics::default();
-        m.all.record(false);
-        m.all.record(false);
+        m.all.mispredictions.add(2);
         assert_eq!(m.mpki(1000), 2.0);
         assert_eq!(m.mpki(0), 0.0);
     }

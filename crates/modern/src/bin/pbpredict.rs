@@ -133,7 +133,7 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     writeln!(out, "  non-region:     {}", m.non_region.misp_rate())?;
     writeln!(out, "MPKI:             {:.3}", m.mpki(summary.instructions))?;
     writeln!(out, "kf-guard fetches: {}", m.known_false_guard)?;
-    if let Some(timeline) = harness.timeline() {
+    if let Some(timeline) = harness.timeline(&summary) {
         writeln!(out, "cycles:           {}", timeline.cycles())?;
         writeln!(out, "IPC:              {:.3}", timeline.ipc())?;
     }

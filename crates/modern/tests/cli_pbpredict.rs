@@ -1,28 +1,31 @@
 //! End-to-end tests of the `pbpredict` binary.
 
 use std::fs;
-use std::path::PathBuf;
-use std::process::Command;
-
-fn scratch(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "predbranch-modern-test-{}-{name}",
-        std::process::id()
-    ));
-    p
-}
+use std::process::{Command, Output};
 
 const PROGRAM: &str = "    mov r1 = 0\nloop:\n    cmp.lt p1, p2 = r1, 100\n    (p1) add r1 = r1, 1\n    nop\n    nop\n    (p1) br.region 0, loop\n    halt\n";
 
-#[test]
-fn default_predictor_reports_metrics() {
-    let src = scratch("default.s");
-    fs::write(&src, PROGRAM).unwrap();
+/// Runs `pbpredict` on `program`, written to a scratch file called
+/// `name`, with `args` after the path.
+fn pbpredict(name: &str, program: &str, args: &[&str]) -> Output {
+    let mut src = std::env::temp_dir();
+    src.push(format!(
+        "predbranch-modern-test-{}-{name}",
+        std::process::id()
+    ));
+    fs::write(&src, program).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
-        .arg(src.to_str().unwrap())
+        .arg(&src)
+        .args(args)
         .output()
         .expect("pbpredict runs");
+    fs::remove_file(src).ok();
+    out
+}
+
+#[test]
+fn default_predictor_reports_metrics() {
+    let out = pbpredict("default.s", PROGRAM, &[]);
     assert!(
         out.status.success(),
         "{}",
@@ -31,46 +34,44 @@ fn default_predictor_reports_metrics() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("predictor:        gshare-13/13"), "{text}");
     assert!(text.contains("cond branches:    101"), "{text}");
-    assert!(text.contains("IPC:"), "{text}");
-    fs::remove_file(src).ok();
+    // the fetch timeline counts every instruction, the `halt` after the
+    // last branch included
+    assert!(text.contains("instructions:     507\n"), "{text}");
+    assert!(text.contains("cycles:           338\n"), "{text}");
+    assert!(text.contains("IPC:              1.500\n"), "{text}");
+}
+
+#[test]
+fn branch_free_program_is_timed() {
+    let straight = "    mov r1 = 3\n    add r2 = r1, 4\n    nop\n    nop\n    nop\n    halt\n";
+    let out = pbpredict("straight.s", straight, &[]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("cond branches:    0\n"), "{text}");
+    // six instructions fill one six-wide fetch block
+    assert!(text.contains("cycles:           1\n"), "{text}");
+    assert!(text.contains("IPC:              6.000\n"), "{text}");
 }
 
 #[test]
 fn oracle_spec_is_perfect() {
-    let src = scratch("oracle.s");
-    fs::write(&src, PROGRAM).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
-        .args([src.to_str().unwrap(), "--predictor", "oracle"])
-        .output()
-        .unwrap();
+    let out = pbpredict("oracle.s", PROGRAM, &["--predictor", "oracle"]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("mispredictions:   0"), "{text}");
-    fs::remove_file(src).ok();
 }
 
 #[test]
 fn composite_spec_parses_and_runs() {
-    let src = scratch("composite.s");
-    fs::write(&src, PROGRAM).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
-        .args([
-            src.to_str().unwrap(),
-            "--predictor",
-            "perceptron:7/14+sfpf+pgu8",
-        ])
-        .output()
-        .unwrap();
+    let spec = "perceptron:7/14+sfpf+pgu8";
+    let out = pbpredict("composite.s", PROGRAM, &["--predictor", spec]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("sfpf+pgu[d8]+perceptron-7/14"), "{text}");
-    fs::remove_file(src).ok();
 }
 
 #[test]
 fn modern_specs_parse_and_run() {
-    let src = scratch("modern.s");
-    fs::write(&src, PROGRAM).unwrap();
     for (spec, name) in [
         ("tage:4/10/64", "predictor:        tage-4/10/64"),
         (
@@ -78,10 +79,7 @@ fn modern_specs_parse_and_run() {
             "predictor:        sfpf+pgu[d8]+pmpp-12",
         ),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
-            .args([src.to_str().unwrap(), "--predictor", spec])
-            .output()
-            .unwrap();
+        let out = pbpredict("modern.s", PROGRAM, &["--predictor", spec]);
         assert!(
             out.status.success(),
             "{spec}: {}",
@@ -91,34 +89,22 @@ fn modern_specs_parse_and_run() {
         assert!(text.contains(name), "{spec}: {text}");
         assert!(text.contains("cond branches:    101"), "{spec}: {text}");
     }
-    fs::remove_file(src).ok();
 }
 
 #[test]
 fn bad_spec_is_rejected() {
-    let src = scratch("badspec.s");
-    fs::write(&src, PROGRAM).unwrap();
     // `tage` is a modern base but takes three parameters
-    let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
-        .args([src.to_str().unwrap(), "--predictor", "tage:9"])
-        .output()
-        .unwrap();
+    let out = pbpredict("badspec.s", PROGRAM, &["--predictor", "tage:9"]);
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("bad predictor spec"), "{err}");
-    fs::remove_file(src).ok();
 }
 
 #[test]
 fn out_of_range_parameter_is_rejected_before_building() {
     // `gshare:0/13` used to parse and then panic in the table
     // constructor; the parser now refuses it with one line
-    let src = scratch("range.s");
-    fs::write(&src, PROGRAM).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_pbpredict"))
-        .args([src.to_str().unwrap(), "--predictor", "gshare:0/13"])
-        .output()
-        .unwrap();
+    let out = pbpredict("range.s", PROGRAM, &["--predictor", "gshare:0/13"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(out.stdout.is_empty());
     let err = String::from_utf8(out.stderr).unwrap();
@@ -126,7 +112,6 @@ fn out_of_range_parameter_is_rejected_before_building() {
         err,
         "pbpredict: bad predictor spec: table index bits must be 1..=28 in `gshare:0/13`\n"
     );
-    fs::remove_file(src).ok();
 }
 
 #[test]

@@ -9,7 +9,7 @@ use crate::trace::{BranchEvent, Event, EventSink, PredWriteEvent};
 /// Number of events a batched producer accumulates before flushing them
 /// to the sink in one [`EventSink::events`] call. Large enough to
 /// amortize per-batch dispatch to nothing, small enough that the buffer
-/// (at 48 bytes per event) stays comfortably inside L1/L2.
+/// (at 24 bytes per event) stays comfortably inside L1/L2.
 pub const EVENT_BATCH_CAPACITY: usize = 1024;
 
 /// Summary of one [`Executor::run`] call.
@@ -100,7 +100,6 @@ impl<'a> Executor<'a> {
         let index = self.icount;
         self.icount += 1;
         summary.instructions += 1;
-        sink.instruction(pc, index);
         let guard = self.state.pred(inst.guard);
         let mut next_pc = pc + 1;
 
@@ -233,17 +232,39 @@ impl<'a> Executor<'a> {
     /// makes, so a sink sees identical calls live and replayed.
     ///
     /// Events arrive in the same order with the same payloads as under
-    /// [`Executor::run`]; the only observable difference is that
-    /// per-instruction [`EventSink::instruction`] callbacks are *not*
-    /// forwarded (instructions are not [`Event`]s). Use [`Executor::run`]
-    /// for sinks that account fetch slots (e.g. a harness with a
-    /// timeline attached).
+    /// [`Executor::run`], so a sink that counts fetch slots from event
+    /// indices (a harness with a timeline attached) works on either.
     pub fn run_batched(
         &mut self,
         sink: &mut impl EventSink,
         max_instructions: u64,
         buffer: &mut Vec<Event>,
     ) -> RunSummary {
+        buffer.clear();
+        let mut summary = RunSummary::default();
+        while self.fill_batch(buffer, max_instructions, &mut summary) {
+            sink.events(&buffer[..EVENT_BATCH_CAPACITY]);
+            // one step can emit several events: carry any overshoot
+            // into the next batch
+            buffer.drain(..EVENT_BATCH_CAPACITY);
+        }
+        if !buffer.is_empty() {
+            sink.events(buffer);
+            buffer.clear();
+        }
+        summary.halted = self.state.is_halted();
+        summary
+    }
+
+    /// Steps until `buffer` holds a full batch (`true`) or the run
+    /// stops (`false`). One instance serves every sink type, so the
+    /// step loop compiles once, with [`Executor::step`] inlined.
+    fn fill_batch(
+        &mut self,
+        buffer: &mut Vec<Event>,
+        max_instructions: u64,
+        summary: &mut RunSummary,
+    ) -> bool {
         /// Adapter collecting step events into the batch buffer.
         struct Collector<'b>(&'b mut Vec<Event>);
         impl EventSink for Collector<'_> {
@@ -255,24 +276,13 @@ impl<'a> Executor<'a> {
             }
         }
 
-        buffer.clear();
-        let mut summary = RunSummary::default();
-        while summary.instructions < max_instructions
-            && self.step(&mut Collector(buffer), &mut summary)
-        {
-            // one step can emit several events: carry any overshoot
-            // into the next batch
-            if buffer.len() >= EVENT_BATCH_CAPACITY {
-                sink.events(&buffer[..EVENT_BATCH_CAPACITY]);
-                buffer.drain(..EVENT_BATCH_CAPACITY);
+        let mut collector = Collector(buffer);
+        while summary.instructions < max_instructions && self.step(&mut collector, summary) {
+            if collector.0.len() >= EVENT_BATCH_CAPACITY {
+                return true;
             }
         }
-        if !buffer.is_empty() {
-            sink.events(buffer);
-            buffer.clear();
-        }
-        summary.halted = self.state.is_halted();
-        summary
+        false
     }
 
     /// Convenience accessor: value of `r<i>`, for tests.

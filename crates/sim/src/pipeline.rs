@@ -156,7 +156,7 @@ impl fmt::Display for PipelineModel {
 /// [`PipelineModel`].
 ///
 /// Where the closed-form model charges exactly `⌈instructions/width⌉`
-/// fetch cycles, the timeline walks the instruction stream and models
+/// fetch cycles, the timeline walks the event stream and models
 /// **fetch fragmentation**: a taken branch ends its fetch cycle early
 /// (the slots after it in the fetch block are wasted) and costs the
 /// redirect bubble, and a misprediction stalls fetch for the full flush
@@ -164,7 +164,10 @@ impl fmt::Display for PipelineModel {
 /// (`predbranch-core`'s harness does this when configured with a
 /// timeline):
 ///
-/// * [`FetchTimeline::instruction`] per fetched instruction,
+/// * [`FetchTimeline::fetch_to`] with `index + 1` at each branch (an
+///   event's dynamic index counts the instructions fetched before it),
+///   and with the run's [`crate::RunSummary::instructions`] once it
+///   ends (the harness hands out its timeline closed this way),
 /// * [`FetchTimeline::taken_branch`] when a taken branch is fetched,
 /// * [`FetchTimeline::mispredict`] when a branch resolves mispredicted.
 ///
@@ -174,10 +177,8 @@ impl fmt::Display for PipelineModel {
 /// use predbranch_sim::{PipelineConfig, FetchTimeline};
 ///
 /// let mut t = FetchTimeline::new(PipelineConfig { fetch_width: 4, ..Default::default() });
-/// for _ in 0..3 {
-///     t.instruction();
-/// }
-/// t.taken_branch(); // 4th slot is a taken branch: cycle ends + bubble
+/// t.fetch_to(4); // a branch at index 3 takes the block's 4th slot
+/// t.taken_branch(); // taken: the cycle ends and the bubble is paid
 /// assert_eq!(t.cycles(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,19 +200,24 @@ impl FetchTimeline {
         }
     }
 
-    /// Accounts one fetched instruction (one slot).
-    pub fn instruction(&mut self) {
-        self.instructions += 1;
-        self.slot += 1;
-        if self.slot >= self.config.fetch_width.max(1) {
-            self.cycles += 1;
-            self.slot = 0;
+    /// Accounts one fetch slot per instruction from
+    /// [`FetchTimeline::instructions`] up to `count`, filling the
+    /// partly filled block first; a `count` at or below it adds
+    /// nothing.
+    pub fn fetch_to(&mut self, count: u64) {
+        if count <= self.instructions {
+            return;
         }
+        let width = u64::from(self.config.fetch_width.max(1));
+        let filled = u64::from(self.slot) + (count - self.instructions);
+        self.cycles += filled / width;
+        self.slot = (filled % width) as u32;
+        self.instructions = count;
     }
 
     /// A taken branch was fetched: the rest of the fetch block is wasted
     /// and the redirect bubble is paid. Call *after*
-    /// [`FetchTimeline::instruction`] for the branch itself.
+    /// [`FetchTimeline::fetch_to`] has counted the branch itself.
     pub fn taken_branch(&mut self) {
         if self.slot > 0 {
             self.cycles += 1; // abandon the partially filled block
@@ -317,9 +323,7 @@ mod tests {
     #[test]
     fn timeline_full_blocks_match_closed_form() {
         let mut t = FetchTimeline::new(config());
-        for _ in 0..400 {
-            t.instruction();
-        }
+        t.fetch_to(400);
         assert_eq!(t.cycles(), 100);
         assert_eq!(t.ipc(), 4.0);
         assert_eq!(t.instructions(), 400);
@@ -328,9 +332,7 @@ mod tests {
     #[test]
     fn timeline_partial_final_block_rounds_up() {
         let mut t = FetchTimeline::new(config());
-        for _ in 0..5 {
-            t.instruction();
-        }
+        t.fetch_to(5);
         assert_eq!(t.cycles(), 2);
     }
 
@@ -338,15 +340,15 @@ mod tests {
     fn taken_branch_fragments_fetch() {
         let mut t = FetchTimeline::new(config());
         // branch is the first of a 4-wide block: 3 slots wasted
-        t.instruction();
+        t.fetch_to(1);
         t.taken_branch();
         // one cycle for the fragment + one bubble
         assert_eq!(t.cycles(), 2);
         // the closed-form model would charge ceil(1/4) + 1 = 2 as well,
         // but diverges when fragments repeat:
         let mut frag = FetchTimeline::new(config());
-        for _ in 0..4 {
-            frag.instruction();
+        for count in 1..=4 {
+            frag.fetch_to(count);
             frag.taken_branch();
         }
         assert_eq!(frag.cycles(), 8); // 4 fragments + 4 bubbles
@@ -360,7 +362,7 @@ mod tests {
     #[test]
     fn mispredict_stalls_full_penalty() {
         let mut t = FetchTimeline::new(config());
-        t.instruction();
+        t.fetch_to(1);
         t.mispredict();
         assert_eq!(t.cycles(), 1 + 10);
     }
@@ -369,15 +371,17 @@ mod tests {
     fn timeline_is_lower_bounded_by_closed_form_fetch() {
         let mut t = FetchTimeline::new(config());
         let mut mispredicts = 0;
-        for i in 0..1000u32 {
-            t.instruction();
+        for i in 0..1000u64 {
             if i % 37 == 0 {
+                t.fetch_to(i + 1);
                 t.mispredict();
                 mispredicts += 1;
             } else if i % 11 == 0 {
+                t.fetch_to(i + 1);
                 t.taken_branch();
             }
         }
+        t.fetch_to(1000);
         let closed = PipelineModel::estimate(&config(), 1000, mispredicts, 0);
         assert!(t.cycles() >= closed.cycles());
     }

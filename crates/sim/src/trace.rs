@@ -92,11 +92,6 @@ pub trait EventSink {
     /// Called for every architectural predicate write.
     fn pred_write(&mut self, event: &PredWriteEvent);
 
-    /// Called for every fetched instruction, before any branch or
-    /// predicate-write event it produces (default: ignored). Timing
-    /// sinks use this to account fetch slots.
-    fn instruction(&mut self, _pc: u32, _index: u64) {}
-
     /// Dispatches an already-materialized [`Event`] to the matching
     /// callback — the entry point replay drivers (trace readers,
     /// buffered [`TraceSink`] playback) use.
@@ -200,11 +195,6 @@ impl<A: EventSink, B: EventSink> EventSink for (A, B) {
         self.1.pred_write(event);
     }
 
-    fn instruction(&mut self, pc: u32, index: u64) {
-        self.0.instruction(pc, index);
-        self.1.instruction(pc, index);
-    }
-
     fn event(&mut self, event: &Event) {
         self.0.event(event);
         self.1.event(event);
@@ -223,10 +213,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 
     fn pred_write(&mut self, event: &PredWriteEvent) {
         (**self).pred_write(event);
-    }
-
-    fn instruction(&mut self, pc: u32, index: u64) {
-        (**self).instruction(pc, index);
     }
 
     fn event(&mut self, event: &Event) {

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use predbranch_isa::{AluOp, CmpCond, CmpType, Gpr, Inst, Op, PredReg, Program, Src};
-use predbranch_sim::{Executor, Memory, NullSink, TraceSink};
+use predbranch_sim::{Executor, Memory, NullSink, RunSummary, TraceSink};
 
 fn arb_gpr() -> impl Strategy<Value = Gpr> {
     (0u8..16).prop_map(|i| Gpr::new(i).unwrap())
@@ -166,22 +166,21 @@ proptest! {
     fn unreachable_lint_is_sound(program in arb_program()) {
         use predbranch_isa::{lint_program, Lint};
 
-        #[derive(Default)]
-        struct FetchedPcs(std::collections::HashSet<u32>);
-        impl predbranch_sim::EventSink for FetchedPcs {
-            fn branch(&mut self, _: &predbranch_sim::BranchEvent) {}
-            fn pred_write(&mut self, _: &predbranch_sim::PredWriteEvent) {}
-            fn instruction(&mut self, pc: u32, _index: u64) {
-                self.0.insert(pc);
+        // the pc before each step that executes is a fetched pc
+        let mut fetched = std::collections::HashSet::new();
+        let mut exec = Executor::new(&program, Memory::new());
+        let mut summary = RunSummary::default();
+        while summary.instructions < BUDGET {
+            let pc = exec.state().pc();
+            if !exec.step(&mut NullSink, &mut summary) {
+                break;
             }
+            fetched.insert(pc);
         }
-
-        let mut fetched = FetchedPcs::default();
-        Executor::new(&program, Memory::new()).run(&mut fetched, BUDGET);
         for lint in lint_program(&program) {
             if let Lint::Unreachable { pc } = lint {
                 prop_assert!(
-                    !fetched.0.contains(&pc),
+                    !fetched.contains(&pc),
                     "statically unreachable pc {pc} was fetched"
                 );
             }

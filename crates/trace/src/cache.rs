@@ -237,9 +237,8 @@ impl TraceCache {
     /// was a cache hit.
     ///
     /// Both paths deliver events in [`EVENT_BATCH_CAPACITY`]-sized
-    /// batches through [`EventSink::events`] and never call
-    /// [`EventSink::instruction`], so a sink sees the same calls on a
-    /// hit as on a miss. Replays prefer the segment
+    /// batches through [`EventSink::events`], so a sink sees the same
+    /// calls on a hit as on a miss. Replays prefer the segment
     /// sidecar (opened once per process, then served zero-copy off the
     /// page cache); an entry without one falls back to a full decode
     /// whose stream republishes the missing sidecar, so the next
@@ -433,8 +432,7 @@ impl TraceCache {
     /// Records a run to `path` via write-then-fsync-then-rename, teeing
     /// each [`EVENT_BATCH_CAPACITY`]-sized batch into `sink` as it
     /// executes — the same batches a replay of the sealed trace
-    /// delivers, with no per-instruction callbacks on either path.
-    /// Publication is atomic: any
+    /// delivers. Publication is atomic: any
     /// number of concurrent publishers may race on the same key (from
     /// this or other threads/processes), each writes its own uniquely
     /// named temporary, and whichever rename lands last simply
@@ -702,9 +700,6 @@ mod tests {
         }
         fn pred_write(&mut self, _event: &predbranch_sim::PredWriteEvent) {
             self.0.push(("pred_write", 1));
-        }
-        fn instruction(&mut self, _pc: u32, _index: u64) {
-            self.0.push(("instruction", 1));
         }
         fn events(&mut self, events: &[Event]) {
             self.0.push(("events", events.len()));

@@ -93,62 +93,20 @@ impl<R: Read> TraceReader<R> {
     /// delivery, but a dynamically-dispatched sink pays one virtual call
     /// per chunk. Use [`TraceReader::replay_batched`] to supply a
     /// reusable buffer when replaying many traces.
-    ///
-    /// `sink.instruction` is *not* called — see
-    /// [`TraceReader::replay_with_instructions`] for sinks that count
-    /// fetch slots.
     pub fn replay<S: EventSink>(self, sink: &mut S) -> Result<ReplayStats, TraceError> {
         let mut buffer = Vec::with_capacity(EVENT_BATCH_CAPACITY);
-        self.replay_impl(sink, Delivery::Batched, &mut buffer)
+        self.replay_batched(sink, &mut buffer)
     }
 
     /// Like [`TraceReader::replay`], but decodes into the caller's
     /// scratch `buffer` (contents overwritten), so a replay loop over
     /// many traces reuses one allocation for all of them.
     pub fn replay_batched<S: EventSink>(
-        self,
-        sink: &mut S,
-        buffer: &mut Vec<Event>,
-    ) -> Result<ReplayStats, TraceError> {
-        self.replay_impl(sink, Delivery::Batched, buffer)
-    }
-
-    /// Like [`TraceReader::replay`], but synthesizes one
-    /// `sink.instruction(pc, index)` call per dynamic instruction of the
-    /// recorded run (events carry their own pc; instructions between
-    /// events report pc 0), so fetch-slot-counting sinks — e.g. a
-    /// timeline-attached prediction harness — account the same cycle
-    /// totals as a live run.
-    pub fn replay_with_instructions<S: EventSink>(
-        self,
-        sink: &mut S,
-    ) -> Result<ReplayStats, TraceError> {
-        // Instruction synthesis interleaves `instruction` callbacks with
-        // the events, so this path stays per-event by construction.
-        self.replay_impl(sink, Delivery::PerEventWithInstructions, &mut Vec::new())
-    }
-
-    /// Fully checks the trace (structure, event count, checksum) without
-    /// consuming events.
-    pub fn verify(self) -> Result<ReplayStats, TraceError> {
-        self.replay(&mut NullSink)
-    }
-
-    /// Decodes the whole event section into memory.
-    pub fn read_events(self) -> Result<(Vec<Event>, ReplayStats), TraceError> {
-        let mut sink = TraceSink::new();
-        let stats = self.replay(&mut sink)?;
-        Ok((sink.events().to_vec(), stats))
-    }
-
-    fn replay_impl<S: EventSink>(
         mut self,
         sink: &mut S,
-        delivery: Delivery,
         buffer: &mut Vec<Event>,
     ) -> Result<ReplayStats, TraceError> {
         let mut prev_index = 0u64;
-        let mut next_instruction = 0u64;
         let mut events = 0u64;
         let mut branches = 0u64;
         let mut pred_writes = 0u64;
@@ -162,33 +120,14 @@ impl<R: Read> TraceReader<R> {
             let event = read_event(&mut self.input, tag[0], prev_index)?;
             prev_index = event_index(&event);
             events += 1;
-            match delivery {
-                Delivery::PerEventWithInstructions => {
-                    // synthesis interleaves instruction callbacks: per-event
-                    match &event {
-                        Event::Branch(b) => {
-                            branches += 1;
-                            synthesize(sink, &mut next_instruction, b.index, b.pc);
-                            sink.branch(b);
-                        }
-                        Event::PredWrite(p) => {
-                            pred_writes += 1;
-                            synthesize(sink, &mut next_instruction, p.index, p.pc);
-                            sink.pred_write(p);
-                        }
-                    }
-                }
-                Delivery::Batched => {
-                    match &event {
-                        Event::Branch(_) => branches += 1,
-                        Event::PredWrite(_) => pred_writes += 1,
-                    }
-                    buffer.push(event);
-                    if buffer.len() == EVENT_BATCH_CAPACITY {
-                        sink.events(buffer);
-                        buffer.clear();
-                    }
-                }
+            match &event {
+                Event::Branch(_) => branches += 1,
+                Event::PredWrite(_) => pred_writes += 1,
+            }
+            buffer.push(event);
+            if buffer.len() == EVENT_BATCH_CAPACITY {
+                sink.events(buffer);
+                buffer.clear();
             }
         }
         if !buffer.is_empty() {
@@ -214,12 +153,6 @@ impl<R: Read> TraceReader<R> {
         if stored != computed {
             return Err(TraceError::ChecksumMismatch { stored, computed });
         }
-        if delivery == Delivery::PerEventWithInstructions {
-            while next_instruction < summary.instructions {
-                sink.instruction(0, next_instruction);
-                next_instruction += 1;
-            }
-        }
         Ok(ReplayStats {
             summary,
             events,
@@ -228,27 +161,18 @@ impl<R: Read> TraceReader<R> {
             checksum: stored,
         })
     }
-}
 
-/// How [`TraceReader::replay_impl`] hands decoded events to the sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Delivery {
-    /// [`EventSink::events`] in [`EVENT_BATCH_CAPACITY`]-sized chunks.
-    Batched,
-    /// Per-event with synthesized `instruction` callbacks interleaved.
-    PerEventWithInstructions,
-}
-
-/// Emits the instruction callbacks leading up to (and including) the
-/// instruction at `index`, which is known to sit at `pc`.
-fn synthesize<S: EventSink>(sink: &mut S, next: &mut u64, index: u64, pc: u32) {
-    while *next < index {
-        sink.instruction(0, *next);
-        *next += 1;
+    /// Fully checks the trace (structure, event count, checksum) without
+    /// consuming events.
+    pub fn verify(self) -> Result<ReplayStats, TraceError> {
+        self.replay(&mut NullSink)
     }
-    if *next == index {
-        sink.instruction(pc, index);
-        *next += 1;
+
+    /// Decodes the whole event section into memory.
+    pub fn read_events(self) -> Result<(Vec<Event>, ReplayStats), TraceError> {
+        let mut sink = TraceSink::new();
+        let stats = self.replay(&mut sink)?;
+        Ok((sink.events().to_vec(), stats))
     }
 }
 
@@ -301,32 +225,6 @@ mod tests {
             .read_events()
             .unwrap();
         assert_eq!(events, live.events());
-    }
-
-    #[test]
-    fn synthesized_instruction_stream_is_complete() {
-        #[derive(Default)]
-        struct CountSink {
-            instructions: u64,
-            last: Option<u64>,
-        }
-        impl EventSink for CountSink {
-            fn branch(&mut self, _: &predbranch_sim::BranchEvent) {}
-            fn pred_write(&mut self, _: &predbranch_sim::PredWriteEvent) {}
-            fn instruction(&mut self, _pc: u32, index: u64) {
-                assert_eq!(index, self.last.map_or(0, |l| l + 1));
-                self.last = Some(index);
-                self.instructions += 1;
-            }
-        }
-        let (_, summary, bytes) = toy();
-        let mut sink = CountSink::default();
-        let stats = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .replay_with_instructions(&mut sink)
-            .unwrap();
-        assert_eq!(sink.instructions, summary.instructions);
-        assert_eq!(stats.summary.instructions, summary.instructions);
     }
 
     #[test]

@@ -70,7 +70,10 @@ fn main() {
     let bench = suite().into_iter().find(|b| b.name() == "mcf").unwrap();
     let c = compile_benchmark(&bench, &CompileOptions::default());
     let mut activity = RegionActivity::new();
-    let mut hot = HotBranches::new(build_modern(&base), 8);
+    let mut hot = PredictionHarness::new(
+        HotBranches::new(build_modern(&base)),
+        HarnessConfig::default(),
+    );
     let mut sinks = (&mut activity, &mut hot);
     Executor::new(&c.predicated, bench.input(EVAL_SEED)).run(&mut sinks, 8_000_000);
 
@@ -79,7 +82,7 @@ fn main() {
         println!("  region {region:>3}: {branches:>7} region-branch executions, {taken:>6} taken");
     }
     println!("mcf hottest mispredicting branches under gshare:");
-    for (pc, counts) in hot.ranked().into_iter().take(5) {
+    for (pc, counts) in hot.predictor().ranked().into_iter().take(5) {
         println!(
             "  pc {pc:>5}: {:>7} executions, {:>6} mispredicts ({})",
             counts.branches.get(),

@@ -41,7 +41,7 @@ fn main() {
             let summary =
                 Executor::new(&c.predicated, bench.input(EVAL_SEED)).run(&mut harness, 8_000_000);
             assert!(summary.halted);
-            let timeline = *harness.timeline().unwrap();
+            let timeline = harness.timeline(&summary).unwrap();
             let unconditional = summary.branches - summary.conditional_branches;
             let model = PipelineModel::estimate(
                 &pipe,
