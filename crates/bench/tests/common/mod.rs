@@ -6,9 +6,10 @@ use predbranch_modern::build_modern;
 
 /// Runs `cell` the plainest way there is: its event stream, delivered
 /// by `ctx` (trace cache or live), drives a solo [`PredictionHarness`]
-/// around the boxed [`build_modern`] predictor. Agreement with
-/// `run_cells` therefore pins both the gang grouping and the
-/// statically-dispatched stack enum at once.
+/// around the boxed [`build_modern`] predictor, the same stack
+/// `run_cells` builds for a lane. Agreement with `run_cells` therefore
+/// pins the gang grouping and the gang's event delivery; what each spec
+/// builds is pinned in `predbranch-modern`'s stack tests.
 pub fn one_lane_reference(ctx: &RunContext, cell: &CellSpec) -> RunOutcome {
     let config = HarnessConfig {
         timing: cell.timing,

@@ -2,7 +2,7 @@
 //! predictor specs over any mix of benchmarks, each cell at retire
 //! latency 0 or 64, `run_cells` produces `RunOutcome`s identical —
 //! metrics, misprediction tallies, run summaries — to a one-lane
-//! reference that runs each cell on its own through a boxed predictor.
+//! reference that runs each cell on its own in a solo harness.
 //! Cells over one stream share a gang whatever their retire latencies.
 //!
 //! Each case shares one on-disk trace cache between both contexts, so

@@ -88,8 +88,9 @@ fn f17_quick_output_is_byte_identical_to_golden() {
 /// F18 introduces the modern predictor tier (TAGE, multiperspective
 /// perceptron). Its golden is pinned across worker counts: the modern
 /// predictors' speculative checkpoint machinery must be deterministic
-/// under parallel cell execution. (That the enum stack behaves like the
-/// boxed composition is pinned in `predbranch-modern`'s stack tests.)
+/// under parallel cell execution. (What stack each spec builds, and that
+/// it predicts alike as a gang lane and alone, is pinned in
+/// `predbranch-modern`'s stack tests.)
 #[test]
 fn f18_quick_output_is_byte_identical_on_every_path() {
     let golden = include_str!("golden/f18_quick.txt");

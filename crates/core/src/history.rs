@@ -256,11 +256,6 @@ impl FoldedHistory {
         }
     }
 
-    /// Length of the history window being folded.
-    pub fn window_len(&self) -> u32 {
-        self.olen
-    }
-
     /// The current folded value (`clen` bits).
     pub fn value(&self) -> u64 {
         self.comp

@@ -57,11 +57,6 @@ impl<P> HotBranches<P> {
         self.per_pc.get(&pc).copied()
     }
 
-    /// Total mispredictions across all branches.
-    pub fn total_mispredictions(&self) -> u64 {
-        self.per_pc.values().map(|c| c.mispredictions.get()).sum()
-    }
-
     fn counts(&mut self, pc: u32) -> &mut ClassCounts {
         self.per_pc.entry(pc).or_default()
     }
@@ -153,7 +148,8 @@ mod tests {
         assert_eq!(ranked[0].0, 3);
         assert_eq!(ranked[0].1.mispredictions.get(), 20);
         assert_eq!(hot.at(5).unwrap().mispredictions.get(), 0);
-        assert_eq!(hot.total_mispredictions(), 20);
+        let mispredictions: u64 = ranked.iter().map(|(_, c)| c.mispredictions.get()).sum();
+        assert_eq!(mispredictions, 20);
         assert_eq!(hot.at(999), None);
     }
 
@@ -220,9 +216,10 @@ mod tests {
             let (hot, metrics) = (lane.predictor(), lane.metrics());
             let ranked = hot.ranked();
             let branches: u64 = ranked.iter().map(|(_, c)| c.branches.get()).sum();
+            let mispredictions: u64 = ranked.iter().map(|(_, c)| c.mispredictions.get()).sum();
             assert_eq!((ranked.len(), branches), (3, 900));
             assert_eq!(branches, metrics.all.branches.get());
-            assert_eq!(hot.total_mispredictions(), metrics.all.mispredictions.get());
+            assert_eq!(mispredictions, metrics.all.mispredictions.get());
             assert!(metrics.all.mispredictions.get() > 0);
         }
     }

@@ -70,7 +70,7 @@ mod tests {
             index_bits: 10,
             history_bits: 8,
         };
-        assert_eq!(spec.to_string(), build_modern(&spec).name());
+        assert_eq!(spec.to_string(), "gshare-10/8");
     }
 }
 

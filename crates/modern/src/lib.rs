@@ -30,10 +30,11 @@
 //! [`ModernSpec`] is the workspace's one predictor spec: one enum over
 //! the nine paper-era bases (`gshare:I/H`, `perceptron:I/H`, ...), the
 //! modern ones (`tage:T/I/H`, `ptage:T/I/H`, `mpp:I`, `pmpp:I`) and the
-//! `+sfpf` / `+pguN` wrappers, with one text grammar. [`build_modern`]
-//! builds any spec as a boxed predictor, the reference;
-//! [`build_modern_stack`] builds it as a [`ModernStack`], the one
-//! statically-dispatched stack the sweeps run.
+//! `+sfpf` / `+pguN` wrappers, with one text grammar.
+//! [`build_modern_stack`] builds any spec as a [`ModernStack`], the
+//! statically-dispatched stack the sweeps run, in one walk that holds
+//! every composition rule; [`build_modern`] returns the same stack
+//! boxed.
 //!
 //! # Examples
 //!
@@ -59,6 +60,6 @@ mod tage;
 
 pub use mpp::Mpp;
 pub use predhist::{PredicateHistory, PREDICATE_HISTORY_BITS};
-pub use spec::{build_modern, ModernSpec, ParseModernSpecError};
-pub use stack::{build_modern_stack, ModernStack, StackVariant};
+pub use spec::{ModernSpec, ParseModernSpecError};
+pub use stack::{build_modern, build_modern_stack, ModernStack, StackVariant};
 pub use tage::{Tage, MAX_TAGE_TABLES};

@@ -1,17 +1,16 @@
 //! Declarative predictor specs: one enum naming every predictor shape
-//! the study sweeps, its compact text grammar, and the boxed reference
-//! builder.
+//! the study sweeps, and its compact text grammar.
 
 use std::fmt;
 use std::ops::RangeInclusive;
 
 use predbranch_core::{
-    Agree, Bimodal, BranchPredictor, Gshare, Local, Perceptron, PerfectGuard, Pgu, SquashFilter,
-    StaticPredictor, Tournament, MAX_HISTORY_BITS, MAX_PERCEPTRON_INDEX_BITS, MAX_TABLE_INDEX_BITS,
+    BranchPredictor, MAX_HISTORY_BITS, MAX_PERCEPTRON_INDEX_BITS, MAX_TABLE_INDEX_BITS,
 };
 use predbranch_sim::DEFAULT_RESOLVE_LATENCY;
 
-use crate::mpp::{Mpp, MAX_MPP_INDEX_BITS};
+use crate::mpp::MAX_MPP_INDEX_BITS;
+use crate::stack::build_modern_stack;
 use crate::tage::{Tage, MAX_TAGE_INDEX_BITS, MAX_TAGE_TABLES};
 
 /// A declarative predictor configuration: a base predictor, paper-era
@@ -165,7 +164,7 @@ impl From<&ModernSpec> for ModernSpec {
 /// specs never diverge.
 impl fmt::Display for ModernSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&build_modern(self).name())
+        f.write_str(&build_modern_stack(self).name())
     }
 }
 
@@ -194,7 +193,9 @@ impl std::error::Error for ParseModernSpecError {}
 ///
 /// Every parameter must lie in the range its predictor's constructor
 /// asserts, so a spec that parses always builds. A bare `+pgu` uses
-/// PGU's commit-time delay: one default resolve latency.
+/// PGU's commit-time delay: one default resolve latency. A spec names
+/// each technique at most once: a second filter modifier (`+sfpf` or
+/// `+sfpf!`) or a second `+pgu`/`+pguN` is refused.
 ///
 /// # Examples
 ///
@@ -325,19 +326,25 @@ impl std::str::FromStr for ModernSpec {
             _ => return Err(err("unknown base predictor")),
         };
         // Modifiers apply inside-out in the order written: "+pgu+sfpf"
-        // yields sfpf(pgu(base)) like the builder methods would.
+        // yields sfpf(pgu(base)) like the builder methods would. Each
+        // technique may appear once.
+        let (mut filtered, mut updated) = (false, false);
         for modifier in parts {
             let modifier = modifier.trim();
-            if modifier == "sfpf" {
-                spec = spec.with_sfpf();
-            } else if modifier == "sfpf!" {
+            if modifier == "sfpf" || modifier == "sfpf!" {
+                if std::mem::replace(&mut filtered, true) {
+                    return Err(err("repeated sfpf modifier"));
+                }
                 spec = ModernSpec::Sfpf {
                     base: Box::new(spec),
-                    known_true: true,
+                    known_true: modifier == "sfpf!",
                     update_filtered: true,
                     learned_guards: None,
                 };
             } else if let Some(rest) = modifier.strip_prefix("pgu") {
+                if std::mem::replace(&mut updated, true) {
+                    return Err(err("repeated pgu modifier"));
+                }
                 let delay: u64 = if rest.is_empty() {
                     DEFAULT_RESOLVE_LATENCY
                 } else {
@@ -352,157 +359,10 @@ impl std::str::FromStr for ModernSpec {
     }
 }
 
-/// Builds a TAGE instance from the spec's parameters.
-pub(crate) fn tage_from(tables: u32, index_bits: u32, max_history: u32, predicate: bool) -> Tage {
-    let t = Tage::new(tables, index_bits, max_history);
-    if predicate {
-        t.predicate_aware()
-    } else {
-        t
-    }
-}
-
-/// Builds an MPP instance from the spec's parameters.
-pub(crate) fn mpp_from(index_bits: u32, predicate: bool) -> Mpp {
-    let m = Mpp::new(index_bits);
-    if predicate {
-        m.predicate_aware()
-    } else {
-        m
-    }
-}
-
-/// Builds a boxed predictor from a spec: the dynamically dispatched
-/// reference that [`crate::build_modern_stack`] is tested against.
-///
-/// PGU requires a history-insertion point and degrades to the plain base
-/// without one, which keeps sweep tables total without special-casing;
-/// `sfpf(pgu(base))` keeps the filter in front of PGU, and of nested PGU
-/// nodes the innermost wins.
-pub fn build_modern(spec: &ModernSpec) -> Box<dyn BranchPredictor> {
-    match spec {
-        ModernSpec::StaticNotTaken => Box::new(StaticPredictor::NotTaken),
-        ModernSpec::StaticBtfn => Box::new(StaticPredictor::Btfn),
-        ModernSpec::Bimodal { index_bits } => Box::new(Bimodal::new(*index_bits)),
-        ModernSpec::Gshare {
-            index_bits,
-            history_bits,
-        } => Box::new(Gshare::new(*index_bits, *history_bits)),
-        ModernSpec::Local {
-            bht_bits,
-            history_bits,
-            pattern_bits,
-        } => Box::new(Local::new(*bht_bits, *history_bits, *pattern_bits)),
-        ModernSpec::Tournament {
-            gshare_bits,
-            history_bits,
-            bimodal_bits,
-            chooser_bits,
-        } => Box::new(Tournament::new(
-            *gshare_bits,
-            *history_bits,
-            *bimodal_bits,
-            *chooser_bits,
-        )),
-        ModernSpec::Agree {
-            index_bits,
-            history_bits,
-        } => Box::new(Agree::new(*index_bits, *history_bits)),
-        ModernSpec::Perceptron {
-            index_bits,
-            history_bits,
-        } => Box::new(Perceptron::new(*index_bits, *history_bits)),
-        ModernSpec::OracleGuard => Box::new(PerfectGuard::new()),
-        ModernSpec::Tage {
-            tables,
-            index_bits,
-            max_history,
-            predicate,
-        } => Box::new(tage_from(*tables, *index_bits, *max_history, *predicate)),
-        ModernSpec::Mpp {
-            index_bits,
-            predicate,
-        } => Box::new(mpp_from(*index_bits, *predicate)),
-        ModernSpec::Sfpf {
-            base,
-            known_true,
-            update_filtered,
-            learned_guards,
-        } => {
-            let mut filter = SquashFilter::new(build_modern(base))
-                .with_known_true(*known_true)
-                .with_update_filtered(*update_filtered);
-            if let Some(bits) = learned_guards {
-                filter = filter.with_learned_guards(*bits);
-            }
-            Box::new(filter)
-        }
-        ModernSpec::Pgu { base, delay } => match &**base {
-            ModernSpec::Gshare {
-                index_bits,
-                history_bits,
-            } => Box::new(Pgu::new(Gshare::new(*index_bits, *history_bits)).with_delay(*delay)),
-            ModernSpec::Tournament {
-                gshare_bits,
-                history_bits,
-                bimodal_bits,
-                chooser_bits,
-            } => Box::new(
-                Pgu::new(Tournament::new(
-                    *gshare_bits,
-                    *history_bits,
-                    *bimodal_bits,
-                    *chooser_bits,
-                ))
-                .with_delay(*delay),
-            ),
-            ModernSpec::Agree {
-                index_bits,
-                history_bits,
-            } => Box::new(Pgu::new(Agree::new(*index_bits, *history_bits)).with_delay(*delay)),
-            ModernSpec::Perceptron {
-                index_bits,
-                history_bits,
-            } => Box::new(Pgu::new(Perceptron::new(*index_bits, *history_bits)).with_delay(*delay)),
-            ModernSpec::Tage {
-                tables,
-                index_bits,
-                max_history,
-                predicate,
-            } => Box::new(
-                Pgu::new(tage_from(*tables, *index_bits, *max_history, *predicate))
-                    .with_delay(*delay),
-            ),
-            ModernSpec::Mpp {
-                index_bits,
-                predicate,
-            } => Box::new(Pgu::new(mpp_from(*index_bits, *predicate)).with_delay(*delay)),
-            ModernSpec::Sfpf {
-                base: inner,
-                known_true,
-                update_filtered,
-                learned_guards,
-            } => {
-                // sfpf(pgu(base)): the filter sits in front of PGU
-                let pgu = ModernSpec::Pgu {
-                    base: inner.clone(),
-                    delay: *delay,
-                };
-                build_modern(&ModernSpec::Sfpf {
-                    base: Box::new(pgu),
-                    known_true: *known_true,
-                    update_filtered: *update_filtered,
-                    learned_guards: *learned_guards,
-                })
-            }
-            other => build_modern(other),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_modern;
 
     #[test]
     fn debug_renderings_are_pinned() {
@@ -582,6 +442,10 @@ mod tests {
             "mpp:12+pguX",
             "gshare:13",
             "unknown:1",
+            "gshare:10/10+sfpf+sfpf",
+            "ptage:4/8/48+sfpf!+pgu0+sfpf",
+            "tage:4/8/48+pgu4+sfpf+pgu",
+            "mpp:10+pgu+pgu8",
         ] {
             let e = bad.parse::<ModernSpec>().expect_err(bad);
             assert!(
@@ -589,6 +453,13 @@ mod tests {
                 "`{bad}` error lost its prefix: {e}"
             );
         }
+        let e = "gshare:10/10+pgu4+sfpf+pgu"
+            .parse::<ModernSpec>()
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "bad predictor spec: repeated pgu modifier in `gshare:10/10+pgu4+sfpf+pgu`"
+        );
     }
 
     #[test]

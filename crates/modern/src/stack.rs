@@ -1,17 +1,13 @@
-//! Static-dispatch predictor stacks: one flat enum over every concrete
-//! predictor shape a spec can name, and the one builder that maps specs
-//! onto it.
+//! Predictor stacks: one flat enum over every concrete predictor shape a
+//! spec can name, and the one walk that builds every spec onto it.
 //!
-//! [`crate::build_modern`] returns `Box<dyn BranchPredictor>`, which
-//! costs a virtual call for every `predict`/`speculate`/`commit`/`squash`
-//! on the replay hot path, nested once per SFPF/PGU wrapper.
 //! [`ModernStack`] has one variant per shape, so a single `match` at the
-//! enum boundary replaces the vtable chain and the compiler can inline
-//! the whole wrapper composition into the harness loop. A gang lane
-//! pays even that match once per batch: it hands its loop to
-//! [`BranchPredictor::accept`], which runs it against the payload.
-//! [`build_modern_stack`] follows the boxed builder's composition rules,
-//! so the two differ only in dispatch.
+//! enum boundary stands where boxed wrappers would cost a virtual call
+//! per SFPF/PGU layer, and the compiler can inline the whole wrapper
+//! composition into the harness loop. A gang lane pays even that match
+//! once per batch: it hands its loop to [`BranchPredictor::accept`],
+//! which runs it against the payload. [`build_modern_stack`] is the one
+//! builder; [`build_modern`] boxes the stack it returns.
 
 use std::fmt;
 
@@ -22,7 +18,7 @@ use predbranch_core::{
 use predbranch_sim::PredWriteEvent;
 
 use crate::mpp::Mpp;
-use crate::spec::{mpp_from, tage_from, ModernSpec};
+use crate::spec::ModernSpec;
 use crate::tage::Tage;
 
 /// One enumerated variant of [`ModernStack`]: the variant's name and the
@@ -77,9 +73,10 @@ macro_rules! modern_stack {
                 #[doc = concat!("Both techniques over `", stringify!($ty), "`.")]
                 $sfpf_pgu(SquashFilter<Pgu<$ty>>),
             )?)+
-            /// Boxed escape hatch for nested filters, the one spec shape
-            /// outside the enumerated set; dispatches dynamically like
-            /// [`crate::build_modern`].
+            /// Boxed escape hatch for a filter over a filter, the one
+            /// shape outside the enumerated set. The parser refuses a
+            /// second filter modifier, so only a hand-built spec reaches
+            /// it.
             Dyn(Box<dyn BranchPredictor>),
         );
 
@@ -110,9 +107,8 @@ macro_rules! modern_stack {
         /// under SFPF, and each global-history base under PGU and under
         /// both — plus the boxed [`ModernStack::Dyn`] escape hatch.
         ///
-        /// Behaviorally identical to the boxed predictor
-        /// [`crate::build_modern`] returns for the same spec; only the
-        /// dispatch mechanism differs.
+        /// [`build_modern_stack`] builds it, and [`build_modern`] returns
+        /// the same stack boxed.
         ///
         /// # Examples
         ///
@@ -296,11 +292,25 @@ impl Wrappers {
                 index_bits,
                 max_history,
                 predicate,
-            } => ModernStack::Tage(tage_from(*tables, *index_bits, *max_history, *predicate)),
+            } => {
+                let tage = Tage::new(*tables, *index_bits, *max_history);
+                ModernStack::Tage(if *predicate {
+                    tage.predicate_aware()
+                } else {
+                    tage
+                })
+            }
             ModernSpec::Mpp {
                 index_bits,
                 predicate,
-            } => ModernStack::Mpp(mpp_from(*index_bits, *predicate)),
+            } => {
+                let mpp = Mpp::new(*index_bits);
+                ModernStack::Mpp(if *predicate {
+                    mpp.predicate_aware()
+                } else {
+                    mpp
+                })
+            }
             ModernSpec::Sfpf {
                 base,
                 known_true,
@@ -322,14 +332,20 @@ impl Wrappers {
     }
 }
 
-/// Builds a statically-dispatched predictor from a spec — the hot-path
-/// counterpart of [`crate::build_modern`].
+/// Builds a statically-dispatched predictor from a spec: the one walk
+/// behind every predictor the workspace builds.
 ///
-/// One walk collects the spec's wrappers and builds its base; the
-/// wrappers then compose by the boxed builder's rules: the filter sits
-/// in front of PGU, PGU over a base without global history degrades to
-/// that base, the innermost PGU delay wins, and nested filters fall
-/// back to [`ModernStack::Dyn`].
+/// The walk collects the spec's wrappers and builds its base; the
+/// wrappers then compose by four rules:
+///
+/// - the filter sits in front of PGU;
+/// - PGU over a base without global history degrades to that base,
+///   which keeps sweep tables total without special cases;
+/// - of nested PGU nodes the innermost delay wins;
+/// - a filter over a filter falls back to [`ModernStack::Dyn`].
+///
+/// The parser names each technique at most once, so only a hand-built
+/// spec reaches the last two rules.
 pub fn build_modern_stack(spec: &ModernSpec) -> ModernStack {
     let mut wrappers = Wrappers::default();
     let base = wrappers.walk(spec);
@@ -344,10 +360,16 @@ pub fn build_modern_stack(spec: &ModernSpec) -> ModernStack {
         .fold(stack, ModernStack::with_sfpf)
 }
 
+/// Builds a spec as a boxed predictor: the stack [`build_modern_stack`]
+/// returns, behind `Box<dyn BranchPredictor>`, for callers that keep
+/// predictors of several specs side by side or wrap one in an adapter.
+pub fn build_modern(spec: &ModernSpec) -> Box<dyn BranchPredictor> {
+    Box::new(build_modern_stack(spec))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::build_modern;
     use predbranch_core::{GangHarness, HarnessConfig, InsertFilter, PredictionHarness, Timing};
     use predbranch_isa::{assemble, Program};
     use predbranch_sim::{EventSink, Executor, Memory, TraceSink, EVENT_BATCH_CAPACITY};
@@ -382,29 +404,6 @@ mod tests {
         .unwrap()
     }
 
-    /// Every base a spec can name: the nine paper-era ones and the four
-    /// modern ones, at small sizes.
-    fn bases() -> Vec<ModernSpec> {
-        [
-            "nt",
-            "btfn",
-            "bimodal:8",
-            "gshare:8/8",
-            "local:6/6/8",
-            "tournament:8/8/8/8",
-            "agree:8/8",
-            "perceptron:6/12",
-            "oracle",
-            "tage:4/8/48",
-            "ptage:4/8/48",
-            "mpp:8",
-            "pmpp:8",
-        ]
-        .iter()
-        .map(|text| text.parse().unwrap())
-        .collect()
-    }
-
     /// An SFPF node with the given policy.
     fn filter(
         spec: ModernSpec,
@@ -420,163 +419,131 @@ mod tests {
         }
     }
 
-    type Wrapper = fn(ModernSpec) -> ModernSpec;
+    /// The composition rules as data: each spec with the name its
+    /// predictor reports and whether it dispatches statically. The parsed
+    /// rows take every base family through the modifiers the grammar
+    /// spells, in both orders; the hand-built rows name what the parser
+    /// refuses (an outer PGU around a filtered inner one, a filter over a
+    /// filter) and the filter policies it has no spelling for.
+    fn shapes() -> Vec<(ModernSpec, &'static str, bool)> {
+        let parse = |text: &str| text.parse::<ModernSpec>().unwrap();
+        let mut rows: Vec<_> = [
+            ("nt", "static-nt"),
+            ("btfn+sfpf", "sfpf+static-btfn"),
+            ("oracle+sfpf!", "sfpf±+oracle-guard"),
+            ("bimodal:8+pgu4", "bimodal-8"),
+            ("local:6/6/8+pgu4+sfpf", "sfpf+local-6/6/8"),
+            ("gshare:10/10", "gshare-10/10"),
+            ("gshare:10/10+sfpf+pgu8", "sfpf+pgu[d8]+gshare-10/10"),
+            ("tournament:10/10/10/10+pgu8", "pgu[d8]+tournament-10"),
+            ("agree:8/8+sfpf", "sfpf+agree-8/8"),
+            ("perceptron:6/12+pgu0+sfpf", "sfpf+pgu+perceptron-6/12"),
+            ("tage:4/8/48", "tage-4/8/48"),
+            ("ptage:4/8/48+sfpf", "sfpf+ptage-4/8/48"),
+            ("tage:4/8/48+pgu8", "pgu[d8]+tage-4/8/48"),
+            ("tage:4/8/48+sfpf+pgu8", "sfpf+pgu[d8]+tage-4/8/48"),
+            ("ptage:4/8/48+pgu0+sfpf!", "sfpf±+pgu+ptage-4/8/48"),
+            ("mpp:10", "mpp-10"),
+            ("pmpp:10+sfpf", "sfpf+pmpp-10"),
+            ("mpp:10+pgu8", "pgu[d8]+mpp-10"),
+            ("pmpp:10+sfpf+pgu8", "sfpf+pgu[d8]+pmpp-10"),
+        ]
+        .into_iter()
+        .map(|(text, name)| (parse(text), name, true))
+        .collect();
+        rows.extend([
+            // the innermost PGU delay wins
+            (
+                parse("gshare:10/10+pgu4+sfpf").with_pgu(8),
+                "sfpf+pgu[d4]+gshare-10/10",
+                true,
+            ),
+            (
+                parse("tage:4/8/48+pgu4+sfpf").with_pgu(8),
+                "sfpf+pgu[d4]+tage-4/8/48",
+                true,
+            ),
+            (
+                parse("mpp:10+pgu4+sfpf").with_pgu(8),
+                "sfpf+pgu[d4]+mpp-10",
+                true,
+            ),
+            // filter policies beyond `+sfpf` and `+sfpf!`
+            (
+                filter(parse("gshare:10/10+pgu8"), false, false, None),
+                "sfpf+pgu[d8]+gshare-10/10",
+                true,
+            ),
+            (
+                filter(parse("pmpp:10"), false, true, Some(6)),
+                "sfpf+pmpp-10",
+                true,
+            ),
+            // a filter over a filter leaves the enumerated set
+            (
+                parse("tage:4/8/48+sfpf").with_sfpf(),
+                "sfpf+sfpf+tage-4/8/48",
+                false,
+            ),
+            (
+                filter(parse("ptage:4/8/48+pgu4+sfpf"), true, true, None),
+                "sfpf±+sfpf+pgu[d4]+ptage-4/8/48",
+                false,
+            ),
+        ]);
+        rows
+    }
 
-    /// The wrappers the exhaustive test nests, each with the number of
-    /// filters it adds.
-    const WRAPPERS: [(Wrapper, usize); 7] = [
-        (|spec| spec.with_sfpf(), 1),
-        (|spec| filter(spec, true, true, None), 1),
-        (|spec| filter(spec, false, false, None), 1),
-        (|spec| filter(spec, false, true, Some(6)), 1),
-        (|spec| spec.with_pgu(0), 0),
-        (|spec| spec.with_pgu(4), 0),
-        (|spec| spec.with_pgu(8), 0),
-    ];
-
+    /// Every shape the parser reaches dispatches statically, and each
+    /// row builds the name it pins. Each row also runs as a gang lane
+    /// beside a lane that ignores predicate writes and one that reads
+    /// them, against a solo harness, which hands every write to its
+    /// predictor. A gang hands writes only to lanes that ask for them,
+    /// so a wrapper that under-reports `wants_pred_writes` starves its
+    /// inner PGU or predicate history and shows up here.
     #[test]
-    fn stack_behaves_like_boxed_predictor() {
-        // every base under every sequence of up to three wrappers, with
-        // the number of filters in each spec
-        let mut specs: Vec<(ModernSpec, usize)> = bases().into_iter().map(|b| (b, 0)).collect();
-        let mut layer = specs.clone();
-        for _ in 0..3 {
-            layer = layer
-                .iter()
-                .flat_map(|(spec, filters)| {
-                    WRAPPERS
-                        .iter()
-                        .map(move |(wrap, added)| (wrap(spec.clone()), filters + added))
-                })
-                .collect();
-            specs.extend(layer.iter().cloned());
+    fn every_spec_shape_is_statically_dispatched() {
+        let rows = shapes();
+        for (spec, name, statically) in &rows {
+            let stack = build_modern_stack(spec);
+            assert_eq!(stack.name(), *name, "{spec:?}");
+            assert_eq!(spec.to_string(), *name, "{spec:?}");
+            assert_eq!(stack.is_statically_dispatched(), *statically, "{spec:?}");
         }
-        assert_eq!(specs.len(), 13 * (1 + 7 + 49 + 343));
 
-        let program = program();
+        let mut trace = TraceSink::new();
+        Executor::new(&program(), Memory::new()).run(&mut trace, 100_000);
+        let events = trace.events();
         let config = |retire| HarnessConfig {
             timing: Timing::new(4, retire),
             insert: InsertFilter::All,
         };
-        let mut trace = TraceSink::new();
-        Executor::new(&program, Memory::new()).run(&mut trace, 100_000);
-        let events = trace.events();
-        // the reference: the boxed predictor in a solo harness, which
-        // hands every predicate write to the predictor
         let solo = |spec: &ModernSpec, retire| {
             let mut harness = PredictionHarness::new(build_modern(spec), config(retire));
             harness.replay_events(events);
             harness.into_parts().1
         };
-
-        let mut expected_r8 = Vec::with_capacity(specs.len());
-        for (spec, filters) in &specs {
-            let boxed = build_modern(spec);
-            let stack = build_modern_stack(spec);
-            assert_eq!(stack.name(), boxed.name(), "{spec:?}");
-            assert_eq!(
-                stack.is_statically_dispatched(),
-                *filters <= 1,
-                "{spec:?} as {stack:?}"
-            );
-            let mut boxed = PredictionHarness::new(boxed, config(8));
-            Executor::new(&program, Memory::new()).run(&mut boxed, 100_000);
-            let mut stack = PredictionHarness::new(stack, config(8));
-            Executor::new(&program, Memory::new()).run(&mut stack, 100_000);
-            let (_, boxed_metrics) = boxed.into_parts();
-            let (_, stack_metrics) = stack.into_parts();
-            assert!(boxed_metrics.all.branches.get() > 0, "{spec:?}");
-            assert_eq!(boxed_metrics, stack_metrics, "{spec:?}");
-            expected_r8.push(boxed_metrics);
-        }
-
-        // The gang leg: the same specs as lanes of four large gangs, each
-        // beside a lane that ignores predicate writes and one that reads
-        // them. A gang hands writes only to lanes whose predictor asks
-        // for them, so a wrapper that under-reports `wants_pred_writes`
-        // starves its inner PGU or predicate history and shows up here.
-        let neighbours: Vec<ModernSpec> = ["gshare:10/10", "gshare:10/10+pgu8"]
-            .iter()
-            .map(|text| text.parse().unwrap())
-            .collect();
-        let gang_size = specs.len() / 4;
+        let neighbours: [ModernSpec; 2] =
+            ["gshare:10/10", "gshare:10/10+pgu8"].map(|text| text.parse().unwrap());
         for retire in [0, 8] {
-            let expected = if retire == 8 {
-                expected_r8.clone()
-            } else {
-                specs.iter().map(|(spec, _)| solo(spec, retire)).collect()
-            };
-            let neighbours_expected: Vec<_> = neighbours.iter().map(|n| solo(n, retire)).collect();
-            for batch in [EVENT_BATCH_CAPACITY, 7] {
-                for (lanes, expected) in specs.chunks(gang_size).zip(expected.chunks(gang_size)) {
+            let neighbours_want: Vec<_> = neighbours.iter().map(|n| solo(n, retire)).collect();
+            for (spec, ..) in &rows {
+                let want = solo(spec, retire);
+                assert!(want.all.branches.get() > 0, "{spec:?}");
+                for batch in [EVENT_BATCH_CAPACITY, 7] {
                     let mut gang = GangHarness::new();
-                    for spec in neighbours.iter().chain(lanes.iter().map(|(spec, _)| spec)) {
-                        gang.push_lane(build_modern_stack(spec), config(retire));
+                    for lane in neighbours.iter().chain([spec]) {
+                        gang.push_lane(build_modern_stack(lane), config(retire));
                     }
                     for chunk in events.chunks(batch) {
                         gang.events(chunk);
                     }
-                    let metrics = gang.into_metrics();
-                    let (got_neighbours, got) = metrics.split_at(neighbours.len());
-                    assert_eq!(
-                        got_neighbours, neighbours_expected,
-                        "retire {retire}, batch {batch}"
-                    );
-                    for (((spec, _), got), want) in lanes.iter().zip(got).zip(expected) {
-                        assert_eq!(got, want, "{spec:?} at retire {retire}, batch {batch}");
-                    }
+                    let mut got = gang.into_metrics();
+                    let at = format!("{spec:?} at retire {retire}, batch {batch}");
+                    assert_eq!(got.pop(), Some(want), "{at}");
+                    assert_eq!(got, neighbours_want, "{at}");
                 }
             }
-        }
-    }
-
-    /// Parser-reachable spec shapes with at most one filter, paper-era
-    /// and modern, including two PGU modifiers around a filter.
-    fn shapes() -> Vec<&'static str> {
-        vec![
-            "nt",
-            "btfn+sfpf",
-            "oracle+sfpf!",
-            "bimodal:8+pgu4",
-            "local:6/6/8+pgu4+sfpf",
-            "gshare:10/10",
-            "gshare:10/10+sfpf+pgu8",
-            "gshare:10/10+pgu4+sfpf+pgu",
-            "tournament:10/10/10/10+pgu8",
-            "agree:8/8+sfpf",
-            "perceptron:6/12+pgu0+sfpf",
-            "tage:4/8/48",
-            "ptage:4/8/48+sfpf",
-            "tage:4/8/48+pgu8",
-            "tage:4/8/48+sfpf+pgu8",
-            "tage:4/8/48+pgu4+sfpf+pgu",
-            "ptage:4/8/48+pgu0+sfpf!",
-            "mpp:10",
-            "pmpp:10+sfpf",
-            "mpp:10+pgu8",
-            "pmpp:10+sfpf+pgu8",
-            "mpp:10+pgu4+sfpf+pgu",
-        ]
-    }
-
-    #[test]
-    fn every_spec_shape_is_statically_dispatched() {
-        for text in shapes() {
-            let spec: ModernSpec = text.parse().unwrap();
-            let stack = build_modern_stack(&spec);
-            assert!(stack.is_statically_dispatched(), "{text} fell back to dyn");
-        }
-    }
-
-    #[test]
-    fn stack_name_matches_boxed_builder() {
-        for text in shapes() {
-            let spec: ModernSpec = text.parse().unwrap();
-            assert_eq!(
-                build_modern_stack(&spec).name(),
-                build_modern(&spec).name(),
-                "{text}"
-            );
         }
     }
 
@@ -591,11 +558,11 @@ mod tests {
         // global history
         let spec: ModernSpec = "bimodal:8+pgu4+sfpf".parse().unwrap();
         let stack = build_modern_stack(&spec);
-        assert_eq!(stack.name(), build_modern(&spec).name());
+        assert_eq!(stack.name(), "sfpf+bimodal-8");
         assert!(matches!(stack, ModernStack::SfpfBimodal(_)));
         let spec: ModernSpec = "local:6/6/8+pgu4".parse().unwrap();
         let stack = build_modern_stack(&spec);
-        assert_eq!(stack.name(), build_modern(&spec).name());
+        assert_eq!(stack.name(), "local-6/6/8");
         assert!(matches!(stack, ModernStack::Local(_)));
     }
 
@@ -607,30 +574,26 @@ mod tests {
         assert!(matches!(stack, ModernStack::SfpfPguMpp(_)));
         let spec: ModernSpec = "gshare:10/10+pgu4+sfpf".parse().unwrap();
         let stack = build_modern_stack(&spec);
-        assert_eq!(stack.name(), build_modern(&spec).name());
+        assert_eq!(stack.name(), "sfpf+pgu[d4]+gshare-10/10");
         assert!(matches!(stack, ModernStack::SfpfPguGshare(_)));
     }
 
     #[test]
     fn nested_filters_use_the_escape_hatch() {
         // a filter over a filter, over a modern base and a paper-era one
-        for spec in [
-            ModernSpec::Sfpf {
-                base: Box::new("tage:4/8/48+sfpf".parse().unwrap()),
-                known_true: false,
-                update_filtered: true,
-                learned_guards: None,
-            },
-            ModernSpec::Sfpf {
-                base: Box::new("gshare:8/8+sfpf".parse().unwrap()),
-                known_true: true,
-                update_filtered: true,
-                learned_guards: None,
-            },
+        for (spec, name) in [
+            (
+                filter("tage:4/8/48+sfpf".parse().unwrap(), false, true, None),
+                "sfpf+sfpf+tage-4/8/48",
+            ),
+            (
+                filter("gshare:8/8+sfpf".parse().unwrap(), true, true, None),
+                "sfpf±+sfpf+gshare-8/8",
+            ),
         ] {
             let stack = build_modern_stack(&spec);
             assert!(!stack.is_statically_dispatched(), "{spec:?}");
-            assert_eq!(stack.name(), build_modern(&spec).name());
+            assert_eq!(stack.name(), name);
         }
     }
 

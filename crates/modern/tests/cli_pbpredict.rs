@@ -103,15 +103,21 @@ fn bad_spec_is_rejected() {
 #[test]
 fn out_of_range_parameter_is_rejected_before_building() {
     // `gshare:0/13` used to parse and then panic in the table
-    // constructor; the parser now refuses it with one line
-    let out = pbpredict("range.s", PROGRAM, &["--predictor", "gshare:0/13"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(out.stdout.is_empty());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(
-        err,
-        "pbpredict: bad predictor spec: table index bits must be 1..=28 in `gshare:0/13`\n"
-    );
+    // constructor, and a repeated modifier used to build; the parser now
+    // refuses both with one line
+    for (spec, reason) in [
+        ("gshare:0/13", "table index bits must be 1..=28"),
+        ("gshare:13/13+sfpf+sfpf!", "repeated sfpf modifier"),
+    ] {
+        let out = pbpredict("range.s", PROGRAM, &["--predictor", spec]);
+        assert_eq!(out.status.code(), Some(1), "{spec}");
+        assert!(out.stdout.is_empty(), "{spec}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            err,
+            format!("pbpredict: bad predictor spec: {reason} in `{spec}`\n")
+        );
+    }
 }
 
 #[test]

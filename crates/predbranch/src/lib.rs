@@ -13,10 +13,11 @@
 //! * [`core`] — the paper's predictors: the squash false-path filter and
 //!   the predicate global-update predictor, over conventional baselines;
 //! * [`modern`] — the one predictor spec (`ModernSpec`: a grammar for
-//!   every base and wrapper, with boxed and statically-dispatched
-//!   builders) and the post-2003 tier: TAGE and a multiperspective
-//!   perceptron, each with a predicate-aware variant, asking the
-//!   paper's question against modern baselines;
+//!   every base and wrapper, built by one walk into a
+//!   statically-dispatched stack, boxed on request) and the post-2003
+//!   tier: TAGE and a multiperspective perceptron, each with a
+//!   predicate-aware variant, asking the paper's question against
+//!   modern baselines;
 //! * [`workloads`] — eleven SPECint-2000-analog benchmarks;
 //! * [`stats`] — counters, histograms, and table/series rendering;
 //! * [`trace`] — binary trace record/replay with an on-disk trace
