@@ -136,13 +136,29 @@ impl<P> SquashFilter<P> {
 }
 
 impl<P: BranchPredictor> BranchPredictor for SquashFilter<P> {
+    /// `sfpf+…`, or `sfpf±+…` with the known-true rule; a non-default
+    /// policy adds a tag, `[no-train]` when filtered branches do not
+    /// train the inner predictor and `[gN]` for a learned guard table of
+    /// `2^N` entries (both: `[no-train,gN]`).
     fn name(&self) -> String {
         let mode = if self.use_known_true {
             "sfpf±"
         } else {
             "sfpf"
         };
-        format!("{mode}+{}", self.inner.name())
+        let mut tags = Vec::new();
+        if !self.update_filtered {
+            tags.push("no-train".to_string());
+        }
+        if let Some(table) = &self.guard_table {
+            tags.push(format!("g{}", table.len().trailing_zeros()));
+        }
+        let tags = if tags.is_empty() {
+            String::new()
+        } else {
+            format!("[{}]", tags.join(","))
+        };
+        format!("{mode}{tags}+{}", self.inner.name())
     }
 
     fn predict(&mut self, branch: &BranchInfo) -> bool {
@@ -345,6 +361,12 @@ mod tests {
         assert_eq!(f.name(), "sfpf+static-nt");
         let f = f.with_known_true(true);
         assert_eq!(f.name(), "sfpf±+static-nt");
+        let f = f.with_update_filtered(false);
+        assert_eq!(f.name(), "sfpf±[no-train]+static-nt");
+        let f = f.with_learned_guards(6);
+        assert_eq!(f.name(), "sfpf±[no-train,g6]+static-nt");
+        let f = SquashFilter::new(StaticPredictor::NotTaken).with_learned_guards(10);
+        assert_eq!(f.name(), "sfpf[g10]+static-nt");
     }
 
     #[test]

@@ -471,12 +471,12 @@ mod tests {
             // filter policies beyond `+sfpf` and `+sfpf!`
             (
                 filter(parse("gshare:10/10+pgu8"), false, false, None),
-                "sfpf+pgu[d8]+gshare-10/10",
+                "sfpf[no-train]+pgu[d8]+gshare-10/10",
                 true,
             ),
             (
                 filter(parse("pmpp:10"), false, true, Some(6)),
-                "sfpf+pmpp-10",
+                "sfpf[g6]+pmpp-10",
                 true,
             ),
             // a filter over a filter leaves the enumerated set

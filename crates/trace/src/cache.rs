@@ -747,44 +747,71 @@ mod tests {
 
     #[test]
     fn corrupt_sidecar_is_rejected_then_rebuilt() {
-        let dir = tmp_dir("sidecar-corrupt");
-        let cache = TraceCache::open(&dir).unwrap();
-        let program = toy_program();
-        let key = CacheKey::for_run("toy", &program, &Memory::new(), 1_000);
-        let mut recorded = TraceSink::new();
-        cache
-            .replay_or_record(&key, &program, Memory::new(), 1_000, &mut recorded)
-            .unwrap();
+        // a flipped bit, and a sidecar as segment version 1 wrote it
+        for old_version in [false, true] {
+            let dir = tmp_dir("sidecar-corrupt");
+            let cache = TraceCache::open(&dir).unwrap();
+            let program = toy_program();
+            let key = CacheKey::for_run("toy", &program, &Memory::new(), 1_000);
+            let mut recorded = TraceSink::new();
+            cache
+                .replay_or_record(&key, &program, Memory::new(), 1_000, &mut recorded)
+                .unwrap();
 
-        let seg = crate::segment::segment_path(&cache.path(&key));
-        let mut bytes = fs::read(&seg).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x20;
-        fs::write(&seg, &bytes).unwrap();
+            let seg = crate::segment::segment_path(&cache.path(&key));
+            let mut bytes = fs::read(&seg).unwrap();
+            if old_version {
+                // the same bytes at version 1, under the byte-wise
+                // FNV-1a checksum that version used
+                bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+                let body = bytes.len() - 8;
+                let mut hash = Fnv64::new();
+                hash.update(&bytes[..body]);
+                bytes[body..].copy_from_slice(&hash.digest().to_le_bytes());
+            } else {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x20;
+            }
+            fs::write(&seg, &bytes).unwrap();
+            let refused = TraceMap::open(&seg).unwrap_err();
+            if old_version {
+                // by its version, before any checksum
+                assert!(
+                    matches!(
+                        refused,
+                        TraceError::UnsupportedSegmentVersion {
+                            found: 1,
+                            expected: crate::SEGMENT_VERSION,
+                        }
+                    ),
+                    "{refused:?}"
+                );
+            }
 
-        // a fresh handle (no open map) rejects the corrupt sidecar,
-        // serves the replay from a full v1 decode, and rebuilds it
-        let fresh = TraceCache::open(&dir).unwrap();
-        let mut sink = TraceSink::new();
-        let (_, hit) = fresh
-            .replay_or_record(&key, &program, Memory::new(), 1_000, &mut sink)
-            .unwrap();
-        assert!(hit, "the v1 trace is intact: still a replay hit");
-        assert_eq!(sink.events(), recorded.events());
-        let stats = fresh.serve_stats();
-        assert_eq!(stats.segment_rejects, 1);
-        assert_eq!(stats.segment_builds, 1);
-        // and the rebuilt sidecar serves the next replay
-        fresh
-            .replay_or_record(
-                &key,
-                &program,
-                Memory::new(),
-                1_000,
-                &mut predbranch_sim::NullSink,
-            )
-            .unwrap();
-        assert_eq!(fresh.serve_stats().segment_replays, 1);
-        let _ = fs::remove_dir_all(&dir);
+            // a fresh handle (no open map) rejects the damaged sidecar,
+            // serves the replay from a full v1 decode, and rebuilds it
+            let fresh = TraceCache::open(&dir).unwrap();
+            let mut sink = TraceSink::new();
+            let (_, hit) = fresh
+                .replay_or_record(&key, &program, Memory::new(), 1_000, &mut sink)
+                .unwrap();
+            assert!(hit, "the v1 trace is intact: still a replay hit");
+            assert_eq!(sink.events(), recorded.events());
+            let stats = fresh.serve_stats();
+            assert_eq!(stats.segment_rejects, 1);
+            assert_eq!(stats.segment_builds, 1);
+            // and the rebuilt sidecar serves the next replay
+            fresh
+                .replay_or_record(
+                    &key,
+                    &program,
+                    Memory::new(),
+                    1_000,
+                    &mut predbranch_sim::NullSink,
+                )
+                .unwrap();
+            assert_eq!(fresh.serve_stats().segment_replays, 1);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -49,6 +49,15 @@ pub enum TraceError {
     /// A segment sidecar is structurally invalid (bad magic, layout
     /// canary, size, or header field).
     BadSegment(&'static str),
+    /// A segment sidecar's format version is not the one this build
+    /// reads (an older build wrote it). It is derived data: `pbtrace
+    /// migrate`, or the cache's next replay of its trace, rebuilds it.
+    UnsupportedSegmentVersion {
+        /// Version stored in the sidecar.
+        found: u16,
+        /// The version this build reads and writes.
+        expected: u16,
+    },
     /// A segment sidecar was built from a different generation of its
     /// trace (source-checksum binding failed); rebuild it.
     SegmentStale {
@@ -90,6 +99,11 @@ impl fmt::Display for TraceError {
             TraceError::BadSegment(reason) => {
                 write!(f, "segment sidecar is invalid: {reason}")
             }
+            TraceError::UnsupportedSegmentVersion { found, expected } => write!(
+                f,
+                "segment sidecar has format version {found}, not {expected}; \
+                 `pbtrace migrate` or the next replay rebuilds it from its trace"
+            ),
             TraceError::SegmentStale { segment, trace } => write!(
                 f,
                 "segment sidecar is stale (built from trace {segment:#018x}, \
@@ -138,5 +152,14 @@ mod tests {
         };
         assert!(e.to_string().contains("checksum"));
         assert!(TraceError::UnsupportedVersion(9).to_string().contains('9'));
+        let old = TraceError::UnsupportedSegmentVersion {
+            found: 1,
+            expected: 2,
+        };
+        assert_eq!(
+            old.to_string(),
+            "segment sidecar has format version 1, not 2; \
+             `pbtrace migrate` or the next replay rebuilds it from its trace"
+        );
     }
 }

@@ -284,6 +284,8 @@ pub(crate) fn read_summary<R: Read + ?Sized>(input: &mut R) -> Result<RunSummary
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 impl Default for Fnv64 {
     fn default() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
@@ -299,13 +301,26 @@ impl Fnv64 {
     /// Absorbs bytes.
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
         }
     }
 
     /// Absorbs a little-endian `u64`.
     pub fn update_u64(&mut self, value: u64) {
         self.update(&value.to_le_bytes());
+    }
+
+    /// Absorbs `bytes` as little-endian `u64` words, one FNV-1a step
+    /// per word rather than per byte: the segment sidecar's checksum.
+    /// A step is one-to-one in the state and in the word, so a change
+    /// confined to one word always changes the digest. `bytes` must be
+    /// whole words.
+    pub(crate) fn update_words(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.len().is_multiple_of(8));
+        for word in bytes.chunks_exact(8) {
+            let word = u64::from_le_bytes(word.try_into().unwrap());
+            self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
+        }
     }
 
     /// The current digest.

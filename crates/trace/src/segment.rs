@@ -8,7 +8,7 @@
 //! OS page cache, shared between concurrent processes sharing one
 //! cache directory.
 //!
-//! # Layout (segment version 1)
+//! # Layout (segment version 2)
 //!
 //! ```text
 //! offset  0  magic "PBTD" · version u16 LE · layout canary u16 LE (0x00FF)
@@ -17,7 +17,8 @@
 //!            region · taken_conditional · pred_writes · halted (7 × u64)
 //! offset 88  reserved u64 (zero)
 //! offset 96  events: event_count × 24-byte records (below)
-//! tail       checksum u64 LE — FNV-1a of every preceding byte
+//! tail       checksum u64 LE — FNV-1a over the little-endian u64
+//!            words of every preceding byte (one step per word)
 //! ```
 //!
 //! Each 24-byte record:
@@ -47,11 +48,23 @@
 //! sidecar to its exact trace generation: re-record the trace and the
 //! stale sidecar is detected ([`TraceError::SegmentStale`]) and
 //! rebuilt. [`TraceMap::open`] verifies the segment's own trailing
-//! checksum once per open — replays served from an open map do no
-//! further hashing.
+//! checksum once per open, in the same pass that checks every record —
+//! replays served from an open map do no further hashing.
+//!
+//! The segment's checksum is FNV-1a taken a word at a time: the body
+//! (header and records) is always whole little-endian `u64` words, and
+//! each word is one xor-multiply step, so a record costs three
+//! dependent multiplies instead of byte-wise FNV-1a's 24. It still
+//! covers every byte, and since each step is one-to-one in the state
+//! and in the word, a change confined to one word always changes it.
+//! The `.pbt` format and every content key keep byte-wise FNV-1a.
+//! Version 1 sidecars were checksummed byte-wise; open refuses them by
+//! version ([`TraceError::UnsupportedSegmentVersion`]) before any
+//! checksum, and the cache's next replay, or `pbtrace migrate`,
+//! rebuilds them from their intact `.pbt`.
 
 use std::fs;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,8 +73,7 @@ use predbranch_sim::{BranchEvent, Event, EventSink, PredWriteEvent, RunSummary};
 
 use crate::error::TraceError;
 use crate::format::{
-    Fnv64, HashingWriter, FLAG_CONDITIONAL, FLAG_GUARD_VALUE, FLAG_HAS_REGION, FLAG_TAKEN,
-    FLAG_VALUE,
+    Fnv64, FLAG_CONDITIONAL, FLAG_GUARD_VALUE, FLAG_HAS_REGION, FLAG_TAKEN, FLAG_VALUE,
 };
 use crate::reader::TraceReader;
 
@@ -69,7 +81,7 @@ use crate::reader::TraceReader;
 pub const SEGMENT_MAGIC: [u8; 4] = *b"PBTD";
 
 /// Current segment format version. Readers reject anything else.
-pub const SEGMENT_VERSION: u16 = 1;
+pub const SEGMENT_VERSION: u16 = 2;
 
 /// The layout canary stored at offset 6: reads back as this value
 /// exactly when the file is interpreted little-endian.
@@ -135,6 +147,7 @@ const _: () = {
     assert!(std::mem::size_of::<RawEvent>() == SEGMENT_EVENT_STRIDE);
     assert!(std::mem::align_of::<RawEvent>() == 1);
     assert!(SEGMENT_HEADER_LEN.is_multiple_of(8));
+    assert!(SEGMENT_EVENT_STRIDE.is_multiple_of(8));
 };
 
 impl RawEvent {
@@ -248,15 +261,13 @@ pub struct SegmentHeader {
 }
 
 impl SegmentHeader {
-    fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        out.write_all(&SEGMENT_MAGIC)?;
-        out.write_all(&SEGMENT_VERSION.to_le_bytes())?;
-        out.write_all(&LAYOUT_CANARY.to_le_bytes())?;
-        out.write_all(&self.program_hash.to_le_bytes())?;
-        out.write_all(&self.source_checksum.to_le_bytes())?;
-        out.write_all(&self.event_count.to_le_bytes())?;
+    /// The header's bytes, exactly as stored.
+    fn to_bytes(self) -> [u8; SEGMENT_HEADER_LEN] {
         let s = &self.summary;
-        for word in [
+        let words = [
+            self.program_hash,
+            self.source_checksum,
+            self.event_count,
             s.instructions,
             s.branches,
             s.conditional_branches,
@@ -265,10 +276,15 @@ impl SegmentHeader {
             s.pred_writes,
             s.halted as u64,
             0u64, // reserved
-        ] {
-            out.write_all(&word.to_le_bytes())?;
+        ];
+        let mut out = [0u8; SEGMENT_HEADER_LEN];
+        out[0..4].copy_from_slice(&SEGMENT_MAGIC);
+        out[4..6].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
+        out[6..8].copy_from_slice(&LAYOUT_CANARY.to_le_bytes());
+        for (slot, word) in out[8..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
         }
-        Ok(())
+        out
     }
 
     fn read_from(bytes: &[u8]) -> Result<Self, TraceError> {
@@ -281,7 +297,10 @@ impl SegmentHeader {
         let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
         if version != SEGMENT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
+            return Err(TraceError::UnsupportedSegmentVersion {
+                found: version,
+                expected: SEGMENT_VERSION,
+            });
         }
         if u16::from_le_bytes(bytes[6..8].try_into().unwrap()) != LAYOUT_CANARY {
             return Err(TraceError::BadSegment("layout canary mismatch"));
@@ -313,7 +332,8 @@ impl SegmentHeader {
 ///
 /// Same discipline as trace publication: write a uniquely named
 /// temporary in the same directory, fsync, rename. Concurrent builders
-/// race benignly — every temporary has identical contents.
+/// race benignly — every temporary has identical contents. The
+/// checksum absorbs each record's words as it is encoded.
 pub fn publish_segment(
     trace_path: &Path,
     program_hash: u64,
@@ -339,17 +359,19 @@ pub fn publish_segment(
         summary: *summary,
     };
     let result = (|| {
-        let file = fs::File::create(&tmp)?;
-        let mut out = HashingWriter::new(BufWriter::new(file));
-        header.write_to(&mut out)?;
+        let mut out = BufWriter::new(fs::File::create(&tmp)?);
+        let mut hash = Fnv64::new();
+        let header = header.to_bytes();
+        hash.update_words(&header);
+        out.write_all(&header)?;
         for event in events {
-            out.write_all(&RawEvent::encode(event).as_bytes())?;
+            let record = RawEvent::encode(event).as_bytes();
+            hash.update_words(&record);
+            out.write_all(&record)?;
         }
-        let digest = out.digest();
-        let inner = out.get_mut();
-        inner.write_all(&digest.to_le_bytes())?;
-        inner.flush()?;
-        inner.get_ref().sync_all()?;
+        out.write_all(&hash.digest().to_le_bytes())?;
+        out.flush()?;
+        out.get_ref().sync_all()?;
         fs::rename(&tmp, &target)?;
         Ok(target.clone())
     })();
@@ -421,23 +443,35 @@ impl TraceMap {
                 TraceError::BadSegment("trailing garbage")
             });
         }
-        let body = &mapping[..expected_len - 8];
-        let mut hash = Fnv64::new();
-        hash.update(body);
-        let computed = hash.digest();
         let stored = u64::from_le_bytes(mapping[expected_len - 8..].try_into().unwrap());
+        let map = TraceMap { mapping, header };
+        // One pass over the records: absorb each one's words and check
+        // its tag and register fields, so a successful open guarantees
+        // replays deliver only well-formed events (the sink
+        // partial-delivery invariant the v1 path gets from
+        // decode-before-deliver). A checksum mismatch is reported ahead
+        // of a malformed record.
+        let mut hash = Fnv64::new();
+        hash.update_words(&map.mapping[..SEGMENT_HEADER_LEN]);
+        let records = &map.mapping[SEGMENT_HEADER_LEN..expected_len - 8];
+        let mut malformed = None;
+        for (bytes, raw) in records
+            .chunks_exact(SEGMENT_EVENT_STRIDE)
+            .zip(map.raw_events())
+        {
+            hash.update_words(bytes);
+            if let Err(e) = raw.decode() {
+                malformed.get_or_insert(e);
+            }
+        }
+        let computed = hash.digest();
         if stored != computed {
             return Err(TraceError::ChecksumMismatch { stored, computed });
         }
-        let map = TraceMap { mapping, header };
-        // Validate every record's tag and register fields now, so a
-        // successful open guarantees replays deliver only well-formed
-        // events (the sink partial-delivery invariant the v1 path gets
-        // from decode-before-deliver).
-        for raw in map.raw_events() {
-            raw.decode()?;
+        match malformed {
+            Some(e) => Err(e),
+            None => Ok(map),
         }
-        Ok(map)
     }
 
     /// Opens the sidecar for `trace_path` and checks it was built from
@@ -527,6 +561,104 @@ mod tests {
     use super::*;
     use predbranch_sim::{Executor, Memory, TraceSink};
 
+    /// A fresh, empty directory under the OS temp dir.
+    fn fresh_dir(dir_tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "pb-segment-{dir_tag}-{}-{}",
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Publishes a sidecar of a fixed header and two records, one of
+    /// each kind, into a fresh directory; returns the sidecar's path.
+    fn known_answer_sidecar(dir_tag: &str) -> PathBuf {
+        let summary = RunSummary {
+            instructions: 40,
+            branches: 3,
+            conditional_branches: 2,
+            region_branches: 1,
+            taken_conditional: 1,
+            pred_writes: 1,
+            halted: true,
+        };
+        let reg = |i| PredReg::new(i).unwrap();
+        let events = [
+            Event::Branch(BranchEvent {
+                pc: 7,
+                target: 2,
+                guard: reg(3),
+                taken: true,
+                conditional: true,
+                region: Some(5),
+                index: 12,
+            }),
+            Event::PredWrite(PredWriteEvent {
+                pc: 9,
+                preg: reg(4),
+                value: false,
+                index: 20,
+                guard: reg(1),
+                guard_value: true,
+            }),
+        ];
+        publish_segment(
+            &fresh_dir(dir_tag).join("kat.pbt"),
+            0x0123_4567_89ab_cdef,
+            0xfedc_ba98_7654_3210,
+            &summary,
+            &events,
+        )
+        .unwrap()
+    }
+
+    /// The checksum is part of the format: changing how it is computed
+    /// (or the bytes it covers) without a new `SEGMENT_VERSION` would
+    /// let a build misread sidecars another build wrote.
+    #[test]
+    fn word_checksum_known_answer() {
+        let seg = known_answer_sidecar("kat");
+        let bytes = fs::read(&seg).unwrap();
+        assert_eq!(
+            bytes.len(),
+            SEGMENT_HEADER_LEN + 2 * SEGMENT_EVENT_STRIDE + 8
+        );
+        let tail = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        assert_eq!(
+            (SEGMENT_VERSION, tail),
+            (2, 0x3e2e_3cc1_3094_80d6),
+            "a new checksum needs a new SEGMENT_VERSION"
+        );
+        let map = TraceMap::open(&seg).unwrap();
+        assert_eq!(map.header().event_count, 2);
+        let _ = fs::remove_dir_all(seg.parent().unwrap());
+    }
+
+    /// Every single-bit flip of a small sidecar is refused at open,
+    /// whichever word it lands in: by a structural check where one
+    /// trips, by the word checksum everywhere else (flag, pad and
+    /// region bits, hashes, the checksum itself).
+    #[test]
+    fn every_bit_flip_of_a_small_sidecar_is_refused() {
+        let seg = known_answer_sidecar("flips");
+        let bytes = fs::read(&seg).unwrap();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                fs::write(&seg, &flipped).unwrap();
+                assert!(
+                    TraceMap::open(&seg).is_err(),
+                    "flip at byte {pos} bit {bit} went undetected"
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(seg.parent().unwrap());
+    }
+
     fn toy_trace(dir_tag: &str) -> (PathBuf, Vec<Event>, RunSummary) {
         let program = predbranch_isa::assemble(
             r#"
@@ -539,14 +671,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "pb-segment-{dir_tag}-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toy.pbt");
+        let path = fresh_dir(dir_tag).join("toy.pbt");
         let header =
             crate::TraceHeader::new("toy", crate::format::program_hash(&program), 0, 1_000);
         let mut writer = crate::TraceWriter::create(&path, &header).unwrap();
