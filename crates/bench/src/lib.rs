@@ -20,5 +20,5 @@ pub mod runner;
 pub use experiments::{all_experiments, Artifact, Experiment, Scale};
 pub use runner::{
     compiled_suite, CellSpec, RunContext, RunOutcome, RunStats, Stream, StreamSource, SuiteEntry,
-    DEFAULT_LATENCY, PGU_DELAY,
+    DEFAULT_LATENCY,
 };

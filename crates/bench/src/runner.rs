@@ -42,7 +42,7 @@ pub const DEFAULT_LATENCY: u64 = predbranch_sim::DEFAULT_RESOLVE_LATENCY;
 
 /// The realistic PGU insertion delay: predicate bits become visible to
 /// the history register one resolve latency after the defining compare.
-pub const PGU_DELAY: u64 = DEFAULT_LATENCY;
+pub(crate) const PGU_DELAY: u64 = DEFAULT_LATENCY;
 
 /// Instruction budget for every experiment cell.
 const CELL_BUDGET: u64 = 2 * DEFAULT_MAX_INSTRUCTIONS;
@@ -181,12 +181,12 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// Overall conditional-branch misprediction rate, percent.
-    pub fn misp_percent(&self) -> f64 {
+    pub(crate) fn misp_percent(&self) -> f64 {
         self.metrics.all.misp_rate().percent()
     }
 
     /// Region-branch misprediction rate, percent.
-    pub fn region_misp_percent(&self) -> f64 {
+    pub(crate) fn region_misp_percent(&self) -> f64 {
         self.metrics.region.misp_rate().percent()
     }
 

@@ -12,27 +12,27 @@
 //!   `H(taken)`;
 //! * **history-conditioned entropy** — the residual entropy
 //!   `H(taken | history)` at several global and local outcome-history
-//!   depths ([`GLOBAL_DEPTHS`], [`LOCAL_DEPTHS`]), taking the best
+//!   depths (2, 4 and 8 bits of each), taking the best
 //!   (lowest) depth the sample count can support;
 //! * **predicate correlation** — the mutual information between the
 //!   branch's direction and the fetch-visible predicate state: the
 //!   guard's [`PredKnowledge`](predbranch_sim::PredKnowledge) under the
 //!   same [`PredicateScoreboard`](predbranch_sim::PredicateScoreboard)
 //!   plumbing SFPF uses, joined with a PGU-style delayed register of
-//!   the last [`PRED_HISTORY_BITS`] predicate-definition outcomes;
+//!   the last 4 predicate-definition outcomes;
 //! * **a bucket** — every static branch is classified into exactly one
 //!   of the four [`Bucket`]s by [`classify`].
 //!
 //! # Thresholds
 //!
 //! The taxonomy is only useful if its thresholds are stable and
-//! documented, so they are public constants:
+//! documented, so each is one named constant:
 //!
 //! | constant | value | meaning |
 //! |---|---|---|
-//! | [`BIAS_THRESHOLD`] | 0.95 | taken-rate (either direction) at or above which a branch is *biased* |
-//! | [`PREDICTABLE_ENTROPY_BITS`] | 0.25 | residual conditional entropy at or below which a context *explains* a branch |
-//! | [`SUPPORT_PER_CONTEXT`] | 8 | minimum average samples per observed context before an empirical conditional entropy is trusted |
+//! | `BIAS_THRESHOLD` | 0.95 | taken-rate (either direction) at or above which a branch is *biased* |
+//! | `PREDICTABLE_ENTROPY_BITS` | 0.25 | residual conditional entropy at or below which a context *explains* a branch |
+//! | `SUPPORT_PER_CONTEXT` | 8 | minimum average samples per observed context before an empirical conditional entropy is trusted |
 //!
 //! The support rule guards against the classic small-sample bias:
 //! deep-history conditional entropy tends to zero as contexts
@@ -83,30 +83,30 @@ pub use report::{classify, BranchProfile, Bucket, Characterization, HistoryKind}
 /// Taken-rate (towards either direction) at or above which a branch is
 /// [`Bucket::Biased`]: a static always-taken/never-taken prediction is
 /// already at least 95% accurate, so no dynamic mechanism earns credit.
-pub const BIAS_THRESHOLD: f64 = 0.95;
+pub(crate) const BIAS_THRESHOLD: f64 = 0.95;
 
 /// Residual conditional entropy, in bits, at or below which a context
 /// is considered to *explain* a branch. 0.25 bits corresponds to a
 /// conditional distribution more skewed than ~96/4 — the residual
 /// surprise a two-bit counter per context absorbs easily.
-pub const PREDICTABLE_ENTROPY_BITS: f64 = 0.25;
+pub(crate) const PREDICTABLE_ENTROPY_BITS: f64 = 0.25;
 
 /// Minimum average observations per distinct observed context before an
 /// empirical conditional entropy is trusted (see the crate docs on
 /// small-sample bias).
-pub const SUPPORT_PER_CONTEXT: u64 = 8;
+pub(crate) const SUPPORT_PER_CONTEXT: u64 = 8;
 
 /// Global outcome-history depths (bits of all-branches direction
 /// history) at which `H(taken | history)` is measured.
-pub const GLOBAL_DEPTHS: [usize; 3] = [2, 4, 8];
+pub(crate) const GLOBAL_DEPTHS: [usize; 3] = [2, 4, 8];
 
 /// Local outcome-history depths (bits of this branch's own direction
 /// history) at which `H(taken | history)` is measured.
-pub const LOCAL_DEPTHS: [usize; 3] = [2, 4, 8];
+pub(crate) const LOCAL_DEPTHS: [usize; 3] = [2, 4, 8];
 
 /// Number of recent fetch-visible predicate-definition outcomes joined
 /// into the predicate-correlation context (the PGU-style register).
-pub const PRED_HISTORY_BITS: usize = 4;
+pub(crate) const PRED_HISTORY_BITS: usize = 4;
 
 /// Fetch slots between a predicate definition and its visibility to the
 /// predicate-history register — the same commit-time delay the

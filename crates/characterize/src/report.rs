@@ -16,12 +16,12 @@ use crate::{
 /// docs for the ordering rationale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Bucket {
-    /// Heavily skewed towards one direction (taken-rate ≥
-    /// [`BIAS_THRESHOLD`] either way): a static prediction suffices.
+    /// Heavily skewed towards one direction (taken-rate ≥ 0.95 either
+    /// way): a static prediction suffices.
     Biased,
     /// Some supported outcome-history depth drives the residual entropy
-    /// to ≤ [`PREDICTABLE_ENTROPY_BITS`]: a conventional
-    /// history-indexed predictor captures it.
+    /// to ≤ 0.25 bits: a conventional history-indexed predictor
+    /// captures it.
     HistoryPredictable,
     /// Only the fetch-visible predicate state (guard knowledge +
     /// delayed predicate-outcome register) explains it — the branches
@@ -110,8 +110,9 @@ pub struct BranchProfile {
 }
 
 /// Assigns the bucket from the three finished metrics, in the
-/// documented priority order (see the crate docs). Thresholds are
-/// [`BIAS_THRESHOLD`] and [`PREDICTABLE_ENTROPY_BITS`].
+/// documented priority order (see the crate docs): a branch is biased
+/// at a taken-rate of 0.95 or more, and a context explains it at 0.25
+/// bits or less.
 pub fn classify(bias: f64, history_entropy: f64, pred_entropy: f64) -> Bucket {
     if bias >= BIAS_THRESHOLD {
         Bucket::Biased

@@ -9,7 +9,7 @@ use crate::error::CompileError;
 ///
 /// The builder maintains a "current block"; straight-line ops append to
 /// it, and the structured constructs ([`CfgBuilder::if_then_else`],
-/// [`CfgBuilder::while_loop`], ...) create the block diamonds and loops
+/// [`CfgBuilder::for_range`], ...) create the block diamonds and loops
 /// that if-conversion later consumes. Because every construct is
 /// single-entry/single-exit, the produced graphs are reducible.
 ///
@@ -19,15 +19,13 @@ use crate::error::CompileError;
 /// use predbranch_compiler::{CfgBuilder, Cond};
 /// use predbranch_isa::{CmpCond, Gpr, Src};
 ///
-/// let i = Gpr::new(1).unwrap();
+/// let (i, x) = (Gpr::new(1).unwrap(), Gpr::new(2).unwrap());
 /// let mut b = CfgBuilder::new();
-/// b.mov(i, Src::Imm(0));
-/// b.while_loop(
-///     |_| Cond::new(CmpCond::Lt, i, Src::Imm(100)),
-///     |b| {
-///         b.addi(i, i, 1);
-///     },
-/// );
+/// b.for_range(i, 0, 100, |b| {
+///     b.if_then(Cond::new(CmpCond::Lt, i, Src::Imm(50)), |b| {
+///         b.addi(x, x, 1);
+///     });
+/// });
 /// b.halt();
 /// let cfg = b.finish()?;
 /// assert!(cfg.len() >= 4);
@@ -162,7 +160,7 @@ impl CfgBuilder {
     /// (re-executed every iteration — loads/recomputations of the loop
     /// condition operands belong here) and returns the continue condition;
     /// `body_f` builds the loop body. Continues in the exit block.
-    pub fn while_loop(
+    pub(crate) fn while_loop(
         &mut self,
         header_f: impl FnOnce(&mut Self) -> Cond,
         body_f: impl FnOnce(&mut Self),
@@ -219,8 +217,9 @@ impl CfgBuilder {
     /// # Errors
     ///
     /// Returns [`CompileError::UnterminatedBlock`] if [`CfgBuilder::halt`]
-    /// was never called (or a construct left an open block), otherwise any
-    /// validation error from [`Cfg::from_blocks`].
+    /// was never called (or a construct left an open block), otherwise
+    /// [`CompileError`] if the graph is empty, an edge targets a missing
+    /// block, or no `Halt` terminator exists.
     pub fn finish(self) -> Result<Cfg, CompileError> {
         let mut blocks = Vec::with_capacity(self.blocks.len());
         for (i, slot) in self.blocks.into_iter().enumerate() {
@@ -240,6 +239,7 @@ impl CfgBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loops::Loops;
     use predbranch_isa::CmpCond;
 
     fn r(i: u8) -> Gpr {
@@ -298,16 +298,9 @@ mod tests {
         );
         b.halt();
         let cfg = b.finish().unwrap();
-        // find the back edge: body → header
-        let mut found = false;
-        for (id, block) in cfg.iter() {
-            for succ in block.term.successors() {
-                if cfg.is_back_edge(id, succ) {
-                    found = true;
-                }
-            }
-        }
-        assert!(found, "while loop must contain a back edge");
+        // the back edge body → header makes a natural loop
+        let loops = Loops::find(&cfg);
+        assert_eq!(loops.all().len(), 1, "while loop must contain a back edge");
     }
 
     #[test]

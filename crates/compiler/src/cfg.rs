@@ -131,7 +131,7 @@ pub enum Terminator {
 
 impl Terminator {
     /// The block's successors, in `(then, else)` order for branches.
-    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+    pub(crate) fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
         let pair = match *self {
             Terminator::Jump(t) => [Some(t), None],
             Terminator::CondBr {
@@ -162,9 +162,8 @@ impl Block {
 
 /// A control-flow graph with a designated entry block (`bb0`).
 ///
-/// Construct one with [`crate::CfgBuilder`]; direct construction via
-/// [`Cfg::from_blocks`] is available for tests and custom front-ends and
-/// performs the same validation.
+/// Construct one with [`crate::CfgBuilder`], which validates the graph
+/// it finishes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<Block>,
@@ -172,7 +171,7 @@ pub struct Cfg {
 
 impl Cfg {
     /// Entry block id (`bb0`).
-    pub const ENTRY: BlockId = BlockId(0);
+    pub(crate) const ENTRY: BlockId = BlockId(0);
 
     /// Creates a validated CFG from raw blocks.
     ///
@@ -180,7 +179,7 @@ impl Cfg {
     ///
     /// Returns [`CompileError`] if the graph is empty, an edge targets a
     /// missing block, or no `Halt` terminator exists.
-    pub fn from_blocks(blocks: Vec<Block>) -> Result<Self, CompileError> {
+    pub(crate) fn from_blocks(blocks: Vec<Block>) -> Result<Self, CompileError> {
         if blocks.is_empty() {
             return Err(CompileError::EmptyCfg);
         }
@@ -234,7 +233,7 @@ impl Cfg {
     }
 
     /// Predecessor lists, indexed by block.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
+    pub(crate) fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for (id, block) in self.iter() {
             for succ in block.term.successors() {
@@ -274,21 +273,12 @@ impl Cfg {
 
     /// Positions of each block in reverse postorder (`usize::MAX` for
     /// unreachable blocks).
-    pub fn rpo_positions(&self) -> Vec<usize> {
+    pub(crate) fn rpo_positions(&self) -> Vec<usize> {
         let mut pos = vec![usize::MAX; self.blocks.len()];
         for (i, id) in self.reverse_postorder().into_iter().enumerate() {
             pos[id.index()] = i;
         }
         pos
-    }
-
-    /// Whether edge `from → to` is a back edge (loop edge) with respect to
-    /// the reverse postorder.
-    pub fn is_back_edge(&self, from: BlockId, to: BlockId) -> bool {
-        let pos = self.rpo_positions();
-        pos[to.index()] != usize::MAX
-            && pos[from.index()] != usize::MAX
-            && pos[to.index()] <= pos[from.index()]
     }
 }
 
@@ -431,9 +421,11 @@ mod tests {
             halt_block(),
         ])
         .unwrap();
-        assert!(cfg.is_back_edge(BlockId(1), BlockId(1)));
-        assert!(!cfg.is_back_edge(BlockId(0), BlockId(1)));
-        assert!(!cfg.is_back_edge(BlockId(1), BlockId(2)));
+        // region formation reads `from → to` as a back edge when `to`
+        // does not come after `from` in reverse postorder
+        let pos = cfg.rpo_positions();
+        assert!(pos[0] < pos[1], "bb0 → bb1 is a forward edge");
+        assert!(pos[1] < pos[2], "bb1 → bb2 is a forward edge");
     }
 
     #[test]

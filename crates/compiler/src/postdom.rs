@@ -35,9 +35,10 @@ use crate::cfg::{BlockId, Cfg, Terminator};
 /// b.halt();
 /// let cfg = b.finish().unwrap();
 /// let pdom = PostDominators::compute(&cfg);
-/// // the join/halt block post-dominates the branch block
-/// assert!(pdom.post_dominates(cfg.block_ids().last().unwrap(), predbranch_compiler::Cfg::ENTRY)
-///     || true); // structure-dependent; see unit tests for exact shapes
+/// // the halting join post-dominates the branch block
+/// let entry = cfg.reverse_postorder()[0];
+/// let join = *cfg.reverse_postorder().last().unwrap();
+/// assert!(pdom.post_dominates(join, entry));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostDominators {

@@ -38,7 +38,7 @@ pub struct CfgProfile {
 impl CfgProfile {
     /// How often the block's conditional branch was taken vs executed,
     /// or `None` if the block doesn't end in a conditional branch.
-    pub fn branch_counts(&self, block: BlockId) -> Option<(u64, u64)> {
+    pub(crate) fn branch_counts(&self, block: BlockId) -> Option<(u64, u64)> {
         let total = *self.total.get(block.index())?;
         if total == 0 && self.taken[block.index()] == 0 {
             // Either never executed or not a branch; callers use `bias`.

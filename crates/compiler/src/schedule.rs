@@ -307,7 +307,7 @@ mod tests {
     mod predbranch_sim_check {
         use predbranch_isa::{apply_cmp_type, Op, Program, Src};
 
-        pub fn run_both(a: &Program, b: &Program) {
+        pub(super) fn run_both(a: &Program, b: &Program) {
             assert_eq!(exec(a), exec(b), "hoisting changed semantics");
         }
 

@@ -59,11 +59,6 @@ impl Agree {
     fn index(&self, pc: u32) -> u64 {
         u64::from(pc) ^ self.history.folded(self.table.index_bits())
     }
-
-    /// The latched bias for a branch, if it has executed.
-    pub fn bias_of(&self, pc: u32) -> Option<bool> {
-        self.bias[self.bias_slot(pc)]
-    }
 }
 
 impl BranchPredictor for Agree {
@@ -145,12 +140,13 @@ mod tests {
     #[test]
     fn bias_latches_on_first_outcome() {
         let mut p = Agree::new(8, 8);
-        assert_eq!(p.bias_of(5), None);
+        let slot = p.bias_slot(5);
+        assert_eq!(p.bias[slot], None);
         p.update(&info(5), true);
-        assert_eq!(p.bias_of(5), Some(true));
+        assert_eq!(p.bias[slot], Some(true));
         // later contrary outcomes do not relatch
         p.update(&info(5), false);
-        assert_eq!(p.bias_of(5), Some(true));
+        assert_eq!(p.bias[slot], Some(true));
     }
 
     #[test]

@@ -219,9 +219,9 @@ impl LongHistory {
 /// TAGE indexes each tagged table with a fold of a geometrically longer
 /// history prefix; recomputing those folds per prediction would cost
 /// O(history), so this register maintains each one in O(1) per inserted
-/// bit. The invariant (pinned by property test against
-/// [`FoldedHistory::recompute`]) is the plain chunk fold: the value
-/// always equals the XOR of the window's consecutive `clen`-bit chunks.
+/// bit. The invariant (pinned by a property test against a from-scratch
+/// recompute) is the plain chunk fold: the value always equals the XOR
+/// of the window's consecutive `clen`-bit chunks.
 ///
 /// The update must see the bit *leaving* the window, so call
 /// [`FoldedHistory::update`] with the pre-shift history, then shift the
@@ -289,7 +289,8 @@ impl FoldedHistory {
     /// Recomputes the fold from scratch — the specification
     /// [`FoldedHistory::update`] maintains incrementally, used by the
     /// property tests as an independent oracle.
-    pub fn recompute(&self, history: &LongHistory) -> u64 {
+    #[cfg(test)]
+    fn recompute(&self, history: &LongHistory) -> u64 {
         let mut folded = 0u64;
         for k in 0..self.olen.min(history.len()) {
             if history.bit(k) {

@@ -95,7 +95,7 @@ pub use predictor::{
     BranchInfo, BranchPredictor, ClassCounts, HasGlobalHistory, HistoryInsert, PredictionMetrics,
     PredictorVisitor,
 };
-pub use ring::{checkpoint_capacity, Checkpoints, Ring, CHECKPOINT_CAPACITY, WINDOW_CAPACITY};
+pub use ring::{checkpoint_capacity, Checkpoints, Ring, WINDOW_CAPACITY};
 pub use sfpf::SquashFilter;
 pub use tables::{CounterTable, TwoBitCounter, MAX_TABLE_INDEX_BITS};
 pub use tournament::Tournament;

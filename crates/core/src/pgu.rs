@@ -66,7 +66,8 @@ impl<P: HistoryInsert> Pgu<P> {
     }
 
     /// Number of predicate bits inserted into global history so far.
-    pub fn inserted_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn inserted_count(&self) -> u64 {
         self.inserted
     }
 

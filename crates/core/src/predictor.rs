@@ -38,7 +38,7 @@ impl BranchInfo {
     }
 
     /// Whether the branch jumps backwards (loop-shaped).
-    pub fn is_backward(&self) -> bool {
+    pub(crate) fn is_backward(&self) -> bool {
         self.target <= self.pc
     }
 }

@@ -44,7 +44,7 @@ pub const fn checkpoint_capacity(window: usize) -> usize {
 
 /// Capacity of the per-predictor checkpoint rings, derived from
 /// [`WINDOW_CAPACITY`] via [`checkpoint_capacity`].
-pub const CHECKPOINT_CAPACITY: usize = checkpoint_capacity(WINDOW_CAPACITY);
+pub(crate) const CHECKPOINT_CAPACITY: usize = checkpoint_capacity(WINDOW_CAPACITY);
 
 /// A fixed-capacity FIFO ring buffer over `Copy` elements.
 ///

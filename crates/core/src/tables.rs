@@ -7,7 +7,7 @@
 /// ```
 /// use predbranch_core::TwoBitCounter;
 ///
-/// let mut c = TwoBitCounter::weakly_not_taken();
+/// let mut c = TwoBitCounter::default(); // weakly not-taken
 /// assert!(!c.predict());
 /// c.update(true);
 /// assert!(c.predict()); // 1 → 2: weakly taken
@@ -22,24 +22,14 @@ impl Default for TwoBitCounter {
 }
 
 impl TwoBitCounter {
-    /// Strongly not-taken (0).
-    pub fn strongly_not_taken() -> Self {
-        TwoBitCounter(0)
-    }
-
     /// Weakly not-taken (1) — the conventional initial state.
-    pub fn weakly_not_taken() -> Self {
+    pub(crate) fn weakly_not_taken() -> Self {
         TwoBitCounter(1)
     }
 
     /// Weakly taken (2).
-    pub fn weakly_taken() -> Self {
+    pub(crate) fn weakly_taken() -> Self {
         TwoBitCounter(2)
-    }
-
-    /// Strongly taken (3).
-    pub fn strongly_taken() -> Self {
-        TwoBitCounter(3)
     }
 
     /// The raw state in `0..=3`.
@@ -59,12 +49,6 @@ impl TwoBitCounter {
         } else {
             self.0 = self.0.saturating_sub(1);
         }
-    }
-
-    /// Whether the counter is in a strong state (immune to one
-    /// contrarian outcome).
-    pub fn is_strong(&self) -> bool {
-        self.0 == 0 || self.0 == 3
     }
 }
 
@@ -110,7 +94,7 @@ impl CounterTable {
     ///
     /// Panics if `index_bits` is 0 or greater than
     /// [`MAX_TABLE_INDEX_BITS`].
-    pub fn with_initial(index_bits: u32, initial: TwoBitCounter) -> Self {
+    pub(crate) fn with_initial(index_bits: u32, initial: TwoBitCounter) -> Self {
         assert!(
             (1..=MAX_TABLE_INDEX_BITS).contains(&index_bits),
             "table index bits must be 1..={MAX_TABLE_INDEX_BITS}"
@@ -163,7 +147,8 @@ mod tests {
 
     #[test]
     fn counter_saturates_both_ends() {
-        let mut c = TwoBitCounter::strongly_not_taken();
+        let mut c = TwoBitCounter::default();
+        c.update(false);
         c.update(false);
         assert_eq!(c.state(), 0);
         for _ in 0..5 {
@@ -174,19 +159,13 @@ mod tests {
 
     #[test]
     fn counter_hysteresis() {
-        let mut c = TwoBitCounter::strongly_taken();
+        let mut c = TwoBitCounter::weakly_taken();
+        c.update(true);
+        assert_eq!(c.state(), 3);
         c.update(false);
         assert!(c.predict(), "one not-taken must not flip a strong counter");
         c.update(false);
         assert!(!c.predict());
-    }
-
-    #[test]
-    fn counter_strength() {
-        assert!(TwoBitCounter::strongly_taken().is_strong());
-        assert!(TwoBitCounter::strongly_not_taken().is_strong());
-        assert!(!TwoBitCounter::weakly_taken().is_strong());
-        assert!(!TwoBitCounter::weakly_not_taken().is_strong());
     }
 
     #[test]

@@ -281,7 +281,7 @@ impl Inst {
     }
 
     /// Whether this is a region-based branch.
-    pub fn is_region_branch(&self) -> bool {
+    pub(crate) fn is_region_branch(&self) -> bool {
         matches!(
             self.op,
             Op::Br {

@@ -19,10 +19,10 @@
 //!
 //! Each has a predicate-aware variant (`ptage` / `pmpp`) that adds a
 //! dedicated *predicate-history* feature — a register of recently
-//! resolved predicate-definition outcomes ([`PredicateHistory`]) hashed
-//! into the TAGE index or read as an extra perceptron view. That is the
-//! paper's PGU idea expressed natively instead of by splicing bits into
-//! the branch-outcome history; the classic PGU and SFPF wrappers also
+//! resolved predicate-definition outcomes, hashed into the TAGE index
+//! or read as an extra perceptron view. That is the paper's PGU idea
+//! expressed natively instead of by splicing bits into the
+//! branch-outcome history; the classic PGU and SFPF wrappers also
 //! compose around both predictors via [`predbranch_core::Pgu`] (through
 //! [`predbranch_core::HistoryInsert`]) and
 //! [`predbranch_core::SquashFilter`].
@@ -59,7 +59,6 @@ mod stack;
 mod tage;
 
 pub use mpp::Mpp;
-pub use predhist::{PredicateHistory, PREDICATE_HISTORY_BITS};
 pub use spec::{ModernSpec, ParseModernSpecError};
 pub use stack::{build_modern, build_modern_stack, ModernStack, StackVariant};
-pub use tage::{Tage, MAX_TAGE_TABLES};
+pub use tage::Tage;

@@ -73,7 +73,7 @@ struct MppCheckpoint {
 /// speculation cannot corrupt.
 ///
 /// The predicate-aware variant (`pmpp`, [`Mpp::predicate_aware`]) adds
-/// one more view over a dedicated [`PredicateHistory`] register: the
+/// one more view over a dedicated predicate-history register: the
 /// paper's predicate correlation as just another perspective, weighed
 /// against the rest by ordinary perceptron training.
 ///

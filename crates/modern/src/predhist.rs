@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use predbranch_sim::PredWriteEvent;
 
 /// Width of the predicate-history register, in bits.
-pub const PREDICATE_HISTORY_BITS: u32 = 12;
+pub(crate) const PREDICATE_HISTORY_BITS: u32 = 12;
 
 /// A shift register of recently resolved predicate-definition outcomes,
 /// the feature the predicate-aware modern predictors (`ptage`, `pmpp`)
@@ -29,7 +29,7 @@ pub const PREDICATE_HISTORY_BITS: u32 = 12;
 /// fetch-time *indices they derived from it*, so commit-time training
 /// never reads the register.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PredicateHistory {
+pub(crate) struct PredicateHistory {
     bits: u64,
     delay: u64,
     pending: VecDeque<(u64, bool)>,
@@ -38,7 +38,7 @@ pub struct PredicateHistory {
 impl PredicateHistory {
     /// Creates an empty register whose insertions become visible
     /// `delay` fetch slots after the defining compare.
-    pub fn new(delay: u64) -> Self {
+    pub(crate) fn new(delay: u64) -> Self {
         PredicateHistory {
             bits: 0,
             delay,
@@ -47,7 +47,7 @@ impl PredicateHistory {
     }
 
     /// Observes a predicate definition (called from `on_pred_write`).
-    pub fn observe(&mut self, write: &PredWriteEvent) {
+    pub(crate) fn observe(&mut self, write: &PredWriteEvent) {
         if self.delay == 0 {
             self.shift_in(write.value);
         } else {
@@ -57,7 +57,7 @@ impl PredicateHistory {
 
     /// Drains pending definitions that have become visible by
     /// `fetch_index`. Idempotent at the same index.
-    pub fn drain_visible(&mut self, fetch_index: u64) {
+    pub(crate) fn drain_visible(&mut self, fetch_index: u64) {
         while let Some(&(def_index, value)) = self.pending.front() {
             if fetch_index.saturating_sub(def_index) >= self.delay {
                 self.shift_in(value);
@@ -73,13 +73,13 @@ impl PredicateHistory {
     }
 
     /// The current register value (most recent outcome at bit 0).
-    pub fn value(&self) -> u64 {
+    pub(crate) fn value(&self) -> u64 {
         self.bits
     }
 
     /// Storage cost in bits (the register itself; the pending queue is
     /// bookkeeping the hardware gets from the pipeline for free).
-    pub fn storage_bits(&self) -> usize {
+    pub(crate) fn storage_bits(&self) -> usize {
         PREDICATE_HISTORY_BITS as usize
     }
 }

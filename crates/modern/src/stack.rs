@@ -114,12 +114,12 @@ macro_rules! modern_stack {
         ///
         /// ```
         /// use predbranch_core::BranchPredictor;
-        /// use predbranch_modern::{build_modern_stack, ModernSpec};
+        /// use predbranch_modern::{build_modern_stack, ModernSpec, ModernStack};
         ///
         /// let spec: ModernSpec = "tage:4/10/64+sfpf+pgu8".parse().unwrap();
         /// let p = build_modern_stack(&spec);
         /// assert_eq!(p.name(), "sfpf+pgu[d8]+tage-4/10/64");
-        /// assert!(p.is_statically_dispatched());
+        /// assert!(!matches!(p, ModernStack::Dyn(_))); // statically dispatched
         /// ```
         pub enum ModernStack {
             $( $(#[$meta])* $variant($ty), )+
@@ -135,7 +135,8 @@ macro_rules! modern_stack {
 
             /// Whether this stack dispatches statically (`false` only for
             /// the boxed [`ModernStack::Dyn`] escape hatch).
-            pub fn is_statically_dispatched(&self) -> bool {
+            #[cfg(test)]
+            fn is_statically_dispatched(&self) -> bool {
                 !matches!(self, ModernStack::Dyn(_))
             }
         }

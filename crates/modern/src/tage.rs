@@ -11,7 +11,7 @@ use predbranch_sim::{PredWriteEvent, DEFAULT_RESOLVE_LATENCY};
 use crate::predhist::PredicateHistory;
 
 /// Maximum number of tagged tables a [`Tage`] instance may have.
-pub const MAX_TAGE_TABLES: usize = 8;
+pub(crate) const MAX_TAGE_TABLES: usize = 8;
 
 /// The largest `index_bits` a [`Tage`] accepts: `2^20` entries per
 /// tagged table.
@@ -130,7 +130,7 @@ struct TageCheckpoint {
 ///
 /// The predicate-aware variant (`ptage`, [`Tage::predicate_aware`])
 /// additionally hashes the newest few outcomes of a dedicated
-/// [`PredicateHistory`] register into every table index, letting
+/// predicate-history register into every table index, letting
 /// entries specialize on the resolved predicate context the paper's PGU
 /// mechanism targets — without perturbing the branch-outcome history.
 ///
@@ -173,10 +173,9 @@ impl Tage {
     ///
     /// # Panics
     ///
-    /// Panics if `tables` is 0 or greater than [`MAX_TAGE_TABLES`],
-    /// `index_bits` is outside `1..=20`, or `max_history` leaves no room
-    /// for a strictly increasing series
-    /// (`MIN_HISTORY + tables - 1 ..= 256`).
+    /// Panics if `tables` is outside `1..=8`, `index_bits` is outside
+    /// `1..=20`, or `max_history` leaves no room for a strictly
+    /// increasing series (`MIN_HISTORY + tables - 1 ..= 256`).
     pub fn new(tables: u32, index_bits: u32, max_history: u32) -> Self {
         assert!(
             (1..=MAX_TAGE_TABLES as u32).contains(&tables),

@@ -62,11 +62,6 @@ impl Memory {
         }
     }
 
-    /// Number of non-zero words.
-    pub fn nonzero_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Iterates over `(addr, value)` pairs of non-zero words in
     /// unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
@@ -117,9 +112,9 @@ mod tests {
     fn storing_zero_erases() {
         let mut mem = Memory::new();
         mem.store(1, 9);
-        assert_eq!(mem.nonzero_words(), 1);
+        assert_eq!(mem.iter().count(), 1);
         mem.store(1, 0);
-        assert_eq!(mem.nonzero_words(), 0);
+        assert_eq!(mem.iter().count(), 0);
         assert_eq!(mem.load(1), 0);
     }
 
@@ -129,7 +124,7 @@ mod tests {
         assert_eq!(mem.load(100), 5);
         assert_eq!(mem.load(101), 0);
         assert_eq!(mem.load(102), 7);
-        assert_eq!(mem.nonzero_words(), 2);
+        assert_eq!(mem.iter().count(), 2);
     }
 
     #[test]

@@ -239,11 +239,6 @@ impl RegionActivity {
         let (b, t) = self.per_region.get(&region).copied().unwrap_or((0, 0));
         Ratio::of(t, b)
     }
-
-    /// Number of regions that executed at least one branch.
-    pub fn active_regions(&self) -> usize {
-        self.per_region.len()
-    }
 }
 
 impl EventSink for RegionActivity {
@@ -343,7 +338,7 @@ mod tests {
         .unwrap();
         let mut activity = RegionActivity::new();
         Executor::new(&program, Memory::new()).run(&mut activity, 10_000);
-        assert_eq!(activity.active_regions(), 2);
+        assert_eq!(activity.iter().count(), 2);
         assert_eq!(activity.branches(4), 4);
         assert_eq!(activity.taken_fraction(4).percent(), 75.0);
         assert_eq!(activity.branches(7), 1);

@@ -11,14 +11,15 @@ use predbranch_isa::{Gpr, PredReg, NUM_GPRS, NUM_PREDS};
 /// # Examples
 ///
 /// ```
-/// use predbranch_sim::ArchState;
-/// use predbranch_isa::{Gpr, PredReg};
+/// use predbranch_isa::{assemble, Gpr, PredReg};
+/// use predbranch_sim::{Executor, Memory, NullSink};
 ///
-/// let mut s = ArchState::new();
-/// s.set_reg(Gpr::new(1).unwrap(), 42);
-/// s.set_reg(Gpr::ZERO, 99); // ignored
+/// let program = assemble("add r1 = r0, 42\nadd r0 = r0, 99\nhalt").unwrap();
+/// let mut exec = Executor::new(&program, Memory::new());
+/// exec.run(&mut NullSink, 100);
+/// let s = exec.state();
 /// assert_eq!(s.reg(Gpr::new(1).unwrap()), 42);
-/// assert_eq!(s.reg(Gpr::ZERO), 0);
+/// assert_eq!(s.reg(Gpr::ZERO), 0); // the write to r0 was ignored
 /// assert!(s.pred(PredReg::TRUE));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +56,7 @@ impl ArchState {
     }
 
     /// Writes a general register (writes to `r0` are ignored).
-    pub fn set_reg(&mut self, r: Gpr, value: i64) {
+    pub(crate) fn set_reg(&mut self, r: Gpr, value: i64) {
         if !r.is_zero() {
             self.regs[r.index() as usize] = value;
         }
@@ -67,7 +68,7 @@ impl ArchState {
     }
 
     /// Writes a predicate register (writes to `p0` are ignored).
-    pub fn set_pred(&mut self, p: PredReg, value: bool) {
+    pub(crate) fn set_pred(&mut self, p: PredReg, value: bool) {
         if !p.is_always_true() {
             self.preds[p.index() as usize] = value;
         }
@@ -79,12 +80,12 @@ impl ArchState {
     }
 
     /// Sets the program counter.
-    pub fn set_pc(&mut self, pc: u32) {
+    pub(crate) fn set_pc(&mut self, pc: u32) {
         self.pc = pc;
     }
 
     /// Whether a `halt` has executed.
-    pub fn is_halted(&self) -> bool {
+    pub(crate) fn is_halted(&self) -> bool {
         self.halted
     }
 

@@ -52,21 +52,6 @@ impl Counter {
     pub fn reset(&mut self) {
         self.0 = 0;
     }
-
-    /// Returns this counter expressed as a fraction of `denom`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use predbranch_stats::Counter;
-    ///
-    /// let mut hits = Counter::new();
-    /// hits.add(30);
-    /// assert_eq!(hits.as_fraction_of(120).percent(), 25.0);
-    /// ```
-    pub fn as_fraction_of(&self, denom: u64) -> Ratio {
-        Ratio::of(self.0, denom)
-    }
 }
 
 impl AddAssign<u64> for Counter {
@@ -100,7 +85,6 @@ impl fmt::Display for Counter {
 ///
 /// let r = Ratio::of(7, 200);
 /// assert_eq!(r.value(), 0.035);
-/// assert_eq!(r.per_kilo(), 35.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Ratio {
@@ -147,12 +131,6 @@ impl Ratio {
     /// (see [`Ratio::value`] for the exact degenerate-case contract).
     pub fn percent(&self) -> f64 {
         self.value() * 100.0
-    }
-
-    /// The ratio scaled to events per thousand (e.g. MPKI when the
-    /// denominator counts kilo-instructions × 1000).
-    pub fn per_kilo(&self) -> f64 {
-        self.value() * 1000.0
     }
 
     /// The complement ratio `(denominator - numerator) / denominator`.
@@ -216,7 +194,6 @@ mod tests {
         let r = Ratio::of(5, 0);
         assert_eq!(r.value(), 0.0);
         assert_eq!(r.percent(), 0.0);
-        assert_eq!(r.per_kilo(), 0.0);
         // a pegged numerator over an empty population is still "no events"
         assert_eq!(Ratio::of(u64::MAX, 0).percent(), 0.0);
         assert_eq!(Ratio::of(0, 0).percent(), 0.0);
@@ -233,10 +210,8 @@ mod tests {
     }
 
     #[test]
-    fn ratio_percent_and_per_kilo() {
-        let r = Ratio::of(1, 8);
-        assert_eq!(r.percent(), 12.5);
-        assert_eq!(r.per_kilo(), 125.0);
+    fn ratio_percent() {
+        assert_eq!(Ratio::of(1, 8).percent(), 12.5);
     }
 
     #[test]
@@ -249,12 +224,6 @@ mod tests {
     fn ratio_complement_saturates_if_numerator_exceeds_denominator() {
         let r = Ratio::of(150, 100);
         assert_eq!(r.complement().numerator(), 0);
-    }
-
-    #[test]
-    fn counter_as_fraction_of() {
-        let c = Counter::with_value(25);
-        assert_eq!(c.as_fraction_of(100).percent(), 25.0);
     }
 
     #[test]

@@ -73,9 +73,8 @@ pub fn entropy_bits(counts: &[u64]) -> f64 {
 ///     // previous outcome used as context
 ///     j.record(i % 2, i % 2 == 0);
 /// }
-/// assert_eq!(j.outcome_entropy(), 1.0);       // marginally a fair coin
-/// assert_eq!(j.conditional_entropy(), 0.0);   // but context explains it
-/// assert_eq!(j.mutual_information(), 1.0);
+/// assert_eq!(j.conditional_entropy(), 0.0); // context explains it
+/// assert_eq!(j.mutual_information(), 1.0);  // all of a fair coin's bit
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JointDistribution {
@@ -107,7 +106,7 @@ impl JointDistribution {
     }
 
     /// The marginal outcome entropy `H(Y)` in bits.
-    pub fn outcome_entropy(&self) -> f64 {
+    pub(crate) fn outcome_entropy(&self) -> f64 {
         entropy_bits(&self.totals)
     }
 

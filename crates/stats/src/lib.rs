@@ -48,5 +48,5 @@ pub use counter::{Counter, Ratio};
 pub use entropy::{entropy_bits, JointDistribution};
 pub use histogram::Histogram;
 pub use series::Series;
-pub use summary::{geometric_mean, harmonic_mean, mean, Summary};
+pub use summary::{geometric_mean, mean, Summary};
 pub use table::{Align, Cell, Table};

@@ -17,7 +17,7 @@ use std::fmt;
 ///     s.record(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_variance(), 4.0);
+/// assert_eq!(s.to_string(), "mean=5.0000 sd=2.0000 min=2.0000 max=9.0000 n=8");
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Summary {
@@ -66,7 +66,7 @@ impl Summary {
     }
 
     /// Population variance (dividing by `n`), or `0.0` if empty.
-    pub fn population_variance(&self) -> f64 {
+    pub(crate) fn population_variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -76,7 +76,7 @@ impl Summary {
 
     /// Sample variance (dividing by `n - 1`), or `0.0` with fewer than two
     /// samples.
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -85,7 +85,7 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
     }
 
@@ -172,17 +172,6 @@ pub fn geometric_mean(samples: &[f64]) -> f64 {
     (log_sum / samples.len() as f64).exp()
 }
 
-/// Harmonic mean of `samples`, or `0.0` if empty.
-///
-/// The conventional aggregate for per-benchmark rates (e.g. IPC).
-pub fn harmonic_mean(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let inv_sum: f64 = samples.iter().map(|&x| 1.0 / x.max(1e-12)).sum();
-    samples.len() as f64 / inv_sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,12 +234,6 @@ mod tests {
         assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         // a zero sample must not poison the aggregate into NaN
         assert!(geometric_mean(&[0.0, 4.0]).is_finite());
-    }
-
-    #[test]
-    fn harmonic_mean_of_rates() {
-        assert_eq!(harmonic_mean(&[]), 0.0);
-        assert!((harmonic_mean(&[1.0, 3.0]) - 1.5).abs() < 1e-12);
     }
 
     #[test]

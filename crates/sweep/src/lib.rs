@@ -33,10 +33,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
-pub mod json;
-pub mod manifest;
-pub mod pool;
+mod checkpoint;
+mod json;
+mod manifest;
+mod pool;
 
 pub use checkpoint::Checkpoint;
 pub use json::Json;

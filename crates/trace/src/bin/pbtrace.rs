@@ -18,7 +18,8 @@
 //! the provenance header and footer statistics, `dump` prints events as
 //! text. `verify` fully checks every trace — and its `.pbtd` segment
 //! sidecar, when one exists — under a file or cache directory:
-//! structure, event count, checksums, and sidecar↔trace binding; it
+//! structure, event count, checksums, and the sidecar's binding to its
+//! trace by checksum (see `verify_one` for what that leaves out); it
 //! exits non-zero if *any* file fails, and `--quiet` suppresses
 //! per-file OK lines so CI logs only show failures. `migrate` builds
 //! missing (or stale) segment sidecars for existing v1 cache entries in
@@ -304,11 +305,19 @@ fn dump(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Verifies one `.pbt` (structure, count, checksum) plus its segment
-/// sidecar when one exists (structure, checksum, record validity,
-/// source binding). Prints one line per checked file; OK lines are
-/// suppressed under `--quiet`. Returns how many of the checked files
-/// failed.
+/// Verifies one `.pbt` and, when one exists, its `.pbtd` sidecar.
+///
+/// For the `.pbt`: its header, that every event decodes, its event
+/// count and its checksum. For the `.pbtd`: its structure (magic,
+/// version, canary, size for its event count), its word checksum, that
+/// each record decodes to a well-formed event, and that its header
+/// names the `.pbt`'s trailing checksum as its source. It does not
+/// compare the records with the `.pbt`'s events, so a sidecar whose
+/// records were changed and then re-checksummed passes; CI's
+/// `.github/scripts/check_sidecars.py` is the check that compares them.
+///
+/// Prints one line per checked file; OK lines are suppressed under
+/// `--quiet`. Returns how many of the checked files failed.
 fn verify_one(path: &std::path::Path, quiet: bool, stdout: &mut impl Write) -> io::Result<u64> {
     let shown = path.display();
     let mut failed = 0u64;

@@ -163,8 +163,9 @@ struct ServeCounters {
 /// `replays` dominates and `rejects` stays 0; a nonzero `rejects`
 /// means stale or corrupt sidecars were discarded (and rebuilt on the
 /// next decode).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
+pub(crate) struct ServeStats {
     /// Replays served zero-copy from an open segment map.
     pub segment_replays: u64,
     /// Segment maps opened and validated this process.
@@ -206,7 +207,8 @@ impl TraceCache {
     }
 
     /// A snapshot of segment-serving traffic through this cache.
-    pub fn serve_stats(&self) -> ServeStats {
+    #[cfg(test)]
+    pub(crate) fn serve_stats(&self) -> ServeStats {
         ServeStats {
             segment_replays: self.serve_counters.replays.load(Ordering::Relaxed),
             segment_opens: self.serve_counters.opens.load(Ordering::Relaxed),
@@ -781,7 +783,7 @@ mod tests {
                         refused,
                         TraceError::UnsupportedSegmentVersion {
                             found: 1,
-                            expected: crate::SEGMENT_VERSION,
+                            expected: crate::segment::SEGMENT_VERSION,
                         }
                     ),
                     "{refused:?}"

@@ -79,7 +79,7 @@ impl fmt::Display for TraceError {
             TraceError::Truncated => write!(f, "trace file is truncated"),
             TraceError::ChecksumMismatch { stored, computed } => write!(
                 f,
-                "trace checksum mismatch (file says {stored:#018x}, contents hash to {computed:#018x})"
+                "checksum mismatch (file says {stored:#018x}, contents hash to {computed:#018x})"
             ),
             TraceError::BadEventTag(t) => write!(f, "unknown event tag {t:#04x}"),
             TraceError::BadPredReg(p) => write!(f, "invalid predicate register p{p}"),
@@ -150,7 +150,11 @@ mod tests {
             stored: 1,
             computed: 2,
         };
-        assert!(e.to_string().contains("checksum"));
+        // the caller names the file, which may be a `.pbt` or a `.pbtd`
+        assert_eq!(
+            e.to_string(),
+            "checksum mismatch (file says 0x0000000000000001, contents hash to 0x0000000000000002)"
+        );
         assert!(TraceError::UnsupportedVersion(9).to_string().contains('9'));
         let old = TraceError::UnsupportedSegmentVersion {
             found: 1,

@@ -306,7 +306,7 @@ impl Fnv64 {
     }
 
     /// Absorbs a little-endian `u64`.
-    pub fn update_u64(&mut self, value: u64) {
+    pub(crate) fn update_u64(&mut self, value: u64) {
         self.update(&value.to_le_bytes());
     }
 

@@ -61,14 +61,12 @@ mod segment;
 mod varint;
 mod writer;
 
-pub use cache::{CacheEntry, CacheKey, ServeStats, TraceCache};
+pub use cache::{CacheEntry, CacheKey, TraceCache};
 pub use error::TraceError;
 pub use format::{memory_fingerprint, program_hash, TraceHeader, FORMAT_VERSION, MAGIC};
-pub use mmap::Mapping;
 pub use reader::{ReplayStats, TraceReader};
 pub use segment::{
     migrate_trace, publish_segment, segment_path, trace_tail_checksum, MigrateOutcome, RawEvent,
-    SegmentHeader, TraceMap, SEGMENT_EVENT_STRIDE, SEGMENT_EXTENSION, SEGMENT_MAGIC,
-    SEGMENT_VERSION,
+    SegmentHeader, TraceMap,
 };
 pub use writer::TraceWriter;

@@ -22,7 +22,7 @@ use std::path::Path;
 /// A whole file as bytes: page-cache-backed where the platform allows,
 /// an owned buffer otherwise.
 #[derive(Debug)]
-pub enum Mapping {
+pub(crate) enum Mapping {
     /// A live `mmap(2)` of the file (Unix only). Unmapped on drop.
     #[cfg(unix)]
     Mapped(unix::MappedFile),
@@ -34,7 +34,7 @@ impl Mapping {
     /// Maps `path` read-only, falling back to a buffered read when
     /// mapping is unavailable. Empty files always use the buffer (a
     /// zero-length `mmap` is an error on most systems).
-    pub fn open(path: &Path) -> io::Result<Self> {
+    pub(crate) fn open(path: &Path) -> io::Result<Self> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
         #[cfg(unix)]
@@ -46,16 +46,6 @@ impl Mapping {
         let mut buf = Vec::with_capacity(len as usize);
         file.read_to_end(&mut buf)?;
         Ok(Mapping::Buffered(buf))
-    }
-
-    /// Whether the bytes are served by a real mapping (as opposed to
-    /// the buffered fallback).
-    pub fn is_mapped(&self) -> bool {
-        match self {
-            #[cfg(unix)]
-            Mapping::Mapped(_) => true,
-            Mapping::Buffered(_) => false,
-        }
     }
 }
 
@@ -171,7 +161,10 @@ mod tests {
         let mapping = Mapping::open(&path).unwrap();
         assert_eq!(&*mapping, payload.as_slice());
         #[cfg(unix)]
-        assert!(mapping.is_mapped(), "unix should serve a real mapping");
+        assert!(
+            matches!(mapping, Mapping::Mapped(_)),
+            "unix should serve a real mapping"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -181,7 +174,7 @@ mod tests {
         std::fs::write(&path, b"").unwrap();
         let mapping = Mapping::open(&path).unwrap();
         assert!(mapping.is_empty());
-        assert!(!mapping.is_mapped());
+        assert!(matches!(mapping, Mapping::Buffered(_)));
         let _ = std::fs::remove_file(&path);
     }
 }

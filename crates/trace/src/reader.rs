@@ -87,30 +87,17 @@ impl<R: Read> TraceReader<R> {
     /// Replays every branch / predicate-write event into `sink`,
     /// verifying checksum and event count along the way.
     ///
-    /// Events are decoded into an internal batch buffer and delivered in
+    /// Events are decoded into a batch buffer and delivered in
     /// [`EVENT_BATCH_CAPACITY`]-sized chunks through
     /// [`EventSink::events`] — same order, same payloads as per-event
     /// delivery, but a dynamically-dispatched sink pays one virtual call
-    /// per chunk. Use [`TraceReader::replay_batched`] to supply a
-    /// reusable buffer when replaying many traces.
-    pub fn replay<S: EventSink>(self, sink: &mut S) -> Result<ReplayStats, TraceError> {
+    /// per chunk.
+    pub fn replay<S: EventSink>(mut self, sink: &mut S) -> Result<ReplayStats, TraceError> {
         let mut buffer = Vec::with_capacity(EVENT_BATCH_CAPACITY);
-        self.replay_batched(sink, &mut buffer)
-    }
-
-    /// Like [`TraceReader::replay`], but decodes into the caller's
-    /// scratch `buffer` (contents overwritten), so a replay loop over
-    /// many traces reuses one allocation for all of them.
-    pub fn replay_batched<S: EventSink>(
-        mut self,
-        sink: &mut S,
-        buffer: &mut Vec<Event>,
-    ) -> Result<ReplayStats, TraceError> {
         let mut prev_index = 0u64;
         let mut events = 0u64;
         let mut branches = 0u64;
         let mut pred_writes = 0u64;
-        buffer.clear();
         loop {
             let mut tag = [0u8; 1];
             self.input.read_exact(&mut tag).map_err(TraceError::from)?;
@@ -126,13 +113,12 @@ impl<R: Read> TraceReader<R> {
             }
             buffer.push(event);
             if buffer.len() == EVENT_BATCH_CAPACITY {
-                sink.events(buffer);
+                sink.events(&buffer);
                 buffer.clear();
             }
         }
         if !buffer.is_empty() {
-            sink.events(buffer);
-            buffer.clear();
+            sink.events(&buffer);
         }
         let summary = read_summary(&mut self.input)?;
         let stored_count = varint::read_u64(&mut self.input)?;

@@ -78,10 +78,10 @@ use crate::format::{
 use crate::reader::TraceReader;
 
 /// File magic of a segment sidecar.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"PBTD";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"PBTD";
 
 /// Current segment format version. Readers reject anything else.
-pub const SEGMENT_VERSION: u16 = 2;
+pub(crate) const SEGMENT_VERSION: u16 = 2;
 
 /// The layout canary stored at offset 6: reads back as this value
 /// exactly when the file is interpreted little-endian.
@@ -91,10 +91,10 @@ const LAYOUT_CANARY: u16 = 0x00FF;
 const SEGMENT_HEADER_LEN: usize = 96;
 
 /// Bytes per event record.
-pub const SEGMENT_EVENT_STRIDE: usize = 24;
+pub(crate) const SEGMENT_EVENT_STRIDE: usize = 24;
 
 /// Sidecar file extension (next to `.pbt`).
-pub const SEGMENT_EXTENSION: &str = "pbtd";
+pub(crate) const SEGMENT_EXTENSION: &str = "pbtd";
 
 const KIND_BRANCH: u8 = 0x01;
 const KIND_PRED_WRITE: u8 = 0x02;
@@ -498,12 +498,6 @@ impl TraceMap {
     /// The recording run's summary.
     pub fn summary(&self) -> RunSummary {
         self.header.summary
-    }
-
-    /// Whether the bytes come from a real `mmap` (false = buffered
-    /// fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.mapping.is_mapped()
     }
 
     /// The raw fixed-stride records, borrowed from the mapping.

@@ -4,7 +4,7 @@
 use std::io::{self, Read, Write};
 
 /// Writes `value` as an LEB128 varint (1–10 bytes).
-pub fn write_u64<W: Write + ?Sized>(out: &mut W, mut value: u64) -> io::Result<()> {
+pub(crate) fn write_u64<W: Write + ?Sized>(out: &mut W, mut value: u64) -> io::Result<()> {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -16,7 +16,7 @@ pub fn write_u64<W: Write + ?Sized>(out: &mut W, mut value: u64) -> io::Result<(
 }
 
 /// Reads an LEB128 varint. Fails with `InvalidData` past 10 bytes.
-pub fn read_u64<R: Read + ?Sized>(input: &mut R) -> io::Result<u64> {
+pub(crate) fn read_u64<R: Read + ?Sized>(input: &mut R) -> io::Result<u64> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -43,7 +43,7 @@ pub fn zigzag(value: i64) -> u64 {
 }
 
 /// Inverts [`zigzag`].
-pub fn unzigzag(value: u64) -> i64 {
+pub(crate) fn unzigzag(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 

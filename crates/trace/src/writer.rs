@@ -39,8 +39,6 @@ pub struct TraceWriter<W: Write> {
     out: HashingWriter<W>,
     prev_index: u64,
     events: u64,
-    branches: u64,
-    pred_writes: u64,
     error: Option<io::Error>,
 }
 
@@ -60,25 +58,8 @@ impl<W: Write> TraceWriter<W> {
             out,
             prev_index: 0,
             events: 0,
-            branches: 0,
-            pred_writes: 0,
             error: None,
         })
-    }
-
-    /// Events recorded so far.
-    pub fn events_recorded(&self) -> u64 {
-        self.events
-    }
-
-    /// Branch events recorded so far.
-    pub fn branches_recorded(&self) -> u64 {
-        self.branches
-    }
-
-    /// Predicate-write events recorded so far.
-    pub fn pred_writes_recorded(&self) -> u64 {
-        self.pred_writes
     }
 
     /// Appends one event (what the [`EventSink`] impl calls).
@@ -90,10 +71,6 @@ impl<W: Write> TraceWriter<W> {
             Ok(index) => {
                 self.prev_index = index;
                 self.events += 1;
-                match event {
-                    Event::Branch(_) => self.branches += 1,
-                    Event::PredWrite(_) => self.pred_writes += 1,
-                }
                 debug_assert_eq!(self.prev_index, event_index(event));
             }
             Err(e) => self.error = Some(e),
@@ -153,9 +130,12 @@ mod tests {
         let mut w = TraceWriter::new(Vec::new(), &header()).unwrap();
         w.pred_write(&write_ev(0));
         w.pred_write(&write_ev(1));
-        assert_eq!(w.events_recorded(), 2);
-        assert_eq!(w.pred_writes_recorded(), 2);
-        assert_eq!(w.branches_recorded(), 0);
+        let bytes = w.finish(&RunSummary::default()).unwrap();
+        let stats = crate::TraceReader::new(bytes.as_slice())
+            .unwrap()
+            .replay(&mut predbranch_sim::NullSink)
+            .unwrap();
+        assert_eq!((stats.events, stats.pred_writes, stats.branches), (2, 2, 0));
     }
 
     #[test]

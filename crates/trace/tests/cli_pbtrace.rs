@@ -255,8 +255,13 @@ fn verify_exits_nonzero_on_a_corrupted_segment() {
         .unwrap();
     assert!(!out.status.success(), "corrupted segment must fail verify");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("FAILED"), "{stdout}");
-    assert!(stdout.contains(".pbtd"), "{stdout}");
+    // the failing line names the sidecar, and its message does not name
+    // the trace format
+    assert!(
+        stdout.contains(".pbtd: FAILED: checksum mismatch ("),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("trace checksum"), "{stdout}");
     // quiet mode: the intact .pbt produced no OK line
     assert!(!stdout.contains(": OK"), "{stdout}");
 

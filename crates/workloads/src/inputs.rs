@@ -9,12 +9,12 @@ use rand::{Rng, SeedableRng};
 /// experiments are exactly reproducible and train/evaluate splits are
 /// just different seeds.
 #[derive(Debug)]
-pub struct InputRng(StdRng);
+pub(crate) struct InputRng(StdRng);
 
 impl InputRng {
     /// Creates a generator from a seed, domain-separated by the
     /// benchmark name so two benchmarks never share a stream.
-    pub fn new(benchmark: &str, seed: u64) -> Self {
+    pub(crate) fn new(benchmark: &str, seed: u64) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in benchmark.bytes() {
             h ^= u64::from(b);
@@ -24,18 +24,18 @@ impl InputRng {
     }
 
     /// A uniform value in `[lo, hi)`.
-    pub fn range(&mut self, lo: i64, hi: i64) -> i64 {
+    pub(crate) fn range(&mut self, lo: i64, hi: i64) -> i64 {
         self.0.gen_range(lo..hi)
     }
 
     /// A biased coin: true with probability `p`.
-    pub fn coin(&mut self, p: f64) -> bool {
+    pub(crate) fn coin(&mut self, p: f64) -> bool {
         self.0.gen_bool(p.clamp(0.0, 1.0))
     }
 }
 
 /// `len` uniform values in `[lo, hi)`.
-pub fn uniform(rng: &mut InputRng, len: usize, lo: i64, hi: i64) -> Vec<i64> {
+pub(crate) fn uniform(rng: &mut InputRng, len: usize, lo: i64, hi: i64) -> Vec<i64> {
     (0..len).map(|_| rng.range(lo, hi)).collect()
 }
 
@@ -43,7 +43,7 @@ pub fn uniform(rng: &mut InputRng, len: usize, lo: i64, hi: i64) -> Vec<i64> {
 /// (`[0, split)` and `[split, hi)`) in geometric runs of mean length
 /// `mean_run` — the compressible/incompressible texture of gzip-like
 /// inputs, and the source of strong short-term branch correlation.
-pub fn run_structured(
+pub(crate) fn run_structured(
     rng: &mut InputRng,
     len: usize,
     split: i64,
@@ -72,7 +72,7 @@ pub fn run_structured(
 /// of the previous one (`(prev * 3 + 1) % symbols`); otherwise it is
 /// uniform. This produces the bigram-correlated opcode streams that
 /// global-history predictors exploit.
-pub fn markov_stream(rng: &mut InputRng, len: usize, symbols: i64, stay: f64) -> Vec<i64> {
+pub(crate) fn markov_stream(rng: &mut InputRng, len: usize, symbols: i64, stay: f64) -> Vec<i64> {
     let mut out = Vec::with_capacity(len);
     let mut prev = rng.range(0, symbols);
     for _ in 0..len {

@@ -23,9 +23,9 @@
 //! | `bzip2`   | comparison-driven data shuffling near 50% bias |
 //! | `twolf`   | two-level acceptance with phase-changing bias |
 //!
-//! Every benchmark provides a [`Cfg`], an input generator (seeded, so
-//! train ≠ evaluate inputs), and compiles two ways via
-//! [`compile_benchmark`]: plain branchy code and the if-converted
+//! Every benchmark provides a [`predbranch_compiler::Cfg`], an input
+//! generator (seeded, so train ≠ evaluate inputs), and compiles two ways
+//! via [`compile_benchmark`]: plain branchy code and the if-converted
 //! predicated version with region-based branches — the two binaries every
 //! experiment compares.
 //!
@@ -48,10 +48,9 @@ mod analogs;
 mod inputs;
 mod suite;
 
-pub use inputs::{markov_stream, run_structured, uniform, InputRng};
 pub use suite::{
     compile_benchmark, suite, Benchmark, CompileOptions, CompiledBenchmark,
     DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED, TRAIN_SEED,
 };
 
-pub use predbranch_compiler::{Cfg, IfConvertConfig};
+pub use predbranch_compiler::IfConvertConfig;
