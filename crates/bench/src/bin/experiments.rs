@@ -5,8 +5,6 @@
 //! experiments all            # run everything (full suite)
 //! experiments f3 f5          # run selected experiments
 //! experiments --quick all    # 3-benchmark quick mode
-//! experiments --bars f5      # render series as text bar charts too
-//! experiments --markdown all # fence artifacts for EXPERIMENTS.md
 //! experiments --trace-cache .traces f5
 //!                            # execute each (binary, input) once,
 //!                            # replay recorded traces for every predictor
@@ -48,8 +46,6 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
         }
     };
     let quick = flag("--quick");
-    let bars = flag("--bars");
-    let markdown = flag("--markdown");
     if flag("--list-stacks") {
         // generated straight from the stack macro's variant table, so
         // the listing can never drift from the dispatch enum
@@ -192,20 +188,8 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
 
     for exp in selected {
         eprintln!("running {} — {} ...", exp.id, exp.title);
-        if markdown {
-            writeln!(stdout, "## {} — {}\n", exp.id, exp.title)?;
-        }
         for artifact in (exp.run)(&ctx, &scale) {
-            if markdown {
-                writeln!(stdout, "```text\n{artifact}```\n")?;
-            } else {
-                writeln!(stdout, "{artifact}")?;
-            }
-            if bars {
-                if let predbranch_bench::Artifact::Series(series) = &artifact {
-                    writeln!(stdout, "{}", series.to_bars(50))?;
-                }
-            }
+            writeln!(stdout, "{artifact}")?;
         }
     }
     let stats = ctx.stats();

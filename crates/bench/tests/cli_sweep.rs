@@ -158,15 +158,18 @@ fn checkpointed_rerun_restores_instead_of_rerunning() {
 
 #[test]
 fn removed_run_path_levers_fail_loudly() {
-    // these words once chose between run paths or split a sweep across
-    // processes; there is one path now, and a stale word must not be
-    // ignored — not even next to `all`
-    let removed: [(&[&str], &str); 5] = [
+    // these words once chose between run paths, split a sweep across
+    // processes or re-rendered its artifacts; there is one path and one
+    // rendering now, and a stale word must not be ignored — not even
+    // next to `all`
+    let removed: [(&[&str], &str); 7] = [
         (&["--gang", "off"], "--gang"),
         (&["--dispatch", "off"], "--dispatch"),
         (&["--shard", "0/2"], "--shard"),
         (&["--out", "x.ckpt"], "--out"),
         (&["merge"], "merge"),
+        (&["--bars"], "--bars"),
+        (&["--markdown"], "--markdown"),
     ];
     for (words, rejected) in removed {
         for target in ["f1", "all"] {

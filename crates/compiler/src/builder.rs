@@ -239,7 +239,6 @@ impl CfgBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loops::Loops;
     use predbranch_isa::CmpCond;
 
     fn r(i: u8) -> Gpr {
@@ -298,9 +297,15 @@ mod tests {
         );
         b.halt();
         let cfg = b.finish().unwrap();
-        // the back edge body → header makes a natural loop
-        let loops = Loops::find(&cfg);
-        assert_eq!(loops.all().len(), 1, "while loop must contain a back edge");
+        // `from → to` is a back edge when `to` does not come after
+        // `from` in reverse postorder; only body → header is one
+        let pos = cfg.rpo_positions();
+        let back_edges = cfg
+            .iter()
+            .flat_map(|(id, block)| block.term.successors().map(move |to| (id, to)))
+            .filter(|&(from, to)| pos[to.index()] <= pos[from.index()])
+            .count();
+        assert_eq!(back_edges, 1, "while loop must contain a back edge");
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl Cfg {
     ///
     /// For the reducible graphs the builder produces, an edge `a → b` with
     /// `rpo_position[b] <= rpo_position[a]` is a (loop) back edge.
-    pub fn reverse_postorder(&self) -> Vec<BlockId> {
+    pub(crate) fn reverse_postorder(&self) -> Vec<BlockId> {
         let mut visited = vec![false; self.blocks.len()];
         let mut postorder = Vec::with_capacity(self.blocks.len());
         // Iterative DFS storing (block, next-successor-index).

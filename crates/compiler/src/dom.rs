@@ -8,8 +8,8 @@ use crate::cfg::{BlockId, Cfg};
 /// reverse postorder. Unreachable blocks have no dominator information
 /// and report `false`/`None` from every query.
 ///
-/// The if-converter uses this to assert its invariant that a region seed
-/// dominates every block placed in the region.
+/// Debug builds of the if-converter use this to assert its invariant that
+/// a region seed dominates every block placed in the region.
 ///
 /// # Examples
 ///
@@ -22,7 +22,7 @@ use crate::cfg::{BlockId, Cfg};
 /// b.halt();
 /// let cfg = b.finish().unwrap();
 /// let dom = Dominators::compute(&cfg);
-/// let entry = cfg.reverse_postorder()[0];
+/// let entry = cfg.block_ids().next().unwrap(); // bb0
 /// for id in cfg.block_ids() {
 ///     assert!(dom.dominates(entry, id));
 /// }

@@ -147,7 +147,6 @@ pub fn if_convert(
     let rpo = cfg.reverse_postorder();
     let pos = cfg.rpo_positions();
     let preds = cfg.predecessors();
-    let dom = Dominators::compute(cfg);
     let mut stats = IfConvStats::default();
 
     // --- Region formation -------------------------------------------------
@@ -165,10 +164,6 @@ pub fn if_convert(
         let id = planned.len() as u16;
         match plan_region(cfg, id, seed, &members, &pos) {
             Some(plan) if plan.converted > 0 => {
-                debug_assert!(
-                    plan.members.iter().all(|&b| dom.dominates(seed, b)),
-                    "region seed must dominate all members"
-                );
                 for &b in &plan.members {
                     region_of[b.index()] = Some(planned.len());
                 }
@@ -177,6 +172,15 @@ pub fn if_convert(
             _ => stats.regions_dropped += 1,
         }
     }
+    debug_assert!(
+        {
+            let dom = Dominators::compute(cfg);
+            planned
+                .iter()
+                .all(|plan| plan.members.iter().all(|&b| dom.dominates(plan.seed, b)))
+        },
+        "region seed must dominate all members"
+    );
 
     // --- Emission ----------------------------------------------------------
     #[derive(Clone, Copy)]

@@ -58,8 +58,6 @@ mod dom;
 mod error;
 mod ifconv;
 mod linearize;
-mod loops;
-mod postdom;
 mod profile;
 mod schedule;
 
@@ -69,7 +67,5 @@ pub use dom::Dominators;
 pub use error::CompileError;
 pub use ifconv::{if_convert, IfConvResult, IfConvStats, IfConvertConfig, RegionInfo};
 pub use linearize::lower;
-pub use loops::{Loop, Loops};
-pub use postdom::{control_dependences, PostDominators};
 pub use profile::{profile_cfg, CfgProfile, ProfileConfig};
 pub use schedule::{hoist_compares, HoistResult};

@@ -157,53 +157,3 @@ proptest! {
         prop_assert_eq!(stats.region_branches, result.stats.branches_kept);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Post-dominator sanity on random structured CFGs: every block
-    /// reaches the exit, its immediate post-dominator post-dominates it,
-    /// and exactly the branch blocks carry control dependences.
-    #[test]
-    fn postdominators_are_consistent(stmt in arb_stmt()) {
-        use predbranch_compiler::{control_dependences, PostDominators, Terminator};
-        let cfg = build(&stmt);
-        let pdom = PostDominators::compute(&cfg);
-        let rpo: std::collections::HashSet<_> =
-            cfg.reverse_postorder().into_iter().collect();
-        for id in cfg.block_ids().filter(|b| rpo.contains(b)) {
-            prop_assert!(pdom.reaches_exit(id), "{id} cannot reach exit");
-            let ip = pdom.ipdom(id).expect("reachable blocks have ipdom");
-            prop_assert!(pdom.post_dominates(ip, id));
-        }
-        for (a, _) in control_dependences(&cfg) {
-            prop_assert!(
-                matches!(cfg.block(a).term, Terminator::CondBr { .. }),
-                "control dependence source {a} is not a branch"
-            );
-        }
-    }
-
-    /// Natural-loop invariants on random structured CFGs: headers
-    /// dominate their bodies, latches are body members, and nesting depth
-    /// equals the number of loops containing each block.
-    #[test]
-    fn loops_are_consistent(stmt in arb_stmt()) {
-        use predbranch_compiler::Loops;
-        let cfg = build(&stmt);
-        let loops = Loops::find(&cfg);
-        let dom = Dominators::compute(&cfg);
-        for l in loops.all() {
-            for &b in &l.body {
-                prop_assert!(dom.dominates(l.header, b));
-            }
-            for &latch in &l.latches {
-                prop_assert!(l.contains(latch));
-            }
-        }
-        for id in cfg.block_ids() {
-            let containing = loops.all().iter().filter(|l| l.contains(id)).count() as u32;
-            prop_assert_eq!(loops.depth(id), containing);
-        }
-    }
-}

@@ -9,7 +9,7 @@
 //! study targets.
 
 use crate::history::GlobalHistory;
-use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
+use crate::predictor::{BranchInfo, BranchPredictor, HistoryInsert};
 use crate::ring::Checkpoints;
 use crate::tables::{CounterTable, TwoBitCounter};
 
@@ -108,12 +108,6 @@ impl BranchPredictor for Agree {
     }
 }
 
-impl HasGlobalHistory for Agree {
-    fn global_history_mut(&mut self) -> &mut GlobalHistory {
-        &mut self.history
-    }
-}
-
 impl HistoryInsert for Agree {
     fn insert_history_bit(&mut self, outcome: bool) {
         self.history.shift_in(outcome);
@@ -198,7 +192,7 @@ mod tests {
     #[test]
     fn pgu_hook_reaches_history() {
         let mut p = Agree::new(6, 6);
-        p.global_history_mut().shift_in(true);
+        p.insert_history_bit(true);
         assert_eq!(p.history.value(), 1);
     }
 

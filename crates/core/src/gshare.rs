@@ -1,7 +1,7 @@
 //! The gshare global-history predictor.
 
 use crate::history::GlobalHistory;
-use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
+use crate::predictor::{BranchInfo, BranchPredictor, HistoryInsert};
 use crate::ring::Checkpoints;
 use crate::tables::CounterTable;
 
@@ -9,9 +9,9 @@ use crate::tables::CounterTable;
 /// history`.
 ///
 /// This is the baseline predictor of the study. Its global history
-/// register is exposed through [`HasGlobalHistory`] so the predicate
-/// global-update mechanism ([`crate::Pgu`]) can shift predicate outcomes
-/// into it.
+/// register takes external bits through [`HistoryInsert`], so the
+/// predicate global-update mechanism ([`crate::Pgu`]) can shift predicate
+/// outcomes into it.
 ///
 /// The history is updated speculatively: `speculate` snapshots the
 /// fetch-time history register and shifts in the predicted direction;
@@ -100,12 +100,6 @@ impl BranchPredictor for Gshare {
     }
 }
 
-impl HasGlobalHistory for Gshare {
-    fn global_history_mut(&mut self) -> &mut GlobalHistory {
-        &mut self.history
-    }
-}
-
 impl HistoryInsert for Gshare {
     fn insert_history_bit(&mut self, outcome: bool) {
         self.history.shift_in(outcome);
@@ -187,7 +181,7 @@ mod tests {
     #[test]
     fn global_history_access_for_pgu() {
         let mut p = Gshare::new(8, 8);
-        p.global_history_mut().shift_in(true);
+        p.insert_history_bit(true);
         assert_eq!(p.history().value(), 1);
     }
 }

@@ -92,8 +92,7 @@ pub use perceptron::{Perceptron, MAX_PERCEPTRON_INDEX_BITS};
 pub use pgu::Pgu;
 pub use predictor::StaticPredictor;
 pub use predictor::{
-    BranchInfo, BranchPredictor, ClassCounts, HasGlobalHistory, HistoryInsert, PredictionMetrics,
-    PredictorVisitor,
+    BranchInfo, BranchPredictor, ClassCounts, HistoryInsert, PredictionMetrics, PredictorVisitor,
 };
 pub use ring::{checkpoint_capacity, Checkpoints, Ring, WINDOW_CAPACITY};
 pub use sfpf::SquashFilter;

@@ -4,7 +4,7 @@
 //! bits, rewarding informative predicates and zeroing out diluting ones.
 
 use crate::history::GlobalHistory;
-use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
+use crate::predictor::{BranchInfo, BranchPredictor, HistoryInsert};
 use crate::ring::Checkpoints;
 
 const WEIGHT_MAX: i32 = 127;
@@ -21,7 +21,7 @@ pub const MAX_PERCEPTRON_INDEX_BITS: u32 = 20;
 /// follows the standard rule: adjust on a misprediction or whenever the
 /// output magnitude is below the threshold `θ = ⌊1.93·h + 14⌋`.
 ///
-/// Exposes its history through [`HasGlobalHistory`], so
+/// Takes external history bits through [`HistoryInsert`], so
 /// [`crate::Pgu`] applies unchanged — the extension result this
 /// repository adds to the original study.
 ///
@@ -140,12 +140,6 @@ impl BranchPredictor for Perceptron {
     }
 }
 
-impl HasGlobalHistory for Perceptron {
-    fn global_history_mut(&mut self) -> &mut GlobalHistory {
-        &mut self.history
-    }
-}
-
 impl HistoryInsert for Perceptron {
     fn insert_history_bit(&mut self, outcome: bool) {
         self.history.shift_in(outcome);
@@ -229,7 +223,7 @@ mod tests {
     #[test]
     fn pgu_hook_reaches_history() {
         let mut p = Perceptron::new(4, 8);
-        p.global_history_mut().shift_in(true);
+        p.insert_history_bit(true);
         assert_eq!(p.history.value(), 1);
     }
 

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use predbranch_sim::PredWriteEvent;
 
-use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
+use crate::predictor::{BranchInfo, BranchPredictor, HistoryInsert};
 
 /// The paper's second technique: shift recently computed
 /// predicate-definition outcomes into the wrapped predictor's global
@@ -44,6 +44,7 @@ pub struct Pgu<P> {
     inner: P,
     delay: u64,
     pending: VecDeque<(u64, bool)>,
+    #[cfg(test)]
     inserted: u64,
 }
 
@@ -54,6 +55,7 @@ impl<P: HistoryInsert> Pgu<P> {
             inner,
             delay: 0,
             pending: VecDeque::new(),
+            #[cfg(test)]
             inserted: 0,
         }
     }
@@ -76,13 +78,21 @@ impl<P: HistoryInsert> Pgu<P> {
         &self.inner
     }
 
+    /// Shifts one predicate bit into the wrapped predictor's history.
+    fn insert(&mut self, value: bool) {
+        self.inner.insert_history_bit(value);
+        #[cfg(test)]
+        {
+            self.inserted += 1;
+        }
+    }
+
     /// Drains pending insertions that have become visible by
     /// `fetch_index`.
     fn drain_visible(&mut self, fetch_index: u64) {
         while let Some(&(def_index, value)) = self.pending.front() {
             if fetch_index.saturating_sub(def_index) >= self.delay {
-                self.inner.insert_history_bit(value);
-                self.inserted += 1;
+                self.insert(value);
                 self.pending.pop_front();
             } else {
                 break;
@@ -123,8 +133,7 @@ impl<P: BranchPredictor + HistoryInsert> BranchPredictor for Pgu<P> {
 
     fn on_pred_write(&mut self, write: &PredWriteEvent) {
         if self.delay == 0 {
-            self.inner.insert_history_bit(write.value);
-            self.inserted += 1;
+            self.insert(write.value);
         } else {
             self.pending.push_back((write.index, write.value));
         }
@@ -141,12 +150,6 @@ impl<P: BranchPredictor + HistoryInsert> BranchPredictor for Pgu<P> {
 
     fn storage_bits(&self) -> usize {
         self.inner.storage_bits()
-    }
-}
-
-impl<P: HasGlobalHistory> HasGlobalHistory for Pgu<P> {
-    fn global_history_mut(&mut self) -> &mut crate::history::GlobalHistory {
-        self.inner.global_history_mut()
     }
 }
 

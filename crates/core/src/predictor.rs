@@ -201,25 +201,15 @@ impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
     }
 }
 
-/// Predictors whose index function uses a global history register that
-/// external components (the PGU mechanism) may shift bits into.
-pub trait HasGlobalHistory {
-    /// Mutable access to the global history register.
-    fn global_history_mut(&mut self) -> &mut crate::history::GlobalHistory;
-}
-
 /// Predictors that can accept an externally supplied history bit — the
 /// insertion point the PGU mechanism uses to shift predicate outcomes
 /// into a predictor's notion of "recent history".
 ///
-/// For the classic single-register predictors this is just
-/// `global_history_mut().shift_in(outcome)`; predictors with richer
-/// history state (TAGE's folded geometric histories, the multiperspective
-/// perceptron's several views) implement it by threading the bit through
-/// every structure that tracks the global outcome stream. There is
-/// deliberately no blanket impl over [`HasGlobalHistory`]: those richer
-/// predictors need their own implementations, and a blanket impl would
-/// forbid them.
+/// For the classic single-register predictors this shifts the bit into
+/// their [`GlobalHistory`](crate::GlobalHistory) register; predictors
+/// with richer history state (TAGE's folded geometric histories, the
+/// multiperspective perceptron's several views) implement it by threading
+/// the bit through every structure that tracks the global outcome stream.
 pub trait HistoryInsert {
     /// Shifts `outcome` into the predictor's speculative global history,
     /// exactly as if a branch with that outcome had been fetched.

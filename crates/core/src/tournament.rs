@@ -2,17 +2,16 @@
 
 use crate::bimodal::Bimodal;
 use crate::gshare::Gshare;
-use crate::history::GlobalHistory;
-use crate::predictor::{BranchInfo, BranchPredictor, HasGlobalHistory, HistoryInsert};
+use crate::predictor::{BranchInfo, BranchPredictor, HistoryInsert};
 use crate::ring::Checkpoints;
 use crate::tables::CounterTable;
 
 /// A tournament predictor: gshare and bimodal components with a per-PC
 /// chooser trained toward whichever component was right.
 ///
-/// Exposes its gshare component's global history through
-/// [`HasGlobalHistory`], so the PGU mechanism applies to it the same way
-/// it applies to plain gshare.
+/// Routes [`HistoryInsert`] bits into its gshare component's global
+/// history, so the PGU mechanism applies to it the same way it applies to
+/// plain gshare.
 ///
 /// # Examples
 ///
@@ -101,12 +100,6 @@ impl BranchPredictor for Tournament {
     }
 }
 
-impl HasGlobalHistory for Tournament {
-    fn global_history_mut(&mut self) -> &mut GlobalHistory {
-        self.gshare.global_history_mut()
-    }
-}
-
 impl HistoryInsert for Tournament {
     fn insert_history_bit(&mut self, outcome: bool) {
         self.gshare.insert_history_bit(outcome);
@@ -179,7 +172,7 @@ mod tests {
     #[test]
     fn pgu_hook_reaches_gshare_history() {
         let mut t = Tournament::new(6, 8, 6, 6);
-        t.global_history_mut().shift_in(true);
+        t.insert_history_bit(true);
         assert_eq!(t.gshare.history().value(), 1);
     }
 

@@ -30,16 +30,10 @@ pub struct ArchState {
     halted: bool,
 }
 
-impl Default for ArchState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ArchState {
     /// Creates a zeroed state: all registers 0, all predicates false
     /// (except `p0`), pc at 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut preds = [false; NUM_PREDS];
         preds[0] = true;
         ArchState {
@@ -90,7 +84,7 @@ impl ArchState {
     }
 
     /// Marks the machine halted.
-    pub fn halt(&mut self) {
+    pub(crate) fn halt(&mut self) {
         self.halted = true;
     }
 

@@ -91,57 +91,6 @@ impl Series {
         }
         Some(self.points.iter().map(|(_, ys)| ys[idx]).collect())
     }
-
-    /// Renders the series as horizontal text bar charts, one block per
-    /// line, scaled to the series' global maximum — a terminal-friendly
-    /// sketch of the figure the numbers would plot.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use predbranch_stats::Series;
-    ///
-    /// let mut s = Series::new("demo", "x");
-    /// s.line("a");
-    /// s.point("p", &[2.0]);
-    /// s.point("q", &[4.0]);
-    /// let bars = s.to_bars(10);
-    /// assert!(bars.contains("##########"));
-    /// ```
-    pub fn to_bars(&self, width: usize) -> String {
-        use std::fmt::Write as _;
-        let max = self
-            .points
-            .iter()
-            .flat_map(|(_, ys)| ys.iter().copied())
-            .fold(0.0_f64, f64::max);
-        let xw = self
-            .points
-            .iter()
-            .map(|(x, _)| x.len())
-            .max()
-            .unwrap_or(1)
-            .max(self.x_label.len());
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} ==", self.title);
-        for (idx, line) in self.lines.iter().enumerate() {
-            let _ = writeln!(out, "[{line}]");
-            for (x, ys) in &self.points {
-                let y = ys[idx];
-                let filled = if max > 0.0 {
-                    ((y / max) * width as f64).round() as usize
-                } else {
-                    0
-                };
-                let _ = writeln!(
-                    out,
-                    "  {x:<xw$}  {:<width$}  {y:.4}",
-                    "#".repeat(filled.min(width))
-                );
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Series {
@@ -221,25 +170,6 @@ mod tests {
         for needle in ["fig", "base", "new", "a", "b", "1.0000", "4.0000"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn bars_scale_to_global_max() {
-        let s = sample();
-        let bars = s.to_bars(8);
-        // the max value (4.0) fills the width; 1.0 fills a quarter
-        assert!(bars.contains("########"), "{bars}");
-        assert!(bars.contains("##  "), "{bars}");
-        assert!(bars.contains("[base]") && bars.contains("[new]"));
-    }
-
-    #[test]
-    fn bars_handle_all_zero_series() {
-        let mut s = Series::new("z", "x");
-        s.line("only");
-        s.point("a", &[0.0]);
-        let bars = s.to_bars(10);
-        assert!(!bars.contains('#'));
     }
 
     #[test]

@@ -141,6 +141,7 @@ impl CacheKey {
 pub struct TraceCache {
     dir: PathBuf,
     maps: MapTable,
+    #[cfg(test)]
     serve_counters: ServeCounters,
 }
 
@@ -150,6 +151,7 @@ pub struct TraceCache {
 type MapTable = Mutex<Vec<(PathBuf, Arc<TraceMap>)>>;
 
 /// A [`TraceCache`]'s segment-serving traffic counters.
+#[cfg(test)]
 #[derive(Debug, Default)]
 struct ServeCounters {
     replays: AtomicU64,
@@ -202,6 +204,7 @@ impl TraceCache {
         Ok(TraceCache {
             dir,
             maps: Mutex::new(Vec::new()),
+            #[cfg(test)]
             serve_counters: ServeCounters::default(),
         })
     }
@@ -304,6 +307,7 @@ impl TraceCache {
                 };
                 match opened {
                     Ok(map) => {
+                        #[cfg(test)]
                         self.serve_counters.opens.fetch_add(1, Ordering::Relaxed);
                         let map = Arc::new(map);
                         self.map_insert(path, Arc::clone(&map));
@@ -312,6 +316,7 @@ impl TraceCache {
                     Err(TraceError::Io(e)) => return Err(TraceError::Io(e)),
                     Err(_invalid) => {
                         let _ = fs::remove_file(&seg);
+                        #[cfg(test)]
                         self.serve_counters.rejects.fetch_add(1, Ordering::Relaxed);
                         return Ok(None);
                     }
@@ -321,11 +326,13 @@ impl TraceCache {
         if map.header().program_hash != expected_hash {
             self.map_remove(path);
             let _ = fs::remove_file(segment_path(path));
+            #[cfg(test)]
             self.serve_counters.rejects.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         }
         let mut buffer = Vec::with_capacity(EVENT_BATCH_CAPACITY);
         let summary = map.replay(sink, &mut buffer)?;
+        #[cfg(test)]
         self.serve_counters.replays.fetch_add(1, Ordering::Relaxed);
         Ok(Some(summary))
     }
@@ -397,6 +404,7 @@ impl TraceCache {
         events: &[Event],
     ) {
         if publish_segment(path, program_hash, source_checksum, summary, events).is_ok() {
+            #[cfg(test)]
             self.serve_counters.builds.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -1,17 +1,20 @@
 //! Pins the workspace's public surface. The facade re-exports every
 //! crate, so rustc's `dead_code` lint never sees a `pub` item; this scan
-//! stands in for it. Each `pub fn` (including `pub const fn`), `pub const`
-//! and `pub static` that a crate declares in its library sources (`src/`
-//! outside `src/bin/`) must be named by some file outside that directory:
-//! another crate, one of the crate's own binaries or integration tests, an
-//! example, a file under `tests/` or `perfbench/`, or the facade prelude.
-//! An item that only its own crate uses belongs at `pub(crate)`, where the
-//! compiler flags it once its last caller goes. A doc example in the
-//! crate's own sources does not count as a user.
+//! stands in for it. Each `pub fn` (including `pub const fn`), `pub const`,
+//! `pub static` and `pub trait` that a crate declares in its library
+//! sources (`src/` outside `src/bin/`) must be named by some file outside
+//! that directory: another crate, one of the crate's own binaries or
+//! integration tests, an example, a file under `tests/` or `perfbench/`,
+//! or the facade prelude. An item that only its own crate uses belongs at
+//! `pub(crate)`, where the compiler flags it once its last caller goes. A
+//! doc example in the crate's own sources does not count as a user.
 //!
-//! Types and fields are out of scope: a kept public signature can pin a
-//! type that nothing outside its crate names, and that type must stay
-//! `pub` all the same.
+//! Traits are in scope: another crate that implements a trait, calls its
+//! methods or bounds a generic by it has to name it (directly or through
+//! the facade prelude), so a trait named nowhere outside its crate is one
+//! nothing else can use. Types and fields are out of scope: a kept public
+//! signature can hand out a type that nothing outside its crate names,
+//! and that type must stay `pub` all the same.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
@@ -43,8 +46,8 @@ fn identifiers(text: &str) -> Vec<&str> {
 }
 
 /// The names that `words` declares as `pub fn`, `pub const fn`,
-/// `pub const` or `pub static`. A restricted `pub(crate)` splits into
-/// `pub crate`, so it never matches.
+/// `pub const`, `pub static` or `pub trait`. A restricted `pub(crate)`
+/// splits into `pub crate`, so it never matches.
 fn public_items<'a>(words: &[&'a str]) -> Vec<&'a str> {
     let mut items = Vec::new();
     for (i, &word) in words.iter().enumerate() {
@@ -53,7 +56,7 @@ fn public_items<'a>(words: &[&'a str]) -> Vec<&'a str> {
         }
         let item = match &words[i + 1..] {
             ["const", "fn", name, ..] | ["fn", name, ..] => name,
-            ["const", name, ..] | ["static", name, ..] => name,
+            ["const", name, ..] | ["static", name, ..] | ["trait", name, ..] => name,
             _ => continue,
         };
         items.push(*item);
