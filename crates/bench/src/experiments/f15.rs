@@ -9,14 +9,14 @@
 //! lower misprediction with the techniques on.
 
 use predbranch_core::InsertFilter;
-use predbranch_sim::{ExecMetrics, Executor, GuardKnowledgeStats};
+use predbranch_sim::{Executor, GuardKnowledgeStats};
 use predbranch_stats::{mean, Cell, Table};
-use predbranch_workloads::{
-    compile_benchmark, suite, CompileOptions, DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED,
-};
+use predbranch_workloads::{compile_benchmark, suite, CompileOptions, EVAL_SEED};
 
 use super::{base_spec, Artifact, Scale};
-use crate::runner::{Binary, CellSpec, RunContext, SuiteEntry, DEFAULT_LATENCY, PGU_DELAY};
+use crate::runner::{
+    Binary, CellSpec, RunContext, SuiteEntry, CELL_BUDGET, DEFAULT_LATENCY, PGU_DELAY,
+};
 
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let both = base_spec().with_sfpf().with_pgu(PGU_DELAY);
@@ -50,16 +50,12 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     // per variant: an instrumented functional run for distance/coverage…
     let sink_stats = ctx.map_batch(variants.iter(), |entry| {
         let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-        let mut sinks = (
-            ExecMetrics::new(),
-            GuardKnowledgeStats::new(DEFAULT_LATENCY),
-        );
+        let mut knowledge = GuardKnowledgeStats::new(DEFAULT_LATENCY);
         let summary = Executor::new(stream.program(), stream.memory().clone())
-            .run(&mut sinks, DEFAULT_MAX_INSTRUCTIONS);
+            .run(&mut knowledge, CELL_BUDGET);
         assert!(summary.halted);
-        let (metrics, knowledge) = sinks;
         (
-            metrics.guard_distance().mean(),
+            knowledge.guard_distance().mean(),
             knowledge.known_false().percent(),
         )
     });

@@ -8,26 +8,22 @@
 
 use predbranch_sim::{Executor, GuardKnowledgeStats};
 use predbranch_stats::{mean, Cell, Series, Table};
-use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
+use predbranch_workloads::EVAL_SEED;
 
 use super::{Artifact, Scale};
-use crate::runner::{Binary, RunContext, DEFAULT_LATENCY};
+use crate::runner::{Binary, RunContext, CELL_BUDGET, DEFAULT_LATENCY};
 
 const LATENCIES: [u64; 6] = [0, 2, 4, 8, 16, 32];
 
 pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     let entries = ctx.suite(scale.limit);
 
-    // one classification job per (latency, entry), latency-major so the
-    // aggregation below can slice per latency step
-    let jobs = LATENCIES
-        .into_iter()
-        .flat_map(|latency| entries.iter().map(move |entry| (latency, entry)));
-    let all_stats = ctx.map_batch(jobs, |(latency, entry)| {
+    // one pass per benchmark classifies every latency at once
+    let all_stats = ctx.map_batch(entries.iter(), |entry| {
         let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-        let mut stats = GuardKnowledgeStats::new(latency);
-        let summary = Executor::new(stream.program(), stream.memory().clone())
-            .run(&mut stats, DEFAULT_MAX_INSTRUCTIONS);
+        let mut stats = LATENCIES.map(GuardKnowledgeStats::new);
+        let summary =
+            Executor::new(stream.program(), stream.memory().clone()).run(&mut stats, CELL_BUDGET);
         assert!(summary.halted);
         stats
     });
@@ -39,12 +35,11 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     series.line("known-false");
     series.line("known-true");
     series.line("unknown");
-    let n = entries.len();
     for (li, latency) in LATENCIES.into_iter().enumerate() {
-        let slice = &all_stats[li * n..(li + 1) * n];
-        let kf: Vec<f64> = slice.iter().map(|s| s.known_false().percent()).collect();
-        let kt: Vec<f64> = slice.iter().map(|s| s.known_true().percent()).collect();
-        let unk: Vec<f64> = slice.iter().map(|s| s.unknown().percent()).collect();
+        let column = || all_stats.iter().map(|stats| &stats[li]);
+        let kf: Vec<f64> = column().map(|s| s.known_false().percent()).collect();
+        let kt: Vec<f64> = column().map(|s| s.known_true().percent()).collect();
+        let unk: Vec<f64> = column().map(|s| s.unknown().percent()).collect();
         series.point(latency.to_string(), &[mean(&kf), mean(&kt), mean(&unk)]);
     }
 
@@ -62,10 +57,8 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
         .iter()
         .position(|&l| l == DEFAULT_LATENCY)
         .expect("default latency must be part of the sweep");
-    for (entry, stats) in entries
-        .iter()
-        .zip(&all_stats[default_idx * n..(default_idx + 1) * n])
-    {
+    for (entry, stats) in entries.iter().zip(&all_stats) {
+        let stats = &stats[default_idx];
         let accuracy = if stats.known_false().numerator() == 0 {
             Cell::new("-")
         } else {

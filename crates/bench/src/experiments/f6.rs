@@ -8,12 +8,12 @@
 //! correlation can survive.
 
 use predbranch_core::InsertFilter;
-use predbranch_sim::{ExecMetrics, Executor};
+use predbranch_sim::{Executor, GuardKnowledgeStats};
 use predbranch_stats::{mean, Cell, Series, Table};
-use predbranch_workloads::{DEFAULT_MAX_INSTRUCTIONS, EVAL_SEED};
+use predbranch_workloads::EVAL_SEED;
 
 use super::{base_spec, Artifact, Scale};
-use crate::runner::{Binary, CellSpec, RunContext};
+use crate::runner::{Binary, CellSpec, RunContext, CELL_BUDGET, DEFAULT_LATENCY};
 
 const DELAYS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
 
@@ -53,11 +53,11 @@ pub(crate) fn run(ctx: &RunContext, scale: &Scale) -> Vec<Artifact> {
     // predictor cell; map_batch runs them on the lanes anyway
     let distances = ctx.map_batch(entries.iter(), |entry| {
         let stream = entry.stream(Binary::Predicated, EVAL_SEED);
-        let mut metrics = ExecMetrics::new();
+        let mut knowledge = GuardKnowledgeStats::new(DEFAULT_LATENCY);
         let summary = Executor::new(stream.program(), stream.memory().clone())
-            .run(&mut metrics, DEFAULT_MAX_INSTRUCTIONS);
+            .run(&mut knowledge, CELL_BUDGET);
         assert!(summary.halted);
-        let hist = metrics.guard_distance();
+        let hist = knowledge.guard_distance();
         let median_edge = hist.percentile_upper_bound(0.5).unwrap_or(0);
         (hist.mean(), median_edge, hist.max(), hist.count())
     });

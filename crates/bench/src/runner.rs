@@ -44,8 +44,9 @@ pub const DEFAULT_LATENCY: u64 = predbranch_sim::DEFAULT_RESOLVE_LATENCY;
 /// the history register one resolve latency after the defining compare.
 pub(crate) const PGU_DELAY: u64 = DEFAULT_LATENCY;
 
-/// Instruction budget for every experiment cell.
-const CELL_BUDGET: u64 = 2 * DEFAULT_MAX_INSTRUCTIONS;
+/// Instruction budget for every stream the study executes: each cell,
+/// and the functional runs of T1, F2, F6 and F15.
+pub(crate) const CELL_BUDGET: u64 = 2 * DEFAULT_MAX_INSTRUCTIONS;
 
 /// What a stream executes: a binary and the input image it starts
 /// from. A [`CellSpec`] dereferences to its stream's source, so code

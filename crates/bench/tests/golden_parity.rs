@@ -9,6 +9,7 @@
 //! change — fails this test. `golden/quick_all_r32.txt` pins the whole
 //! quick study again at retire latency 32, where the window matters, and
 //! `golden/quick_keys_r32.txt` pins the key of every cell it runs.
+//! `golden/full_all.txt` pins the full study, all 11 benchmarks.
 
 use predbranch_bench::experiments::find_experiment;
 use predbranch_bench::{all_experiments, RunContext, Scale};
@@ -66,6 +67,18 @@ fn quick_all_at_retire_32_is_byte_identical_to_golden() {
         assert_golden(tag, &ctx, &scale, &ids, golden);
         assert_keys(tag, &ctx, keys);
     }
+}
+
+/// The full study: `golden/full_all.txt` is the captured stdout of
+/// `experiments --jobs 2 all` (sha256 `21030d97…32db6`). The quick
+/// goldens cover 3 of the 11 benchmarks; this one covers every row of
+/// every experiment at `Scale::full()`, on two lanes as captured.
+#[test]
+fn full_all_output_is_byte_identical_to_golden() {
+    let golden = include_str!("golden/full_all.txt");
+    let ids: Vec<&str> = all_experiments().iter().map(|exp| exp.id).collect();
+    let ctx = RunContext::new().with_jobs(2);
+    assert_golden("jobs2", &ctx, &Scale::full(), &ids, golden);
 }
 
 /// F17 postdates the speculative-history refactor, so it gets its own

@@ -1,9 +1,10 @@
 //! The streaming event sink that accumulates per-branch joint counts.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use predbranch_sim::{
-    BranchEvent, EventSink, PredWriteEvent, PredicateScoreboard, DEFAULT_RESOLVE_LATENCY,
+    BranchEvent, EventSink, PendingDefinitions, PredWriteEvent, PredicateScoreboard,
+    DEFAULT_RESOLVE_LATENCY,
 };
 use predbranch_stats::JointDistribution;
 
@@ -42,9 +43,8 @@ pub struct Characterizer {
     /// The delayed predicate-definition outcome register: the last
     /// [`PRED_HISTORY_BITS`] *fetch-visible* predicate values.
     pred_history: u64,
-    /// Definitions not yet visible, `(definition index, value)` in
-    /// program order — the same pending-queue shape the PGU uses.
-    pending: VecDeque<(u64, bool)>,
+    /// Definitions not yet visible — the same queue the PGU uses.
+    pending: PendingDefinitions,
     per_pc: BTreeMap<u32, BranchState>,
 }
 
@@ -57,21 +57,8 @@ impl Characterizer {
             scoreboard: PredicateScoreboard::new(DEFAULT_RESOLVE_LATENCY),
             global: 0,
             pred_history: 0,
-            pending: VecDeque::new(),
+            pending: PendingDefinitions::new(PRED_VISIBILITY_DELAY),
             per_pc: BTreeMap::new(),
-        }
-    }
-
-    /// Shifts every pending predicate definition that has become
-    /// visible by `fetch_index` into the predicate-history register.
-    fn drain_visible(&mut self, fetch_index: u64) {
-        while let Some(&(def_index, value)) = self.pending.front() {
-            if fetch_index.saturating_sub(def_index) >= PRED_VISIBILITY_DELAY {
-                self.pred_history = (self.pred_history << 1) | u64::from(value);
-                self.pending.pop_front();
-            } else {
-                break;
-            }
         }
     }
 
@@ -93,7 +80,8 @@ impl EventSink for Characterizer {
         if !event.conditional {
             return;
         }
-        self.drain_visible(event.index);
+        self.pending
+            .drain_visible(event.index, |value| shift_in(&mut self.pred_history, value));
         // Fetch-visible predicate context: what the scoreboard knows
         // about the guard (known-false / known-true / in-flight), joined
         // with the delayed predicate-outcome register. Using the *raw*
@@ -125,8 +113,15 @@ impl EventSink for Characterizer {
 
     fn pred_write(&mut self, event: &PredWriteEvent) {
         self.scoreboard.observe(event);
-        self.pending.push_back((event.index, event.value));
+        self.pending
+            .observe(event, |value| shift_in(&mut self.pred_history, value));
     }
+}
+
+/// Shifts one visible predicate value into the predicate-history
+/// register (youngest in bit 0).
+fn shift_in(register: &mut u64, value: bool) {
+    *register = (*register << 1) | u64::from(value);
 }
 
 impl BranchState {

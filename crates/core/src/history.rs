@@ -93,11 +93,6 @@ impl GlobalHistory {
         out
     }
 
-    /// Clears the history.
-    pub fn reset(&mut self) {
-        self.bits = 0;
-    }
-
     /// Storage cost in bits.
     pub fn storage_bits(&self) -> usize {
         self.len as usize
@@ -200,11 +195,6 @@ impl LongHistory {
     pub fn bit(&self, k: u32) -> bool {
         assert!(k < self.len, "history bit {k} out of range");
         (self.words[(k / 64) as usize] >> (k % 64)) & 1 == 1
-    }
-
-    /// Clears the history.
-    pub fn reset(&mut self) {
-        self.words = [0; LONG_WORDS];
     }
 
     /// Storage cost in bits.
@@ -354,14 +344,6 @@ mod tests {
         assert_eq!(h.folded(4), 0b1011 ^ 0b0010);
         assert_eq!(h.folded(8), h.value());
         assert_eq!(h.folded(16), h.value());
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut h = GlobalHistory::new(4);
-        h.shift_in(true);
-        h.reset();
-        assert!(h.is_empty());
     }
 
     #[test]

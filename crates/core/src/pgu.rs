@@ -1,8 +1,6 @@
 //! The predicate global-update (PGU) mechanism.
 
-use std::collections::VecDeque;
-
-use predbranch_sim::PredWriteEvent;
+use predbranch_sim::{PendingDefinitions, PredWriteEvent};
 
 use crate::predictor::{BranchInfo, BranchPredictor, HistoryInsert};
 
@@ -42,8 +40,7 @@ use crate::predictor::{BranchInfo, BranchPredictor, HistoryInsert};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pgu<P> {
     inner: P,
-    delay: u64,
-    pending: VecDeque<(u64, bool)>,
+    pending: PendingDefinitions,
     #[cfg(test)]
     inserted: u64,
 }
@@ -53,8 +50,7 @@ impl<P: HistoryInsert> Pgu<P> {
     pub fn new(inner: P) -> Self {
         Pgu {
             inner,
-            delay: 0,
-            pending: VecDeque::new(),
+            pending: PendingDefinitions::new(0),
             #[cfg(test)]
             inserted: 0,
         }
@@ -63,7 +59,7 @@ impl<P: HistoryInsert> Pgu<P> {
     /// Sets the insertion delay in fetch slots (0 = speculative
     /// execute-time insertion; larger = commit-time).
     pub fn with_delay(mut self, delay: u64) -> Self {
-        self.delay = delay;
+        self.pending = PendingDefinitions::new(delay);
         self
     }
 
@@ -77,46 +73,29 @@ impl<P: HistoryInsert> Pgu<P> {
     pub fn inner(&self) -> &P {
         &self.inner
     }
-
-    /// Shifts one predicate bit into the wrapped predictor's history.
-    fn insert(&mut self, value: bool) {
-        self.inner.insert_history_bit(value);
-        #[cfg(test)]
-        {
-            self.inserted += 1;
-        }
-    }
-
-    /// Drains pending insertions that have become visible by
-    /// `fetch_index`.
-    fn drain_visible(&mut self, fetch_index: u64) {
-        while let Some(&(def_index, value)) = self.pending.front() {
-            if fetch_index.saturating_sub(def_index) >= self.delay {
-                self.insert(value);
-                self.pending.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 impl<P: BranchPredictor + HistoryInsert> BranchPredictor for Pgu<P> {
     fn name(&self) -> String {
-        if self.delay == 0 {
-            format!("pgu+{}", self.inner.name())
-        } else {
-            format!("pgu[d{}]+{}", self.delay, self.inner.name())
+        match self.pending.delay() {
+            0 => format!("pgu+{}", self.inner.name()),
+            delay => format!("pgu[d{delay}]+{}", self.inner.name()),
         }
     }
 
     fn predict(&mut self, branch: &BranchInfo) -> bool {
-        self.drain_visible(branch.index);
+        self.pending.drain_visible(branch.index, |value| {
+            self.inner.insert_history_bit(value);
+            #[cfg(test)]
+            {
+                self.inserted += 1;
+            }
+        });
         self.inner.predict(branch)
     }
 
     // The lifecycle passes straight through to the wrapped predictor:
-    // `drain_visible` runs in `predict`, before `speculate` checkpoints
+    // the drain runs in `predict`, before `speculate` checkpoints
     // the inner history, so checkpoints always include the predicate bits
     // visible at fetch and a squash never rolls an insertion back.
     fn speculate(&mut self, branch: &BranchInfo, predicted: bool) {
@@ -132,11 +111,14 @@ impl<P: BranchPredictor + HistoryInsert> BranchPredictor for Pgu<P> {
     }
 
     fn on_pred_write(&mut self, write: &PredWriteEvent) {
-        if self.delay == 0 {
-            self.insert(write.value);
-        } else {
-            self.pending.push_back((write.index, write.value));
-        }
+        // undelayed, the bit goes in as the compare executes
+        self.pending.observe(write, |value| {
+            self.inner.insert_history_bit(value);
+            #[cfg(test)]
+            {
+                self.inserted += 1;
+            }
+        });
         // The wrapped predictor may consume predicate definitions on its
         // own (the predicate-aware modern predictors feed a dedicated
         // predicate-history register this way); the classic bases all
@@ -150,12 +132,6 @@ impl<P: BranchPredictor + HistoryInsert> BranchPredictor for Pgu<P> {
 
     fn storage_bits(&self) -> usize {
         self.inner.storage_bits()
-    }
-}
-
-impl<P: HistoryInsert> HistoryInsert for Pgu<P> {
-    fn insert_history_bit(&mut self, outcome: bool) {
-        self.inner.insert_history_bit(outcome);
     }
 }
 

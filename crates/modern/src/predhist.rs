@@ -1,8 +1,6 @@
 //! A dedicated predicate-outcome history register.
 
-use std::collections::VecDeque;
-
-use predbranch_sim::PredWriteEvent;
+use predbranch_sim::{PendingDefinitions, PredWriteEvent};
 
 /// Width of the predicate-history register, in bits.
 pub(crate) const PREDICATE_HISTORY_BITS: u32 = 12;
@@ -17,11 +15,12 @@ pub(crate) const PREDICATE_HISTORY_BITS: u32 = 12;
 /// outcomes in their own register and hashes it into its index (TAGE)
 /// or reads it as one more feature view (the perceptron).
 ///
-/// Timing mirrors [`predbranch_core::Pgu`]: a definition becomes
-/// visible `delay` fetch slots after the defining compare executes,
-/// modeling commit-time availability of the predicate value. Drains are
-/// driven by fetch index and are idempotent at the same index, so both
-/// `predict` and `speculate` may drain.
+/// Timing is [`predbranch_core::Pgu`]'s, through the same
+/// [`PendingDefinitions`] queue: a definition becomes visible `delay`
+/// fetch slots after the defining compare executes, modeling
+/// commit-time availability of the predicate value. Drains are driven by
+/// fetch index and are idempotent at the same index, so both `predict`
+/// and `speculate` may drain.
 ///
 /// The register is *architectural*: predicate definitions come from the
 /// executed instruction stream, never from branch speculation, so a
@@ -31,8 +30,7 @@ pub(crate) const PREDICATE_HISTORY_BITS: u32 = 12;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PredicateHistory {
     bits: u64,
-    delay: u64,
-    pending: VecDeque<(u64, bool)>,
+    pending: PendingDefinitions,
 }
 
 impl PredicateHistory {
@@ -41,35 +39,21 @@ impl PredicateHistory {
     pub(crate) fn new(delay: u64) -> Self {
         PredicateHistory {
             bits: 0,
-            delay,
-            pending: VecDeque::new(),
+            pending: PendingDefinitions::new(delay),
         }
     }
 
     /// Observes a predicate definition (called from `on_pred_write`).
     pub(crate) fn observe(&mut self, write: &PredWriteEvent) {
-        if self.delay == 0 {
-            self.shift_in(write.value);
-        } else {
-            self.pending.push_back((write.index, write.value));
-        }
+        self.pending
+            .observe(write, |value| shift_in(&mut self.bits, value));
     }
 
     /// Drains pending definitions that have become visible by
     /// `fetch_index`. Idempotent at the same index.
     pub(crate) fn drain_visible(&mut self, fetch_index: u64) {
-        while let Some(&(def_index, value)) = self.pending.front() {
-            if fetch_index.saturating_sub(def_index) >= self.delay {
-                self.shift_in(value);
-                self.pending.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn shift_in(&mut self, value: bool) {
-        self.bits = ((self.bits << 1) | u64::from(value)) & ((1 << PREDICATE_HISTORY_BITS) - 1);
+        self.pending
+            .drain_visible(fetch_index, |value| shift_in(&mut self.bits, value));
     }
 
     /// The current register value (most recent outcome at bit 0).
@@ -82,6 +66,10 @@ impl PredicateHistory {
     pub(crate) fn storage_bits(&self) -> usize {
         PREDICATE_HISTORY_BITS as usize
     }
+}
+
+fn shift_in(bits: &mut u64, value: bool) {
+    *bits = ((*bits << 1) | u64::from(value)) & ((1 << PREDICATE_HISTORY_BITS) - 1);
 }
 
 #[cfg(test)]

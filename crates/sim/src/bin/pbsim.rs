@@ -10,7 +10,10 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use predbranch_isa::assemble;
-use predbranch_sim::{Event, ExecMetrics, Executor, GuardKnowledgeStats, Memory, TraceSink};
+use predbranch_sim::{
+    Event, Executor, GuardKnowledgeStats, Memory, TraceSink, DEFAULT_RESOLVE_LATENCY,
+};
+use predbranch_stats::Ratio;
 
 struct Options {
     path: String,
@@ -25,7 +28,7 @@ fn parse_args() -> Option<Options> {
     let mut opts = Options {
         path: String::new(),
         max: 10_000_000,
-        latency: 8,
+        latency: DEFAULT_RESOLVE_LATENCY,
         trace: false,
         hex: false,
     };
@@ -52,7 +55,7 @@ fn parse_args() -> Option<Options> {
 /// write error ends the run early and is returned.
 fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let Some(opts) = parse_args() else {
-        eprintln!("usage: pbsim <file.s> [--max N] [--latency L] [--trace]");
+        eprintln!("usage: pbsim <file.s|file.hex> [--hex] [--max N] [--latency L] [--trace]");
         return Ok(ExitCode::FAILURE);
     };
     let text = match fs::read_to_string(&opts.path) {
@@ -91,12 +94,9 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     };
 
     let mut exec = Executor::new(&program, Memory::new());
-    let mut sinks = (
-        ExecMetrics::new(),
-        (GuardKnowledgeStats::new(opts.latency), TraceSink::new()),
-    );
+    let mut sinks = (GuardKnowledgeStats::new(opts.latency), TraceSink::new());
     let summary = exec.run(&mut sinks, opts.max);
-    let (metrics, (knowledge, trace)) = sinks;
+    let (knowledge, trace) = sinks;
 
     if opts.trace {
         for event in trace.events() {
@@ -128,7 +128,8 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     writeln!(out, "  taken:             {}", summary.taken_conditional)?;
     writeln!(out, "  region-based:      {}", summary.region_branches)?;
     writeln!(out, "predicate writes:    {}", summary.pred_writes)?;
-    writeln!(out, "taken fraction:      {}", metrics.taken_fraction())?;
+    let taken = Ratio::of(summary.taken_conditional, summary.conditional_branches);
+    writeln!(out, "taken fraction:      {taken}")?;
     writeln!(
         out,
         "guard @fetch (lat {}): known-false {} / known-true {} / unknown {}",

@@ -58,10 +58,10 @@ mod trace;
 
 pub use exec::{Executor, RunSummary, EVENT_BATCH_CAPACITY};
 pub use memory::Memory;
-pub use metrics::{ExecMetrics, GuardKnowledgeStats, RegionActivity};
+pub use metrics::{GuardKnowledgeStats, RegionActivity};
 pub use pipeline::{
     FetchTimeline, PipelineConfig, PipelineModel, DEFAULT_RESOLVE_LATENCY, DEFAULT_RETIRE_LATENCY,
 };
-pub use scoreboard::{PredKnowledge, PredicateScoreboard};
+pub use scoreboard::{PendingDefinitions, PredKnowledge, PredicateScoreboard};
 pub use state::ArchState;
 pub use trace::{BranchEvent, Event, EventSink, NullSink, PredWriteEvent, TraceSink};

@@ -1,131 +1,18 @@
-//! Event-stream metrics: dynamic instruction mix and fetch-time guard
-//! knowledge.
+//! Event-stream metrics: fetch-time guard knowledge and per-region
+//! activity.
 
 use predbranch_stats::{Counter, Histogram, Ratio};
 
 use crate::scoreboard::{PredKnowledge, PredicateScoreboard};
 use crate::trace::{BranchEvent, EventSink, PredWriteEvent};
 
-/// Dynamic-mix metrics accumulated from the event stream.
-///
-/// Feed it to [`crate::Executor::run`] (alone or composed in a tuple with
-/// other sinks) to collect the per-benchmark characterization numbers:
-/// dynamic branches by class, predicate-definition counts, and the
-/// definition-to-branch distance distribution that determines how often
-/// guards resolve before their branch is fetched.
-///
-/// # Examples
-///
-/// ```
-/// use predbranch_sim::ExecMetrics;
-///
-/// let m = ExecMetrics::new();
-/// assert_eq!(m.conditional_branches().get(), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecMetrics {
-    branches: Counter,
-    conditional: Counter,
-    taken_conditional: Counter,
-    region_branches: Counter,
-    taken_region: Counter,
-    pred_writes: Counter,
-    /// Distance (fetch slots) from a conditional branch's last guard
-    /// definition to the branch itself.
-    guard_distance: Histogram,
-    last_writes: PredicateScoreboard,
-}
-
-impl Default for ExecMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ExecMetrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Self {
-        ExecMetrics {
-            branches: Counter::new(),
-            conditional: Counter::new(),
-            taken_conditional: Counter::new(),
-            region_branches: Counter::new(),
-            taken_region: Counter::new(),
-            pred_writes: Counter::new(),
-            guard_distance: Histogram::linear(16, 4),
-            // latency 0: used only to remember last-write indices
-            last_writes: PredicateScoreboard::new(0),
-        }
-    }
-
-    /// All dynamic branches.
-    pub fn branches(&self) -> Counter {
-        self.branches
-    }
-
-    /// Dynamic conditional branches.
-    pub fn conditional_branches(&self) -> Counter {
-        self.conditional
-    }
-
-    /// Dynamic region-based branches.
-    pub fn region_branches(&self) -> Counter {
-        self.region_branches
-    }
-
-    /// Taken fraction of conditional branches.
-    pub fn taken_fraction(&self) -> Ratio {
-        Ratio::of(self.taken_conditional.get(), self.conditional.get())
-    }
-
-    /// Fraction of conditional branches that are region-based.
-    pub fn region_fraction(&self) -> Ratio {
-        Ratio::of(self.region_branches.get(), self.conditional.get())
-    }
-
-    /// Dynamic predicate definitions.
-    pub fn pred_writes(&self) -> Counter {
-        self.pred_writes
-    }
-
-    /// Distribution of guard-definition-to-branch distances, in fetch
-    /// slots (16 buckets of width 4, overflow beyond 64).
-    pub fn guard_distance(&self) -> &Histogram {
-        &self.guard_distance
-    }
-}
-
-impl EventSink for ExecMetrics {
-    fn branch(&mut self, event: &BranchEvent) {
-        self.branches.increment();
-        if event.conditional {
-            self.conditional.increment();
-            if event.taken {
-                self.taken_conditional.increment();
-            }
-            if let Some(d) = self.last_writes.distance(event.guard, event.index) {
-                self.guard_distance.record(d);
-            }
-        }
-        if event.region.is_some() {
-            self.region_branches.increment();
-            if event.taken {
-                self.taken_region.increment();
-            }
-        }
-    }
-
-    fn pred_write(&mut self, event: &PredWriteEvent) {
-        self.pred_writes.increment();
-        self.last_writes
-            .record_write(event.preg, event.value, event.index);
-    }
-}
-
 /// Classifies every conditional-branch fetch by what the scoreboard knows
 /// about its guard predicate — the coverage data behind the squash
 /// false-path filter (paper abstract: branches "known to be guarded with
-/// a false predicate" are predicted not-taken with 100% accuracy).
+/// a false predicate" are predicted not-taken with 100% accuracy) — and
+/// records how far each branch is fetched from its guard's last
+/// definition, the distance that decides whether the guard resolves in
+/// time.
 ///
 /// # Examples
 ///
@@ -145,6 +32,9 @@ pub struct GuardKnowledgeStats {
     /// Among known-false guards, how often the branch was indeed not
     /// taken (must be 100% — checked by tests as a simulator invariant).
     known_false_correct: Counter,
+    /// Distance (fetch slots) from a conditional branch's last guard
+    /// definition to the branch itself.
+    guard_distance: Histogram,
 }
 
 impl GuardKnowledgeStats {
@@ -157,12 +47,8 @@ impl GuardKnowledgeStats {
             known_true: Counter::new(),
             unknown: Counter::new(),
             known_false_correct: Counter::new(),
+            guard_distance: Histogram::linear(16, 4),
         }
-    }
-
-    /// Conditional branches observed.
-    pub fn conditional(&self) -> Counter {
-        self.conditional
     }
 
     /// Fraction of conditional branches fetched with a known-false guard.
@@ -185,6 +71,14 @@ impl GuardKnowledgeStats {
     pub fn known_false_accuracy(&self) -> Ratio {
         Ratio::of(self.known_false_correct.get(), self.known_false.get())
     }
+
+    /// Distribution of guard-definition-to-branch distances over the
+    /// conditional branches whose guard was ever written, in fetch slots
+    /// (16 buckets of width 4, overflow beyond 64). It does not depend
+    /// on the resolve latency.
+    pub fn guard_distance(&self) -> &Histogram {
+        &self.guard_distance
+    }
 }
 
 impl EventSink for GuardKnowledgeStats {
@@ -193,6 +87,9 @@ impl EventSink for GuardKnowledgeStats {
             return;
         }
         self.conditional.increment();
+        if let Some(d) = self.scoreboard.distance(event.guard, event.index) {
+            self.guard_distance.record(d);
+        }
         match self.scoreboard.query(event.guard, event.index) {
             PredKnowledge::Known(false) => {
                 self.known_false.increment();
@@ -262,12 +159,12 @@ mod tests {
     use crate::memory::Memory;
     use predbranch_isa::assemble;
 
-    fn run(src: &str, latency: u64) -> (ExecMetrics, GuardKnowledgeStats) {
+    fn run(src: &str, latency: u64) -> GuardKnowledgeStats {
         let program = assemble(src).unwrap();
         let mut exec = Executor::new(&program, Memory::new());
-        let mut sinks = (ExecMetrics::new(), GuardKnowledgeStats::new(latency));
-        exec.run(&mut sinks, 1_000_000);
-        sinks
+        let mut stats = GuardKnowledgeStats::new(latency);
+        exec.run(&mut stats, 1_000_000);
+        stats
     }
 
     const LOOP: &str = r#"
@@ -288,27 +185,19 @@ mod tests {
     "#;
 
     #[test]
-    fn exec_metrics_count_classes() {
-        let (m, _) = run(LOOP, 0);
-        assert_eq!(m.conditional_branches().get(), 51);
-        assert_eq!(m.region_branches().get(), 51);
-        assert_eq!(m.branches().get(), 51);
-        assert!((m.taken_fraction().percent() - 100.0 * 50.0 / 51.0).abs() < 0.01);
-        assert_eq!(m.region_fraction().percent(), 100.0);
-        assert!(m.pred_writes().get() >= 102);
-    }
-
-    #[test]
     fn guard_distance_recorded() {
-        let (m, _) = run(LOOP, 0);
-        // cmp at dynamic i, branch at i+10 → distance 10 every iteration
-        assert_eq!(m.guard_distance().count(), 51);
-        assert_eq!(m.guard_distance().mean(), 10.0);
+        // cmp at dynamic i, branch at i+10 → distance 10 every iteration,
+        // whatever the resolve latency
+        for latency in [0, 8] {
+            let g = run(LOOP, latency);
+            assert_eq!(g.guard_distance().count(), 51);
+            assert_eq!(g.guard_distance().mean(), 10.0);
+        }
     }
 
     #[test]
     fn oracle_scoreboard_knows_everything() {
-        let (_, g) = run(LOOP, 0);
+        let g = run(LOOP, 0);
         assert_eq!(g.unknown().percent(), 0.0);
         // the final iteration fetches the branch with p1 known false
         assert_eq!(g.known_false().numerator(), 1);
@@ -318,15 +207,15 @@ mod tests {
     #[test]
     fn distant_defs_resolve_close_defs_do_not() {
         // def-to-branch distance is 10 slots
-        let (_, g) = run(LOOP, 10);
+        let g = run(LOOP, 10);
         assert_eq!(g.unknown().numerator(), 0);
-        let (_, g) = run(LOOP, 11);
+        let g = run(LOOP, 11);
         assert_eq!(g.unknown().numerator(), 51);
     }
 
     #[test]
     fn known_false_is_always_not_taken() {
-        let (_, g) = run(LOOP, 4);
+        let g = run(LOOP, 4);
         assert_eq!(g.known_false_accuracy().percent(), 100.0);
     }
 

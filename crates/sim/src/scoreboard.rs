@@ -1,6 +1,18 @@
 //! The predicate scoreboard: what the front end knows at fetch time.
 
+use std::collections::VecDeque;
+
 use predbranch_isa::{PredReg, NUM_PREDS};
+
+use crate::trace::PredWriteEvent;
+
+/// The visibility rule every fetch-time consumer of predicate
+/// definitions shares: the definition at dynamic index `def_index` is
+/// visible to a branch fetched at `fetch_index` once `delay` fetch slots
+/// separate them.
+fn is_visible(def_index: u64, fetch_index: u64, delay: u64) -> bool {
+    fetch_index.saturating_sub(def_index) >= delay
+}
 
 /// What the fetch stage knows about a predicate register's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,7 +110,7 @@ impl PredicateScoreboard {
     /// of guards along a predicated-off path resolves at once — which is
     /// what lets the squash false-path filter kill every branch on the
     /// false path, however close its own defining compare is.
-    pub fn observe(&mut self, event: &crate::trace::PredWriteEvent) {
+    pub fn observe(&mut self, event: &PredWriteEvent) {
         let immediate = !event.guard_value && self.query(event.guard, event.index).is_known_false();
         debug_assert!(
             event.guard_value || !event.value,
@@ -126,7 +138,7 @@ impl PredicateScoreboard {
         match self.last_write[preg.index() as usize] {
             None => PredKnowledge::Known(false),
             Some(w) => {
-                if w.immediate || fetch_index.saturating_sub(w.index) >= self.resolve_latency {
+                if w.immediate || is_visible(w.index, fetch_index, self.resolve_latency) {
                     PredKnowledge::Known(w.value)
                 } else {
                     PredKnowledge::Unknown
@@ -137,13 +149,88 @@ impl PredicateScoreboard {
 
     /// The dynamic distance from the last write of `preg` to
     /// `fetch_index`, if it was ever written.
-    pub fn distance(&self, preg: PredReg, fetch_index: u64) -> Option<u64> {
+    pub(crate) fn distance(&self, preg: PredReg, fetch_index: u64) -> Option<u64> {
         self.last_write[preg.index() as usize].map(|w| fetch_index.saturating_sub(w.index))
     }
+}
 
-    /// Clears all write history (e.g. between benchmark runs).
-    pub fn reset(&mut self) {
-        self.last_write = [None; NUM_PREDS];
+/// Predicate definitions on their way to the front end, in program
+/// order: the delay line that PGU's history insertion, the
+/// predicate-history register of `ptage`/`pmpp` and the characterizer's
+/// predicate context all read through.
+///
+/// Each definition's value is handed out, oldest first, once a branch is
+/// fetched `delay` slots after the defining compare — the rule
+/// [`PredicateScoreboard::query`] applies to a single register. With
+/// `delay == 0` the value is handed out by [`PendingDefinitions::observe`]
+/// itself, as the compare executes, so nothing is ever queued.
+///
+/// # Examples
+///
+/// ```
+/// use predbranch_isa::PredReg;
+/// use predbranch_sim::{PendingDefinitions, PredWriteEvent};
+///
+/// let write = PredWriteEvent {
+///     pc: 0,
+///     preg: PredReg::new(1).unwrap(),
+///     value: true,
+///     index: 10,
+///     guard: PredReg::TRUE,
+///     guard_value: true,
+/// };
+/// let mut seen = Vec::new();
+/// let mut pending = PendingDefinitions::new(4);
+/// pending.observe(&write, |v| seen.push(v));
+/// pending.drain_visible(13, |v| seen.push(v)); // 3 < 4: still in flight
+/// assert!(seen.is_empty());
+/// pending.drain_visible(14, |v| seen.push(v));
+/// assert_eq!(seen, [true]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PendingDefinitions {
+    delay: u64,
+    /// `(definition index, value)`, oldest at the front.
+    pending: VecDeque<(u64, bool)>,
+}
+
+impl PendingDefinitions {
+    /// Creates an empty queue whose definitions become visible `delay`
+    /// fetch slots after the defining compare.
+    pub fn new(delay: u64) -> Self {
+        PendingDefinitions {
+            delay,
+            pending: VecDeque::new(),
+        }
+    }
+
+    /// The configured visibility delay, in fetch slots.
+    pub fn delay(&self) -> u64 {
+        self.delay
+    }
+
+    /// Takes in one predicate definition. With no delay its value goes
+    /// to `visible` at once; otherwise it waits for
+    /// [`PendingDefinitions::drain_visible`].
+    pub fn observe(&mut self, write: &PredWriteEvent, mut visible: impl FnMut(bool)) {
+        if self.delay == 0 {
+            visible(write.value);
+        } else {
+            self.pending.push_back((write.index, write.value));
+        }
+    }
+
+    /// Hands every definition visible to a branch fetched at
+    /// `fetch_index` to `visible`, oldest first. A second drain at the
+    /// same index hands out nothing.
+    pub fn drain_visible(&mut self, fetch_index: u64, mut visible: impl FnMut(bool)) {
+        while let Some(&(def_index, value)) = self.pending.front() {
+            if !is_visible(def_index, fetch_index, self.delay) {
+                break;
+            }
+            self.pending.pop_front();
+            visible(value);
+        }
     }
 }
 
@@ -211,16 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_history() {
-        let mut sb = PredicateScoreboard::new(4);
-        sb.record_write(p(1), true, 0);
-        sb.reset();
-        assert_eq!(sb.query(p(1), 100), PredKnowledge::Known(false));
-    }
-
-    #[test]
     fn unc_clear_under_known_false_guard_resolves_immediately() {
-        use crate::trace::PredWriteEvent;
         let mut sb = PredicateScoreboard::new(8);
         // p1 written false long ago: resolved
         sb.record_write(p(1), false, 0);
@@ -239,7 +317,6 @@ mod tests {
 
     #[test]
     fn false_path_chaining_propagates() {
-        use crate::trace::PredWriteEvent;
         let mut sb = PredicateScoreboard::new(8);
         sb.record_write(p(1), false, 0);
         // chain: p1 → p2 → p3, all unc clears one slot apart
@@ -258,7 +335,6 @@ mod tests {
 
     #[test]
     fn unc_clear_under_unresolved_guard_waits() {
-        use crate::trace::PredWriteEvent;
         let mut sb = PredicateScoreboard::new(8);
         // p1 written just now: in flight
         sb.record_write(p(1), false, 99);
@@ -276,7 +352,6 @@ mod tests {
 
     #[test]
     fn true_guard_writes_never_resolve_early() {
-        use crate::trace::PredWriteEvent;
         let mut sb = PredicateScoreboard::new(8);
         sb.observe(&PredWriteEvent {
             pc: 0,
@@ -295,5 +370,56 @@ mod tests {
         assert_eq!(PredKnowledge::Unknown.value(), None);
         assert!(!PredKnowledge::Known(true).is_known_false());
         assert!(!PredKnowledge::Unknown.is_known_false());
+    }
+
+    fn def(index: u64, value: bool) -> PredWriteEvent {
+        PredWriteEvent {
+            pc: 0,
+            preg: p(1),
+            value,
+            index,
+            guard: PredReg::TRUE,
+            guard_value: true,
+        }
+    }
+
+    #[test]
+    fn pending_without_delay_hands_out_at_observe() {
+        let mut pending = PendingDefinitions::new(0);
+        let mut seen = Vec::new();
+        pending.observe(&def(5, true), |v| seen.push(v));
+        pending.observe(&def(6, false), |v| seen.push(v));
+        assert_eq!(seen, [true, false]);
+        pending.drain_visible(100, |v| seen.push(v));
+        assert_eq!(seen, [true, false], "nothing was queued");
+    }
+
+    #[test]
+    fn pending_definition_waits_for_its_delay() {
+        let mut pending = PendingDefinitions::new(3);
+        let mut seen = Vec::new();
+        pending.observe(&def(20, true), |v| seen.push(v));
+        assert!(seen.is_empty());
+        for fetch in [0, 20, 21, 22] {
+            pending.drain_visible(fetch, |v| seen.push(v));
+            assert!(seen.is_empty(), "visible at {fetch}");
+        }
+        pending.drain_visible(23, |v| seen.push(v));
+        assert_eq!(seen, [true]);
+    }
+
+    #[test]
+    fn pending_drains_oldest_first_and_once() {
+        let mut pending = PendingDefinitions::new(2);
+        let mut seen = Vec::new();
+        for (index, value) in [(0, true), (1, false), (2, true), (5, false)] {
+            pending.observe(&def(index, value), |v| seen.push(v));
+        }
+        pending.drain_visible(4, |v| seen.push(v));
+        assert_eq!(seen, [true, false, true], "defs 0, 1, 2 visible at 4");
+        pending.drain_visible(4, |v| seen.push(v));
+        assert_eq!(seen, [true, false, true], "second drain at 4");
+        pending.drain_visible(7, |v| seen.push(v));
+        assert_eq!(seen, [true, false, true, false]);
     }
 }

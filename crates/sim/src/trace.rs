@@ -206,6 +206,34 @@ impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     }
 }
 
+/// Sinks also compose as arrays: `[a, b, c]` forwards every event to
+/// each element in turn, as the tuple impl does for two.
+impl<S: EventSink, const N: usize> EventSink for [S; N] {
+    fn branch(&mut self, event: &BranchEvent) {
+        for sink in self {
+            sink.branch(event);
+        }
+    }
+
+    fn pred_write(&mut self, event: &PredWriteEvent) {
+        for sink in self {
+            sink.pred_write(event);
+        }
+    }
+
+    fn event(&mut self, event: &Event) {
+        for sink in self {
+            sink.event(event);
+        }
+    }
+
+    fn events(&mut self, events: &[Event]) {
+        for sink in self {
+            sink.events(events);
+        }
+    }
+}
+
 impl<S: EventSink + ?Sized> EventSink for &mut S {
     fn branch(&mut self, event: &BranchEvent) {
         (**self).branch(event);
@@ -278,6 +306,27 @@ mod tests {
         pair.branch(&branch(0));
         assert_eq!(pair.0.events().len(), 1);
         assert_eq!(pair.1.events().len(), 1);
+    }
+
+    #[test]
+    fn array_sink_fans_out_in_order() {
+        let stream = [
+            Event::PredWrite(write(0)),
+            Event::Branch(branch(1)),
+            Event::PredWrite(write(2)),
+            Event::Branch(branch(3)),
+        ];
+        let mut one_by_one: [TraceSink; 3] = Default::default();
+        one_by_one.pred_write(&write(0));
+        one_by_one.branch(&branch(1));
+        one_by_one.event(&stream[2]);
+        one_by_one.event(&stream[3]);
+        let mut batched: [TraceSink; 3] = Default::default();
+        batched.events(&stream[..1]);
+        batched.events(&stream[1..]);
+        for sink in one_by_one.iter().chain(&batched) {
+            assert_eq!(sink.events(), &stream);
+        }
     }
 
     #[test]

@@ -32,6 +32,18 @@ fn runs_assembly_and_reports_summary() {
 }
 
 #[test]
+fn usage_names_every_option() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pbsim"))
+        .output()
+        .expect("pbsim runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    for option in ["--hex", "--max", "--latency", "--trace"] {
+        assert!(stderr.contains(option), "usage omits {option}: {stderr}");
+    }
+}
+
+#[test]
 fn trace_mode_prints_events() {
     let src = scratch("trace.s");
     fs::write(&src, PROGRAM).unwrap();

@@ -47,11 +47,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0
     }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
 }
 
 impl AddAssign<u64> for Counter {
@@ -180,13 +175,6 @@ mod tests {
         let mut c = Counter::with_value(u64::MAX - 1);
         c.add(10);
         assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn counter_reset_returns_to_zero() {
-        let mut c = Counter::with_value(99);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

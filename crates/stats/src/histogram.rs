@@ -1,14 +1,7 @@
-//! Bucketed histograms for distance and size distributions.
+//! Fixed-width bucketed histograms for distance distributions.
 
-use std::fmt;
-
-/// A histogram over `u64` samples.
-///
-/// Two bucketing schemes are provided:
-///
-/// * [`Histogram::linear`] — fixed-width buckets, e.g. predicate-definition
-///   to branch distances in instructions;
-/// * [`Histogram::log2`] — power-of-two buckets, e.g. region sizes.
+/// A histogram over `u64` samples in fixed-width buckets, e.g.
+/// predicate-definition to branch distances in instructions.
 ///
 /// Samples past the last bucket accumulate in an overflow bucket so the
 /// total count is always exact.
@@ -28,18 +21,12 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    scheme: Scheme,
+    width: u64,
     buckets: Vec<u64>,
     overflow: u64,
     count: u64,
     sum: u128,
     max: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scheme {
-    Linear { width: u64 },
-    Log2,
 }
 
 impl Histogram {
@@ -52,31 +39,7 @@ impl Histogram {
         assert!(buckets > 0, "histogram needs at least one bucket");
         assert!(width > 0, "bucket width must be positive");
         Histogram {
-            scheme: Scheme::Linear { width },
-            buckets: vec![0; buckets],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Creates a histogram with `buckets` power-of-two buckets:
-    /// `[0,1), [1,2), [2,4), [4,8), ...`.
-    ///
-    /// A sample of `u64::MAX` belongs to bucket index 64 (the
-    /// `[2^63, 2^64)` bucket): with 65 or more buckets it is counted
-    /// there, otherwise it lands in the overflow bucket. See
-    /// [`Histogram::bucket_range`] for how that top bucket's
-    /// unrepresentable upper edge is reported.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is zero.
-    pub fn log2(buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            scheme: Scheme::Log2,
+            width,
             buckets: vec![0; buckets],
             overflow: 0,
             count: 0,
@@ -88,19 +51,8 @@ impl Histogram {
     fn bucket_index(&self, sample: u64) -> Option<usize> {
         // Index math stays in u64 until the range check: casting first
         // would let a huge `sample / width` wrap on 32-bit targets and
-        // land in a bogus small bucket. The largest possible index is
-        // 64 (log₂ scheme, `sample == u64::MAX`), which a sufficiently
-        // tall histogram stores like any other bucket.
-        let idx = match self.scheme {
-            Scheme::Linear { width } => sample / width,
-            Scheme::Log2 => {
-                if sample == 0 {
-                    0
-                } else {
-                    u64::from(64 - sample.leading_zeros())
-                }
-            }
-        };
+        // land in a bogus small bucket.
+        let idx = sample / self.width;
         if idx < self.buckets.len() as u64 {
             Some(idx as usize)
         } else {
@@ -133,11 +85,6 @@ impl Histogram {
         self.buckets[idx]
     }
 
-    /// Number of buckets (excluding the overflow bucket).
-    pub fn buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Samples that fell past the last bucket.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -159,12 +106,9 @@ impl Histogram {
 
     /// The inclusive-exclusive `[lo, hi)` range of bucket `idx`.
     ///
-    /// Edges saturate at `u64::MAX` instead of overflowing: the log₂
-    /// bucket at index 64 (which is where `u64::MAX` lands — its
-    /// nominal upper edge 2⁶⁴ is unrepresentable) reports
-    /// `[2^63, u64::MAX)`, and linear buckets whose nominal edges
-    /// exceed `u64::MAX` clamp the same way. A saturated bucket is
-    /// therefore the one place the `[lo, hi)` convention bends: it also
+    /// Edges saturate at `u64::MAX` instead of overflowing, so a bucket
+    /// whose nominal upper edge exceeds `u64::MAX` reports `u64::MAX`
+    /// and is the one place the `[lo, hi)` convention bends: it also
     /// holds samples equal to `u64::MAX` itself.
     ///
     /// # Panics
@@ -172,28 +116,10 @@ impl Histogram {
     /// Panics if `idx` is out of range.
     pub fn bucket_range(&self, idx: usize) -> (u64, u64) {
         assert!(idx < self.buckets.len(), "bucket index out of range");
-        // 2^e, saturating at u64::MAX for e >= 64 — the log₂ scheme's
-        // top buckets have unrepresentable nominal edges.
-        let pow2 = |e: usize| -> u64 {
-            if e >= 64 {
-                u64::MAX
-            } else {
-                1u64 << e
-            }
-        };
-        match self.scheme {
-            Scheme::Linear { width } => (
-                (idx as u64).saturating_mul(width),
-                (idx as u64).saturating_add(1).saturating_mul(width),
-            ),
-            Scheme::Log2 => {
-                if idx == 0 {
-                    (0, 1)
-                } else {
-                    (pow2(idx - 1), pow2(idx))
-                }
-            }
-        }
+        (
+            (idx as u64).saturating_mul(self.width),
+            (idx as u64).saturating_add(1).saturating_mul(self.width),
+        )
     }
 
     /// The fraction of samples at or below the upper edge of bucket `idx`
@@ -226,49 +152,6 @@ impl Histogram {
         }
         None
     }
-
-    /// Merges another histogram with the same shape into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucketing schemes differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.scheme, other.scheme,
-            "cannot merge histograms with different schemes"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "cannot merge histograms with different bucket counts"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for idx in 0..self.buckets.len() {
-            let (lo, hi) = self.bucket_range(idx);
-            let n = self.buckets[idx];
-            let frac = if self.count == 0 {
-                0.0
-            } else {
-                n as f64 / self.count as f64 * 100.0
-            };
-            writeln!(f, "[{lo:>6},{hi:>6})  {n:>10}  {frac:6.2}%")?;
-        }
-        if self.overflow > 0 {
-            writeln!(f, "[overflow)     {:>10}", self.overflow)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -298,47 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn log2_bucket_ranges() {
-        let h = Histogram::log2(5);
-        assert_eq!(h.bucket_range(0), (0, 1));
-        assert_eq!(h.bucket_range(1), (1, 2));
-        assert_eq!(h.bucket_range(2), (2, 4));
-        assert_eq!(h.bucket_range(4), (8, 16));
-    }
-
-    #[test]
-    fn log2_buckets_place_samples() {
-        let mut h = Histogram::log2(4);
-        h.record(0); // bucket 0
-        h.record(1); // bucket 1
-        h.record(3); // bucket 2
-        h.record(7); // bucket 3
-        h.record(8); // overflow
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(2), 1);
-        assert_eq!(h.bucket_count(3), 1);
-        assert_eq!(h.overflow(), 1);
-    }
-
-    #[test]
-    fn u64_max_lands_in_log2_bucket_64() {
-        // tall enough histogram: u64::MAX is a regular sample, not overflow
-        let mut h = Histogram::log2(65);
-        h.record(u64::MAX);
-        h.record(1u64 << 63);
-        assert_eq!(h.bucket_count(64), 2);
-        assert_eq!(h.overflow(), 0);
-        // the top bucket's nominal upper edge 2^64 saturates
-        assert_eq!(h.bucket_range(64), (1u64 << 63, u64::MAX));
-        assert_eq!(h.max(), u64::MAX);
-        // short histogram: same sample overflows instead of panicking
-        let mut short = Histogram::log2(4);
-        short.record(u64::MAX);
-        assert_eq!(short.overflow(), 1);
-    }
-
-    #[test]
     fn linear_bucket_ranges_saturate_instead_of_overflowing() {
         let h = Histogram::linear(4, u64::MAX / 2);
         assert_eq!(h.bucket_range(0), (0, u64::MAX / 2));
@@ -363,7 +205,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_well_defined() {
-        let h = Histogram::log2(3);
+        let h = Histogram::linear(3, 1);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.cumulative_fraction(2), 0.0);
@@ -401,36 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::linear(2, 10);
-        let mut b = Histogram::linear(2, 10);
-        a.record(1);
-        b.record(1);
-        b.record(15);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bucket_count(0), 2);
-        assert_eq!(a.bucket_count(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different schemes")]
-    fn merge_rejects_mismatched_schemes() {
-        let mut a = Histogram::linear(2, 10);
-        let b = Histogram::log2(2);
-        a.merge(&b);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one bucket")]
     fn zero_buckets_rejected() {
-        let _ = Histogram::log2(0);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        let mut h = Histogram::linear(1, 1);
-        h.record(0);
-        assert!(!h.to_string().is_empty());
+        let _ = Histogram::linear(0, 1);
     }
 }

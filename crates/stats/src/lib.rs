@@ -5,8 +5,8 @@
 //! experiment in the study needs:
 //!
 //! * [`Counter`] / [`Ratio`] — saturating event counters and derived rates,
-//! * [`Histogram`] — fixed-bucket and log₂ histograms for distance and
-//!   size distributions,
+//! * [`Histogram`] — fixed-width bucketed histograms for distance
+//!   distributions,
 //! * [`Summary`] — running mean / variance / min / max accumulators,
 //! * [`entropy_bits`] / [`JointDistribution`] — Shannon entropy and
 //!   mutual-information accumulators for predictability characterization,

@@ -1,59 +1,28 @@
 //! Property tests pinning `Histogram` bucketing against a reference
 //! model computed in `u128` (where no edge can overflow), with the
 //! extremes (`0`, `u64::MAX`, widths near `u64::MAX`) injected
-//! explicitly — the log₂ index-64 and saturated bucket-edge cases the
-//! fixed arithmetic has to get right live here.
+//! explicitly — the saturated bucket-edge cases the fixed arithmetic
+//! has to get right live here.
 
 use proptest::prelude::*;
 
 use predbranch_stats::Histogram;
 
-#[derive(Clone, Copy, Debug)]
-enum Scheme {
-    Linear(u64),
-    Log2,
+/// The bucket a sample belongs to, computed in u128 so the model itself
+/// cannot overflow.
+fn reference_index(width: u64, sample: u64) -> u128 {
+    u128::from(sample) / u128::from(width)
 }
 
-impl Scheme {
-    /// The bucket a sample belongs to, computed in u128 so the model
-    /// itself cannot overflow. For log₂ the rule is "the smallest k
-    /// with `sample < 2^k`" — written as a search, independently of the
-    /// implementation's leading-zeros arithmetic.
-    fn reference_index(self, sample: u64) -> u128 {
-        match self {
-            Scheme::Linear(width) => u128::from(sample) / u128::from(width),
-            Scheme::Log2 => (0..=64u128)
-                .find(|&k| u128::from(sample) < (1u128 << k))
-                .unwrap(),
-        }
-    }
-
-    /// Nominal `[lo, hi)` edges of bucket `idx`, in u128.
-    fn reference_range(self, idx: usize) -> (u128, u128) {
-        match self {
-            Scheme::Linear(width) => (
-                idx as u128 * u128::from(width),
-                (idx as u128 + 1) * u128::from(width),
-            ),
-            Scheme::Log2 => {
-                if idx == 0 {
-                    (0, 1)
-                } else {
-                    (1u128 << (idx - 1), 1u128 << idx)
-                }
-            }
-        }
-    }
-
-    fn build(self, buckets: usize) -> Histogram {
-        match self {
-            Scheme::Linear(width) => Histogram::linear(buckets, width),
-            Scheme::Log2 => Histogram::log2(buckets),
-        }
-    }
+/// Nominal `[lo, hi)` edges of bucket `idx`, in u128.
+fn reference_range(width: u64, idx: usize) -> (u128, u128) {
+    (
+        idx as u128 * u128::from(width),
+        (idx as u128 + 1) * u128::from(width),
+    )
 }
 
-/// Samples biased towards the edges the satellite task names.
+/// Samples biased towards the edges.
 fn sample_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
@@ -66,14 +35,14 @@ fn sample_strategy() -> impl Strategy<Value = u64> {
     ]
 }
 
-fn check_against_reference(scheme: Scheme, buckets: usize, samples: &[u64]) {
-    let mut h = scheme.build(buckets);
+fn check_against_reference(width: u64, buckets: usize, samples: &[u64]) {
+    let mut h = Histogram::linear(buckets, width);
     let mut expected = vec![0u64; buckets];
     let mut expected_overflow = 0u64;
     let mut expected_max = 0u64;
     for &s in samples {
         h.record(s);
-        let idx = scheme.reference_index(s);
+        let idx = reference_index(width, s);
         if idx < buckets as u128 {
             expected[idx as usize] += 1;
         } else {
@@ -82,7 +51,7 @@ fn check_against_reference(scheme: Scheme, buckets: usize, samples: &[u64]) {
         expected_max = expected_max.max(s);
     }
     for (idx, &want) in expected.iter().enumerate() {
-        assert_eq!(h.bucket_count(idx), want, "bucket {idx} under {scheme:?}");
+        assert_eq!(h.bucket_count(idx), want, "bucket {idx} at width {width}");
     }
     assert_eq!(h.overflow(), expected_overflow);
     assert_eq!(h.count(), samples.len() as u64);
@@ -93,7 +62,7 @@ fn check_against_reference(scheme: Scheme, buckets: usize, samples: &[u64]) {
     // reported edges are the nominal u128 edges clamped to u64::MAX
     for idx in 0..buckets {
         let (lo, hi) = h.bucket_range(idx);
-        let (ref_lo, ref_hi) = scheme.reference_range(idx);
+        let (ref_lo, ref_hi) = reference_range(width, idx);
         assert_eq!(u128::from(lo), ref_lo.min(u128::from(u64::MAX)), "lo {idx}");
         assert_eq!(u128::from(hi), ref_hi.min(u128::from(u64::MAX)), "hi {idx}");
     }
@@ -101,14 +70,6 @@ fn check_against_reference(scheme: Scheme, buckets: usize, samples: &[u64]) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn log2_matches_reference_model(
-        buckets in 1usize..70,
-        samples in proptest::collection::vec(sample_strategy(), 0..200),
-    ) {
-        check_against_reference(Scheme::Log2, buckets, &samples);
-    }
 
     #[test]
     fn linear_matches_reference_model(
@@ -122,20 +83,21 @@ proptest! {
         ],
         samples in proptest::collection::vec(sample_strategy(), 0..200),
     ) {
-        check_against_reference(Scheme::Linear(width), buckets, &samples);
+        check_against_reference(width, buckets, &samples);
     }
 
     #[test]
     fn cumulative_fraction_is_monotone_and_capped(
         buckets in 1usize..70,
+        width in prop_oneof![1u64..100, Just(u64::MAX / 3)],
         samples in proptest::collection::vec(sample_strategy(), 1..100),
     ) {
-        let mut h = Histogram::log2(buckets);
+        let mut h = Histogram::linear(buckets, width);
         for &s in &samples {
             h.record(s);
         }
         let mut prev = 0.0;
-        for idx in 0..h.buckets() {
+        for idx in 0..buckets {
             let f = h.cumulative_fraction(idx);
             prop_assert!((0.0..=1.0).contains(&f));
             prop_assert!(f >= prev);

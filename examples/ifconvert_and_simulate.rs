@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use predbranch::compiler::{if_convert, lower, profile_cfg, IfConvertConfig, ProfileConfig};
-use predbranch::sim::{ExecMetrics, Executor};
+use predbranch::sim::{Executor, NullSink};
 use predbranch::workloads::{suite, EVAL_SEED, TRAIN_SEED};
 
 fn main() {
@@ -59,9 +59,8 @@ fn main() {
 
     // run both binaries on the evaluation input
     for (label, program) in [("plain", &plain), ("predicated", &converted.program)] {
-        let mut metrics = ExecMetrics::new();
         let mut exec = Executor::new(program, bench.input(EVAL_SEED));
-        let summary = exec.run(&mut metrics, 8_000_000);
+        let summary = exec.run(&mut NullSink, 8_000_000);
         assert!(summary.halted);
         println!(
             "\n{label}: {} dyn instructions, {} cond branches ({} region-based), \
