@@ -120,6 +120,32 @@ fn unresolved_random_guard_is_fundamentally_hard() {
 }
 
 #[test]
+fn predicate_history_sees_a_definition_exactly_at_its_visibility_delay() {
+    // the branch's guard p2 is never written, so its scoreboard
+    // knowledge is constant: only the delayed predicate-history register
+    // can carry the outcome, a pseudo-random p1 definition `gap` slots
+    // earlier
+    let entropy_at = |gap: u64| {
+        let mut state = 0x5eed_0002u64;
+        let mut sink = Characterizer::new();
+        for i in 0..4096u64 {
+            let value = splitmix_bit(&mut state);
+            let base = i * 20;
+            sink.pred_write(&write(base, value));
+            sink.branch(&BranchEvent {
+                guard: p(2),
+                ..branch(7, base + gap, value)
+            });
+        }
+        sink.finish().at(7).unwrap().pred_entropy
+    };
+    let at_delay = entropy_at(PRED_VISIBILITY_DELAY);
+    assert!(at_delay < 0.01, "visible at the delay: {at_delay}");
+    let one_closer = entropy_at(PRED_VISIBILITY_DELAY - 1);
+    assert!(one_closer > 0.8, "in flight one slot closer: {one_closer}");
+}
+
+#[test]
 fn sparse_branch_falls_back_to_marginal_entropy() {
     // 4 executions cannot support any conditioned estimate: the
     // alternating pattern must NOT be called history-predictable

@@ -14,10 +14,12 @@
 //! 1. **Segment-served**: each sealed `.pbt` gets a fixed-stride `.pbtd`
 //!    sidecar (built at record time), opened once per process as an
 //!    mmap-backed [`crate::TraceMap`] and replayed as borrowed batches
-//!    straight off the page cache. No per-replay decode, no per-replay
-//!    checksum walk, and memory residency is owned by the OS — any
-//!    number of streams, shared by concurrent processes sharing one
-//!    cache directory.
+//!    straight off the page cache. No per-replay decode and no
+//!    per-replay checksum walk. Each replay hands the map's pages back
+//!    to the kernel when it ends, so however many streams a run
+//!    serves, none stays resident in the process between replays; the
+//!    page cache, shared by concurrent processes sharing one cache
+//!    directory, keeps the bytes, and the next replay refaults them.
 //! 2. **Full decode**: an entry without a usable sidecar (never built,
 //!    stale, or corrupt) is decoded and verified from the v1 varint
 //!    stream, and the decoded stream republishes the sidecar, so the
@@ -33,14 +35,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use predbranch_isa::Program;
-use predbranch_sim::{
-    Event, EventSink, Executor, Memory, RunSummary, TraceSink, EVENT_BATCH_CAPACITY,
-};
+use predbranch_sim::{Event, EventSink, Executor, Memory, RunSummary, EVENT_BATCH_CAPACITY};
 
 use crate::error::TraceError;
 use crate::format::{memory_fingerprint, program_hash, Fnv64, TraceHeader};
 use crate::reader::TraceReader;
-use crate::segment::{publish_segment, segment_path, TraceMap};
+use crate::segment::{publish_segment, segment_path, SegmentWriter, TraceMap};
 use crate::writer::TraceWriter;
 
 /// Identifies one recorded run: a human-readable label plus a content
@@ -332,6 +332,9 @@ impl TraceCache {
         }
         let mut buffer = Vec::with_capacity(EVENT_BATCH_CAPACITY);
         let summary = map.replay(sink, &mut buffer)?;
+        // keep no stream resident between replays: the next one
+        // refaults its pages from the page cache
+        map.release_resident();
         #[cfg(test)]
         self.serve_counters.replays.fetch_add(1, Ordering::Relaxed);
         Ok(Some(summary))
@@ -449,9 +452,9 @@ impl TraceCache {
     /// replaces an identical sealed file — readers never observe a
     /// partial trace.
     ///
-    /// The events are also collected in memory and, once the trace is
-    /// sealed, published as its `.pbtd` sidecar (best effort) so the
-    /// very first replay is already segment-served.
+    /// The events also stream into the `.pbtd` sidecar's temporary, a
+    /// batch at a time, which is published (best effort) once the trace
+    /// is sealed, so the very first replay is already segment-served.
     fn record<S: EventSink>(
         &self,
         path: &Path,
@@ -467,10 +470,10 @@ impl TraceCache {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
         ));
-        let mut collector = TraceSink::new();
+        let mut segment = SegmentWriter::create(path);
         let result = (|| {
             let mut writer = TraceWriter::create(&tmp, header)?;
-            let mut tee = ((&mut *sink, &mut collector), &mut writer);
+            let mut tee = ((&mut *sink, &mut segment), &mut writer);
             let mut buffer = Vec::with_capacity(EVENT_BATCH_CAPACITY);
             let summary = Executor::new(program, memory).run_batched(&mut tee, budget, &mut buffer);
             let mut file = writer
@@ -493,13 +496,10 @@ impl TraceCache {
         // generation had.
         self.map_remove(path);
         if let Ok(tail) = crate::segment::trace_tail_checksum(path) {
-            self.publish(
-                path,
-                header.program_hash,
-                tail,
-                &summary,
-                collector.events(),
-            );
+            if segment.finish(header.program_hash, tail, &summary).is_ok() {
+                #[cfg(test)]
+                self.serve_counters.builds.fetch_add(1, Ordering::Relaxed);
+            }
         }
         Ok(summary)
     }
@@ -697,6 +697,70 @@ mod tests {
             .unwrap();
         assert_eq!(cache.serve_stats().segment_replays, 1);
         assert_eq!(first.events(), second.events());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The `Rss:` of the `/proc/self/smaps` mapping containing `addr`,
+    /// in kB.
+    #[cfg(target_os = "linux")]
+    fn resident_kb(addr: usize) -> u64 {
+        let smaps = fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut inside = false;
+        for line in smaps.lines() {
+            // a mapping's first line starts with its `start-end` range
+            let range = line.split_once(' ').and_then(|(r, _)| r.split_once('-'));
+            if let Some((Ok(start), Ok(end))) =
+                range.map(|(s, e)| (usize::from_str_radix(s, 16), usize::from_str_radix(e, 16)))
+            {
+                inside = (start..end).contains(&addr);
+            } else if let Some(rss) = line.strip_prefix("Rss:").filter(|_| inside) {
+                return rss.trim().trim_end_matches("kB").trim().parse().unwrap();
+            }
+        }
+        panic!("no mapping contains {addr:#x}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn replayed_sidecar_holds_no_resident_pages() {
+        let dir = tmp_dir("resident");
+        let cache = TraceCache::open(&dir).unwrap();
+        // 20,000 iterations of two definitions and a branch: 60,003
+        // events, a sidecar of 1.4 MB
+        let program = assemble(
+            r#"
+                mov r1 = 0
+            loop:
+                cmp.lt p1, p2 = r1, 20000
+                (p1) add r1 = r1, 1
+                (p1) br loop
+                halt
+            "#,
+        )
+        .unwrap();
+        let budget = 100_000;
+        let key = CacheKey::for_run("resident", &program, &Memory::new(), budget);
+        let mut recorded = TraceSink::new();
+        cache
+            .replay_or_record(&key, &program, Memory::new(), budget, &mut recorded)
+            .unwrap();
+        assert_eq!(recorded.events().len(), 60_003);
+
+        let mut replays = [TraceSink::new(), TraceSink::new()];
+        for (n, sink) in replays.iter_mut().enumerate() {
+            let (_, hit) = cache
+                .replay_or_record(&key, &program, Memory::new(), budget, sink)
+                .unwrap();
+            assert!(hit);
+            let map = cache.map_lookup(&cache.path(&key)).unwrap();
+            let addr = map.raw_events().as_ptr() as usize;
+            assert_eq!(resident_kb(addr), 0, "after replay {n}");
+        }
+        for sink in &replays {
+            assert_eq!(sink.events(), recorded.events());
+        }
+        let stats = cache.serve_stats();
+        assert_eq!((stats.segment_opens, stats.segment_replays), (1, 2));
         let _ = fs::remove_dir_all(&dir);
     }
 

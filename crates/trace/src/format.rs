@@ -135,19 +135,25 @@ fn read_u64_le<R: Read + ?Sized>(input: &mut R) -> Result<u64, TraceError> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// Encodes one event against the previous record's index.
+/// The longest event record: a branch's tag, index delta, pc, target,
+/// guard, flags and region.
+const MAX_EVENT_LEN: usize = 1 + varint::MAX_LEN + 5 + 5 + 2 + 3;
+
+/// Encodes one event against the previous record's index, building the
+/// record on the stack and handing it to `out` in one `write_all`.
 pub(crate) fn write_event<W: Write + ?Sized>(
     out: &mut W,
     event: &Event,
     prev_index: u64,
 ) -> io::Result<u64> {
-    match event {
+    let mut buf = [0u8; MAX_EVENT_LEN];
+    let delta = varint::zigzag(event.index().wrapping_sub(prev_index) as i64);
+    let len = match event {
         Event::Branch(b) => {
-            out.write_all(&[TAG_BRANCH])?;
-            let delta = b.index.wrapping_sub(prev_index) as i64;
-            varint::write_u64(out, varint::zigzag(delta))?;
-            varint::write_u64(out, b.pc as u64)?;
-            varint::write_u64(out, b.target as u64)?;
+            buf[0] = TAG_BRANCH;
+            let mut at = varint::put_u64(&mut buf, 1, delta);
+            at = varint::put_u64(&mut buf, at, b.pc as u64);
+            at = varint::put_u64(&mut buf, at, b.target as u64);
             let mut flags = 0u8;
             if b.taken {
                 flags |= FLAG_TAKEN;
@@ -158,17 +164,17 @@ pub(crate) fn write_event<W: Write + ?Sized>(
             if b.region.is_some() {
                 flags |= FLAG_HAS_REGION;
             }
-            out.write_all(&[b.guard.index(), flags])?;
-            if let Some(region) = b.region {
-                varint::write_u64(out, region as u64)?;
+            buf[at] = b.guard.index();
+            buf[at + 1] = flags;
+            match b.region {
+                Some(region) => varint::put_u64(&mut buf, at + 2, region as u64),
+                None => at + 2,
             }
-            Ok(b.index)
         }
         Event::PredWrite(p) => {
-            out.write_all(&[TAG_PRED_WRITE])?;
-            let delta = p.index.wrapping_sub(prev_index) as i64;
-            varint::write_u64(out, varint::zigzag(delta))?;
-            varint::write_u64(out, p.pc as u64)?;
+            buf[0] = TAG_PRED_WRITE;
+            let mut at = varint::put_u64(&mut buf, 1, delta);
+            at = varint::put_u64(&mut buf, at, p.pc as u64);
             let mut flags = 0u8;
             if p.value {
                 flags |= FLAG_VALUE;
@@ -176,10 +182,12 @@ pub(crate) fn write_event<W: Write + ?Sized>(
             if p.guard_value {
                 flags |= FLAG_GUARD_VALUE;
             }
-            out.write_all(&[p.preg.index(), p.guard.index(), flags])?;
-            Ok(p.index)
+            buf[at..at + 3].copy_from_slice(&[p.preg.index(), p.guard.index(), flags]);
+            at + 3
         }
-    }
+    };
+    out.write_all(&buf[..len])?;
+    Ok(event.index())
 }
 
 /// Decodes the record following an already-consumed tag byte.

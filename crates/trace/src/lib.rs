@@ -26,8 +26,10 @@
 //! * [`TraceMap`] — an mmap-backed view of a fixed-stride `.pbtd`
 //!   **segment sidecar** (built next to each cached `.pbt`), serving
 //!   event batches as borrowed slices straight off the OS page cache:
-//!   no per-replay decode, no per-replay checksum walk, and stream
-//!   residency bounded by the kernel rather than by the process.
+//!   no per-replay decode and no per-replay checksum walk. Mapped pages
+//!   count toward the process's resident set while they are mapped in,
+//!   so the cache hands a map's pages back to the kernel after every
+//!   replay and holds no stream resident between replays.
 //!   See the `segment` module docs for the layout and the
 //!   alignment/endianness contract.
 //! * `pbtrace` — a CLI to record, inspect, dump, verify, and migrate

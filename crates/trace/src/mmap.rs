@@ -1,18 +1,31 @@
 //! Read-only file mappings without a vendored `libc` crate.
 //!
-//! Segment-served replay ([`crate::TraceMap`]) wants the event section
-//! resident in the OS page cache, shared between concurrent processes
-//! sharing one cache directory, and paged in/out under kernel memory
-//! pressure rather than held in each process's heap. `std` exposes no
-//! mapping API, and this workspace vendors no `libc`, so the Unix path binds
-//! `mmap`/`munmap` directly against the C library Rust already links —
-//! two foreign functions, both POSIX-stable for decades.
+//! Segment-served replay ([`crate::TraceMap`]) reads the event section
+//! straight out of the OS page cache, which concurrent processes sharing
+//! one cache directory share, rather than out of a copy in each
+//! process's heap. A mapped page still counts toward this process's
+//! resident set for as long as it stays mapped in, so
+//! [`Mapping::release_resident`] hands a mapping's pages back once a
+//! replay is done with them: the next replay refaults them from the page
+//! cache. `std` exposes no mapping API, and this workspace vendors no
+//! `libc`, so the Unix path binds `mmap`, `munmap` and `madvise`
+//! directly against the C library Rust already links — three foreign
+//! functions, all POSIX-stable for decades.
 //!
 //! Everything degrades gracefully: on non-Unix targets, or when `mmap`
 //! itself fails (exotic filesystems, sandboxes that deny `PROT_READ`
 //! mappings), [`Mapping::open`] falls back to reading the file into an
 //! anonymous buffer. Callers see `&[u8]` either way; only residency
 //! behavior differs.
+//!
+//! What keeps the bytes a mapping serves equal to the bytes validated
+//! at open is publish-by-rename, not the mapping flags: an unmodified
+//! `MAP_PRIVATE` page *is* the page-cache page, so a write into the
+//! file in place would show through it, and the kernel may drop clean
+//! pages and refault them at any time. A sealed cache file is never
+//! rewritten in place, though, and a mapping keeps its inode alive
+//! through a rename or an unlink, so every fault, the first or a
+//! refault after a release, reads the file that was validated.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -47,6 +60,18 @@ impl Mapping {
         file.read_to_end(&mut buf)?;
         Ok(Mapping::Buffered(buf))
     }
+
+    /// Hands this process's resident pages of the mapping back to the
+    /// kernel. The mapping stays valid: the next read refaults each page
+    /// from the page cache, or from the file. Does nothing for the
+    /// buffered fallback, whose bytes live in the heap.
+    pub(crate) fn release_resident(&self) {
+        match self {
+            #[cfg(unix)]
+            Mapping::Mapped(m) => m.release_resident(),
+            Mapping::Buffered(_) => {}
+        }
+    }
 }
 
 impl Deref for Mapping {
@@ -67,11 +92,12 @@ mod unix {
     use std::os::raw::{c_int, c_void};
     use std::os::unix::io::AsRawFd;
 
-    // POSIX constants for the two calls below. Values are identical on
+    // POSIX constants for the three calls below. Values are identical on
     // Linux and the BSDs/macOS for this subset.
     const PROT_READ: c_int = 1;
     const MAP_PRIVATE: c_int = 2;
     const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         fn mmap(
@@ -83,6 +109,7 @@ mod unix {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     /// An owned read-only mapping of one file.
@@ -124,18 +151,28 @@ mod unix {
             })
         }
 
-        /// The mapped bytes.
-        ///
-        /// The file was opened read-only and mapped `MAP_PRIVATE`, so
-        /// in-place mutation by other processes cannot alter what this
-        /// process reads through already-resident pages; the cache's
-        /// atomic rename publication means sealed files are never
-        /// rewritten in place anyway.
+        /// The mapped bytes. They equal the file's bytes only while no
+        /// one writes the file in place (see the module docs); the
+        /// cache's rename publication never does.
         pub fn as_slice(&self) -> &[u8] {
             // SAFETY: `ptr` is a live mapping of exactly `len` bytes,
             // unmapped only in Drop (which borrows &mut self, so no
             // outstanding slice can exist).
             unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        }
+
+        /// Drops the mapping's resident pages (`MADV_DONTNEED`). A
+        /// refusal only leaves them resident, so the result is ignored.
+        pub(super) fn release_resident(&self) {
+            // SAFETY: advice over exactly the live mapping `map` made.
+            // The range stays mapped, so slices borrowed from
+            // `as_slice`, here or on another thread, remain valid: this
+            // process never writes the PROT_READ pages, so a page read
+            // after the advice refaults with the file's bytes, which are
+            // the bytes read before it (see the module docs).
+            unsafe {
+                madvise(self.ptr as *mut c_void, self.len, MADV_DONTNEED);
+            }
         }
     }
 
@@ -165,6 +202,9 @@ mod tests {
             matches!(mapping, Mapping::Mapped(_)),
             "unix should serve a real mapping"
         );
+        // released pages refault with the same bytes
+        mapping.release_resident();
+        assert_eq!(&*mapping, payload.as_slice());
         let _ = std::fs::remove_file(&path);
     }
 

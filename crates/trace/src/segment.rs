@@ -3,10 +3,11 @@
 //! The v1 varint stream is compact but serial: every replay pays a full
 //! decode and checksum walk. The segment sidecar trades disk bytes for
 //! serving speed: events are stored **fixed-stride**, so a replay is a
-//! pointer cast over an `mmap`ed file — no decode, no per-replay
-//! allocation proportional to the stream, and residency managed by the
-//! OS page cache, shared between concurrent processes sharing one
-//! cache directory.
+//! pointer cast over an `mmap`ed file — no decode and no per-replay
+//! allocation proportional to the stream. The bytes live in the OS page
+//! cache, shared between concurrent processes sharing one cache
+//! directory; the pages a replay reads count toward the process's
+//! resident set only until the cache releases them after the replay.
 //!
 //! # Layout (segment version 2)
 //!
@@ -64,12 +65,14 @@
 //! rebuilds them from their intact `.pbt`.
 
 use std::fs;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use predbranch_isa::PredReg;
-use predbranch_sim::{BranchEvent, Event, EventSink, PredWriteEvent, RunSummary};
+use predbranch_sim::{
+    BranchEvent, Event, EventSink, PredWriteEvent, RunSummary, EVENT_BATCH_CAPACITY,
+};
 
 use crate::error::TraceError;
 use crate::format::{
@@ -327,13 +330,9 @@ impl SegmentHeader {
 }
 
 /// Atomically publishes a segment sidecar next to `trace_path` from an
-/// already-decoded event stream. Used by the cache when it records or
-/// first decodes a trace, and by `pbtrace migrate`.
-///
-/// Same discipline as trace publication: write a uniquely named
-/// temporary in the same directory, fsync, rename. Concurrent builders
-/// race benignly — every temporary has identical contents. The
-/// checksum absorbs each record's words as it is encoded.
+/// already-decoded event stream. Used by the cache when it first
+/// decodes a trace, and by `pbtrace migrate`; a recording builds its
+/// sidecar with a `SegmentWriter` as the events arrive.
 pub fn publish_segment(
     trace_path: &Path,
     program_hash: u64,
@@ -341,44 +340,157 @@ pub fn publish_segment(
     summary: &RunSummary,
     events: &[Event],
 ) -> Result<PathBuf, TraceError> {
-    let target = segment_path(trace_path);
-    let dir = trace_path.parent().unwrap_or_else(|| Path::new("."));
-    let stem = trace_path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "segment".into());
-    let tmp = dir.join(format!(
-        ".{stem}.pbtd.tmp.{}.{}",
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-    ));
-    let header = SegmentHeader {
-        program_hash,
-        source_checksum,
-        event_count: events.len() as u64,
-        summary: *summary,
-    };
-    let result = (|| {
-        let mut out = BufWriter::new(fs::File::create(&tmp)?);
-        let mut hash = Fnv64::new();
-        let header = header.to_bytes();
-        hash.update_words(&header);
-        out.write_all(&header)?;
-        for event in events {
-            let record = RawEvent::encode(event).as_bytes();
-            hash.update_words(&record);
-            out.write_all(&record)?;
+    let mut writer = SegmentWriter::create(trace_path);
+    writer.events(events);
+    writer
+        .finish(program_hash, source_checksum, summary)
+        .map_err(TraceError::Io)
+}
+
+/// Bytes of one batch of records: what a [`SegmentWriter`] holds
+/// between writes.
+const RECORD_BATCH_BYTES: usize = EVENT_BATCH_CAPACITY * SEGMENT_EVENT_STRIDE;
+
+/// An [`EventSink`] that writes a segment sidecar as its stream
+/// arrives, so building one never holds the stream in memory: records
+/// are encoded [`EVENT_BATCH_CAPACITY`] at a time into one reusable
+/// buffer, which the file takes in one write.
+///
+/// Same discipline as trace publication: write a uniquely named
+/// temporary in the same directory, fsync, rename. Concurrent builders
+/// race benignly — every temporary has identical contents. The header
+/// (event count, source binding, summary) is known only once the stream
+/// ends, and the checksum starts with it, so [`SegmentWriter::finish`]
+/// writes the header in place and reads the records back, a batch at a
+/// time, to checksum them. I/O errors inside sink callbacks are latched
+/// and returned by `finish`; a writer dropped unfinished removes its
+/// temporary.
+#[derive(Debug)]
+pub(crate) struct SegmentWriter {
+    target: PathBuf,
+    /// The temporary, until it is renamed into place.
+    tmp: Option<PathBuf>,
+    /// The temporary's file, or the first I/O error it returned.
+    file: io::Result<fs::File>,
+    /// Encoded records not yet written: at most one batch.
+    records: Vec<u8>,
+    events: u64,
+}
+
+impl SegmentWriter {
+    /// Starts the sidecar of `trace_path`, leaving room for its header.
+    pub(crate) fn create(trace_path: &Path) -> Self {
+        let dir = trace_path.parent().unwrap_or_else(|| Path::new("."));
+        let stem = trace_path
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "segment".into());
+        let tmp = dir.join(format!(
+            ".{stem}.pbtd.tmp.{}.{}",
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
+        ));
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)
+            .and_then(|mut file| {
+                file.write_all(&[0; SEGMENT_HEADER_LEN])?;
+                Ok(file)
+            });
+        SegmentWriter {
+            target: segment_path(trace_path),
+            tmp: Some(tmp),
+            file,
+            records: Vec::with_capacity(RECORD_BATCH_BYTES),
+            events: 0,
         }
-        out.write_all(&hash.digest().to_le_bytes())?;
-        out.flush()?;
-        out.get_ref().sync_all()?;
-        fs::rename(&tmp, &target)?;
-        Ok(target.clone())
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
     }
-    result.map_err(TraceError::Io)
+
+    fn push(&mut self, event: &Event) {
+        self.records
+            .extend_from_slice(&RawEvent::encode(event).as_bytes());
+        self.events += 1;
+        if self.records.len() == RECORD_BATCH_BYTES {
+            self.write_records();
+        }
+    }
+
+    /// Appends the pending records to the file, latching an error.
+    fn write_records(&mut self) {
+        if let Ok(file) = &mut self.file {
+            if let Err(e) = file.write_all(&self.records) {
+                self.file = Err(e);
+            }
+        }
+        self.records.clear();
+    }
+
+    /// Seals the sidecar — header, checksum, fsync — and renames it into
+    /// place. Returns its path.
+    pub(crate) fn finish(
+        mut self,
+        program_hash: u64,
+        source_checksum: u64,
+        summary: &RunSummary,
+    ) -> io::Result<PathBuf> {
+        self.write_records();
+        let header = SegmentHeader {
+            program_hash,
+            source_checksum,
+            event_count: self.events,
+            summary: *summary,
+        }
+        .to_bytes();
+        // take the file, or the latched error; `Drop` needs only `tmp`
+        let mut file = std::mem::replace(&mut self.file, Err(io::ErrorKind::Other.into()))?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header)?;
+        let mut hash = Fnv64::new();
+        hash.update_words(&header);
+        let mut unread = self.events as usize * SEGMENT_EVENT_STRIDE;
+        self.records.resize(RECORD_BATCH_BYTES, 0);
+        while unread > 0 {
+            let batch = &mut self.records[..unread.min(RECORD_BATCH_BYTES)];
+            file.read_exact(batch)?;
+            hash.update_words(batch);
+            unread -= batch.len();
+        }
+        file.write_all(&hash.digest().to_le_bytes())?;
+        file.sync_all()?;
+        let tmp = self.tmp.take().expect("a writer is finished once");
+        if let Err(e) = fs::rename(&tmp, &self.target) {
+            self.tmp = Some(tmp);
+            return Err(e);
+        }
+        Ok(self.target.clone())
+    }
+}
+
+impl EventSink for SegmentWriter {
+    fn branch(&mut self, event: &BranchEvent) {
+        self.push(&Event::Branch(*event));
+    }
+
+    fn pred_write(&mut self, event: &PredWriteEvent) {
+        self.push(&Event::PredWrite(*event));
+    }
+
+    fn events(&mut self, events: &[Event]) {
+        for event in events {
+            self.push(event);
+        }
+    }
+}
+
+impl Drop for SegmentWriter {
+    fn drop(&mut self) {
+        if let Some(tmp) = &self.tmp {
+            let _ = fs::remove_file(tmp);
+        }
+    }
 }
 
 /// What [`migrate_trace`] did for one cache entry.
@@ -419,8 +531,9 @@ pub fn migrate_trace(trace_path: &Path) -> Result<MigrateOutcome, TraceError> {
 /// Opening validates structure (magic, version, canary, exact size for
 /// the stored event count) and walks the trailing checksum **once**;
 /// every [`TraceMap::replay`] after that is a fixed-stride scan of the
-/// mapping — no decode pass, no hashing, memory residency owned by the
-/// OS rather than by the process.
+/// mapping — no decode pass, no hashing. The pages a replay reads stay
+/// in the process's resident set until they are released, which the
+/// cache does after each replay; a later replay refaults them.
 #[derive(Debug)]
 pub struct TraceMap {
     mapping: crate::mmap::Mapping,
@@ -530,10 +643,7 @@ impl TraceMap {
         sink: &mut S,
         buffer: &mut Vec<Event>,
     ) -> Result<RunSummary, TraceError> {
-        for chunk in self
-            .raw_events()
-            .chunks(predbranch_sim::EVENT_BATCH_CAPACITY)
-        {
+        for chunk in self.raw_events().chunks(EVENT_BATCH_CAPACITY) {
             buffer.clear();
             for raw in chunk {
                 buffer.push(raw.decode()?);
@@ -542,6 +652,13 @@ impl TraceMap {
         }
         buffer.clear();
         Ok(self.header.summary)
+    }
+
+    /// Hands the mapping's resident pages back to the kernel once a
+    /// replay is done with them (see `mmap`). The map stays open and
+    /// validated; the next replay refaults the pages it reads.
+    pub(crate) fn release_resident(&self) {
+        self.mapping.release_resident();
     }
 
     /// Decodes the whole stream into memory.
@@ -651,6 +768,26 @@ mod tests {
             }
         }
         let _ = fs::remove_dir_all(seg.parent().unwrap());
+    }
+
+    #[test]
+    fn unfinished_writer_leaves_no_file() {
+        let dir = fresh_dir("unfinished");
+        let mut writer = SegmentWriter::create(&dir.join("t.pbt"));
+        let reg = |i| PredReg::new(i).unwrap();
+        for index in 0..3_000 {
+            writer.pred_write(&PredWriteEvent {
+                pc: 9,
+                preg: reg(4),
+                value: index % 3 == 0,
+                index,
+                guard: reg(0),
+                guard_value: true,
+            });
+        }
+        drop(writer);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     fn toy_trace(dir_tag: &str) -> (PathBuf, Vec<Event>, RunSummary) {

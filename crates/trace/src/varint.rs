@@ -3,16 +3,29 @@
 
 use std::io::{self, Read, Write};
 
-/// Writes `value` as an LEB128 varint (1–10 bytes).
-pub(crate) fn write_u64<W: Write + ?Sized>(out: &mut W, mut value: u64) -> io::Result<()> {
+/// The longest varint: a `u64` in 7-bit groups.
+pub(crate) const MAX_LEN: usize = 10;
+
+/// Encodes `value` as an LEB128 varint into `buf` at `at`; returns the
+/// offset just past it. Panics if `buf` has no room for it.
+pub(crate) fn put_u64(buf: &mut [u8], mut at: usize, mut value: u64) -> usize {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
-            return out.write_all(&[byte]);
+            buf[at] = byte;
+            return at + 1;
         }
-        out.write_all(&[byte | 0x80])?;
+        buf[at] = byte | 0x80;
+        at += 1;
     }
+}
+
+/// Writes `value` as an LEB128 varint (1–10 bytes) in one `write_all`.
+pub(crate) fn write_u64<W: Write + ?Sized>(out: &mut W, value: u64) -> io::Result<()> {
+    let mut buf = [0u8; MAX_LEN];
+    let len = put_u64(&mut buf, 0, value);
+    out.write_all(&buf[..len])
 }
 
 /// Reads an LEB128 varint. Fails with `InvalidData` past 10 bytes.

@@ -125,6 +125,74 @@ mod tests {
         }
     }
 
+    /// The record encoding is part of the format: every field's bytes,
+    /// and the trailing byte-wise FNV-1a checksum over all of them,
+    /// computed by hand from the layout in `format.rs`.
+    #[test]
+    fn record_bytes_known_answer() {
+        let reg = |i| PredReg::new(i).unwrap();
+        let header = TraceHeader::new("kat", 0x0123_4567_89ab_cdef, 42, 4_000_000);
+        let mut w = TraceWriter::new(Vec::new(), &header).unwrap();
+        // a branch with a region and two-byte pc/target varints
+        w.branch(&BranchEvent {
+            pc: 300,
+            target: 1000,
+            guard: reg(3),
+            taken: true,
+            conditional: true,
+            region: Some(130),
+            index: 5,
+        });
+        // a branch without a region, at the same index (delta 0)
+        w.branch(&BranchEvent {
+            pc: 9,
+            target: 2,
+            guard: reg(1),
+            taken: false,
+            conditional: true,
+            region: None,
+            index: 5,
+        });
+        // a predicate write 100,000 instructions later (3-byte delta)
+        w.pred_write(&PredWriteEvent {
+            pc: 4,
+            preg: reg(2),
+            value: true,
+            index: 100_005,
+            guard: reg(1),
+            guard_value: true,
+        });
+        let summary = RunSummary {
+            instructions: 100_010,
+            branches: 2,
+            conditional_branches: 2,
+            region_branches: 1,
+            taken_conditional: 1,
+            pred_writes: 1,
+            halted: true,
+        };
+        let bytes = w.finish(&summary).unwrap();
+
+        let mut expected: Vec<u8> = Vec::new();
+        // magic, version 1, program hash, seed 42, budget 4,000,000, name
+        expected.extend_from_slice(b"PBTR\x01\x00");
+        expected.extend_from_slice(&[0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01]);
+        expected.extend_from_slice(&[0x2a, 0, 0, 0, 0, 0, 0, 0]);
+        expected.extend_from_slice(&[0x00, 0x09, 0x3d, 0, 0, 0, 0, 0]);
+        expected.extend_from_slice(b"\x03\x00kat");
+        // tag, zigzag Δ5, pc 300, target 1000, p3, taken|cond|region, 130
+        expected.extend_from_slice(&[0x01, 0x0a, 0xac, 0x02, 0xe8, 0x07, 0x03, 0x07, 0x82, 0x01]);
+        // tag, Δ0, pc 9, target 2, p1, cond
+        expected.extend_from_slice(&[0x01, 0x00, 0x09, 0x02, 0x01, 0x02]);
+        // tag, zigzag Δ100,000, pc 4, p2, guard p1, value|guard-value
+        expected.extend_from_slice(&[0x02, 0xc0, 0x9a, 0x0c, 0x04, 0x02, 0x01, 0x03]);
+        // end tag, summary (100,010 · 2 · 2 · 1 · 1 · 1 · halted), 3 events
+        expected.extend_from_slice(&[0xe0, 0xaa, 0x8d, 0x06, 0x02, 0x02, 0x01, 0x01, 0x01]);
+        expected.extend_from_slice(&[0x01, 0x03]);
+        expected.extend_from_slice(&0x61af_00d9_898e_b0a1u64.to_le_bytes());
+        assert_eq!(bytes, expected);
+    }
+
     #[test]
     fn counts_by_kind() {
         let mut w = TraceWriter::new(Vec::new(), &header()).unwrap();
